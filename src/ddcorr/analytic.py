@@ -38,24 +38,23 @@ import numpy as np
 
 from .spin_model import SystemModel, TargetCluster, transition
 
-_KIND_2D = ("independent_molecules", "uncorrelated", "correlated")
-_KIND_3D = (
-    "independent",
-    "uncorrelated",
-    "ring",
-    "star",
-    "linked_ladder",
-    "unlinked_ladder",
-)
-# Smallest Hilbert dimension that can host each topology.
-_MIN_D_2D = {"uncorrelated": 4, "correlated": 3}
-_MIN_D_3D = {
-    "uncorrelated": 6,
-    "ring": 3,
-    "star": 4,
-    "linked_ladder": 4,
-    "unlinked_ladder": 5,
+# Topology name -> (driven transitions, least dimension, m of the quantized
+# minimum (d - m)/d).  The *-independent topologies drive one transition per
+# molecule: their least dimension is per molecule, and their minimum is a
+# corner product of one-transition factors instead.
+_TOPOLOGIES = {
+    "1d": (1, 2, 4),
+    "2d-independent": (2, 2, None),
+    "2d-uncorrelated": (2, 4, 8),
+    "2d-correlated": (2, 3, 4),
+    "3d-independent": (3, 2, None),
+    "3d-uncorrelated": (3, 6, 12),
+    "3d-ring": (3, 3, 4),
+    "3d-star": (3, 4, 4),
+    "3d-linked-ladder": (3, 4, 8),
+    "3d-unlinked-ladder": (3, 5, 8),
 }
+TOPOLOGIES = tuple(_TOPOLOGIES)
 # Below this max(|a|, |b|) * dt the nested segment integral uses its double
 # Taylor series, truncated after total order _SERIES_ORDER (error below
 # 1e-20 relative), instead of difference quotients that divide by a or b.
@@ -95,95 +94,57 @@ class DipParams:
 
 
 @dataclass(frozen=True)
-class Topology2D:
-    """How two driven transitions relate: separate molecules, no shared
-    level within one molecule, or one shared level."""
+class Topology:
+    """How the driven transitions relate, named as in TOPOLOGIES.
 
-    kind: str
-    dims: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _KIND_2D:
-            raise ValueError(f"unknown 2D topology {self.kind!r}")
-        object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
-        if self.kind == "independent_molecules":
-            if len(self.dims) != 2 or any(d < 2 for d in self.dims):
-                raise ValueError("independent_molecules needs two dimensions >= 2")
-        elif self.dims:
-            raise ValueError(f"{self.kind} takes no dimension payload")
-
-    @classmethod
-    def independent_molecules(cls, d1: int, d2: int) -> "Topology2D":
-        return cls("independent_molecules", (d1, d2))
-
-    @classmethod
-    def uncorrelated(cls) -> "Topology2D":
-        return cls("uncorrelated")
-
-    @classmethod
-    def correlated(cls) -> "Topology2D":
-        return cls("correlated")
-
-
-@dataclass(frozen=True)
-class Topology3D:
-    """How three driven transitions relate.
-
-    ring: a closed triangle on three levels; star: three transitions
-    sharing a hub level; linked_ladder: a chain where consecutive
-    transitions share a level; unlinked_ladder: transitions 2 and 3 chained,
-    transition 1 detached; uncorrelated: no shared levels at all.
+    1d: one transition.  Two transitions: independent (separate molecules),
+    uncorrelated (no shared level) or correlated (one shared level).  Three
+    transitions: independent, uncorrelated, ring (a closed triangle on
+    three levels), star (three transitions sharing a hub level),
+    linked-ladder (a chain where consecutive transitions share a level) or
+    unlinked-ladder (transitions 2 and 3 chained, transition 1 detached).
+    The independent topologies carry one dimension per molecule in dims.
     """
 
-    kind: str
+    name: str
     dims: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KIND_3D:
-            raise ValueError(f"unknown 3D topology {self.kind!r}")
+        if self.name not in TOPOLOGIES:
+            raise ValueError(f"unknown topology {self.name!r}")
         object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
-        if self.kind == "independent":
-            if len(self.dims) != 3 or any(d < 2 for d in self.dims):
-                raise ValueError("independent needs three dimensions >= 2")
-        elif self.dims:
-            raise ValueError(f"{self.kind} takes no dimension payload")
+        least = _TOPOLOGIES[self.name][1]
+        if not self.independent:
+            if self.dims:
+                raise ValueError(f"{self.name} takes no dimension payload")
+        elif len(self.dims) != self.arity or any(d < least for d in self.dims):
+            raise ValueError(
+                f"{self.name} needs {self.arity} dimensions >= {least}, got {self.dims}"
+            )
 
-    @classmethod
-    def independent(cls, d1: int, d2: int, d3: int) -> "Topology3D":
-        return cls("independent", (d1, d2, d3))
+    @property
+    def arity(self) -> int:
+        """Number of driven transitions."""
+        return _TOPOLOGIES[self.name][0]
 
-    @classmethod
-    def uncorrelated(cls) -> "Topology3D":
-        return cls("uncorrelated")
+    @property
+    def independent(self) -> bool:
+        """One transition per separate molecule."""
+        return self.name.endswith("-independent")
 
-    @classmethod
-    def ring(cls) -> "Topology3D":
-        return cls("ring")
-
-    @classmethod
-    def star(cls) -> "Topology3D":
-        return cls("star")
-
-    @classmethod
-    def linked_ladder(cls) -> "Topology3D":
-        return cls("linked_ladder")
-
-    @classmethod
-    def unlinked_ladder(cls) -> "Topology3D":
-        return cls("unlinked_ladder")
+    def check_dim(self, d: int) -> None:
+        """Raise ValueError unless the topology fits joint dimension d."""
+        least = _TOPOLOGIES[self.name][1]
+        if self.independent and d != math.prod(self.dims):
+            factors = " * ".join(map(str, self.dims))
+            raise ValueError(f"joint dimension {d} != {factors} for separate molecules")
+        if not self.independent and d < least:
+            raise ValueError(f"{self.name} topology needs dimension >= {least}, got {d}")
 
 
 class PulsePeriod(NamedTuple):
     exact: float
     even: int
-
-
-def _require_dim(topology, d: int, minima_table: dict) -> None:
-    least = minima_table[topology.kind]
-    if d < least:
-        raise ValueError(
-            f"{topology.kind} topology needs dimension >= {least}, got {d}"
-        )
 
 
 def magnus_rotation(
@@ -337,22 +298,23 @@ def dip_1d(d: int, delta: float, n_pulses: float) -> float:
     return (d - 2 + 2 * math.cos(2 * n_pulses * delta)) / d
 
 
-def dip_2d(topology: Topology2D, params: DipParams) -> float:
+def _molecule_product(topology: Topology, params: DipParams) -> float:
+    """Product of one-transition dips, one per separate molecule."""
+    return math.prod(
+        dip_1d(d, delta, n)
+        for d, delta, n in zip(topology.dims, params.deltas, params.pulses)
+    )
+
+
+def dip_2d(topology: Topology, params: DipParams) -> float:
     """Two-transition dip for the given topology."""
-    if len(params.deltas) != 2:
-        raise ValueError("2D dip needs exactly two (delta, N) pairs")
-    (d1v, n1), (d2v, n2) = zip(params.deltas, params.pulses)
-    if topology.kind == "independent_molecules":
-        da, db = topology.dims
-        if params.d != da * db:
-            raise ValueError(
-                f"joint dimension {params.d} != {da} * {db} for separate molecules"
-            )
-        return dip_1d(da, d1v, n1) * dip_1d(db, d2v, n2)
-    _require_dim(topology, params.d, _MIN_D_2D)
-    c1 = math.cos(2 * n1 * d1v)
-    c2 = math.cos(2 * n2 * d2v)
-    if topology.kind == "uncorrelated":
+    if topology.arity != 2 or len(params.deltas) != 2:
+        raise ValueError("2D dip needs a 2d topology and exactly two (delta, N) pairs")
+    topology.check_dim(params.d)
+    if topology.independent:
+        return _molecule_product(topology, params)
+    c1, c2 = (math.cos(2 * n * dv) for dv, n in zip(params.deltas, params.pulses))
+    if topology.name == "2d-uncorrelated":
         return (params.d - 4 + 2 * c1 + 2 * c2) / params.d
     return (params.d - 3 + c1 + c2 + c1 * c2) / params.d
 
@@ -385,34 +347,24 @@ def dip_trace_3d(
     return complex(np.trace(u3 @ u2 @ u1 @ u2) / cluster.dim)
 
 
-def dip_3d(topology: Topology3D, params: DipParams) -> float:
+def dip_3d(topology: Topology, params: DipParams) -> float:
     """Three-transition dip for the given topology (real part of the trace)."""
-    if len(params.deltas) != 3:
-        raise ValueError("3D dip needs exactly three (delta, N) pairs")
-    angles = [2 * n * dv for dv, n in zip(params.deltas, params.pulses)]
-    if topology.kind == "independent":
-        da, db, dc = topology.dims
-        if params.d != da * db * dc:
-            raise ValueError(
-                f"joint dimension {params.d} != {da} * {db} * {dc} for separate molecules"
-            )
-        return (
-            dip_1d(da, params.deltas[0], params.pulses[0])
-            * dip_1d(db, params.deltas[1], params.pulses[1])
-            * dip_1d(dc, params.deltas[2], params.pulses[2])
-        )
-    _require_dim(topology, params.d, _MIN_D_3D)
+    if topology.arity != 3 or len(params.deltas) != 3:
+        raise ValueError("3D dip needs a 3d topology and exactly three (delta, N) pairs")
+    topology.check_dim(params.d)
+    if topology.independent:
+        return _molecule_product(topology, params)
     d = params.d
-    ca, cb, cc = (math.cos(a) for a in angles)
-    if topology.kind == "uncorrelated":
+    ca, cb, cc = (math.cos(2 * n * dv) for dv, n in zip(params.deltas, params.pulses))
+    if topology.name == "3d-uncorrelated":
         return (d - 6 + 2 * ca + 2 * cb + 2 * cc) / d
-    if topology.kind == "unlinked_ladder":
+    if topology.name == "3d-unlinked-ladder":
         return (d - 5 + 2 * ca + cb + cc + cb * cc) / d
     # ring/star/linked forms carry the middle rotation as split half angles
     half = params.pulses[1] * params.deltas[1]
     cos2, sin2 = math.cos(half) ** 2, math.sin(half) ** 2
     cross = ca * cos2 + cos2 * cc - ca * sin2 * cc - sin2
-    if topology.kind == "linked_ladder":
+    if topology.name == "3d-linked-ladder":
         return (d - 4 + ca + cc + cross) / d
     return (d - 3 + ca * cc + cross) / d
 
@@ -438,37 +390,14 @@ def _factor_extremes(dims):
     return min(values)
 
 
-def minima(topology, d: int) -> float:
+def minima(topology: Topology, d: int) -> float:
     """Quantized dip minimum for a topology at dimension d.
 
-    Accepts "1d", a Topology2D, or a Topology3D.  Each value is the global
-    minimum of the corresponding closed form over real pulse counts, reached
-    at half-period driving (N_i = pi/(2 delta_i)).
+    Each value is the global minimum of the corresponding closed form over
+    real pulse counts, reached at half-period driving (N_i = pi/(2 delta_i)).
     """
-    if topology == "1d":
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
-        return (d - 4) / d
-    if isinstance(topology, Topology2D):
-        if topology.kind == "independent_molecules":
-            if d != topology.dims[0] * topology.dims[1]:
-                raise ValueError("joint dimension mismatch")
-            return _factor_extremes(topology.dims)
-        _require_dim(topology, d, _MIN_D_2D)
-        if topology.kind == "uncorrelated":
-            return (d - 8) / d
-        return (d - 4) / d
-    if isinstance(topology, Topology3D):
-        if topology.kind == "independent":
-            if d != topology.dims[0] * topology.dims[1] * topology.dims[2]:
-                raise ValueError("joint dimension mismatch")
-            return _factor_extremes(topology.dims)
-        _require_dim(topology, d, _MIN_D_3D)
-        return {
-            "uncorrelated": (d - 12) / d,
-            "ring": (d - 4) / d,
-            "star": (d - 4) / d,
-            "linked_ladder": (d - 8) / d,
-            "unlinked_ladder": (d - 8) / d,
-        }[topology.kind]
-    raise ValueError(f"unrecognized topology {topology!r}")
+    topology.check_dim(d)
+    m = _TOPOLOGIES[topology.name][2]
+    if m is None:
+        return _factor_extremes(topology.dims)
+    return (d - m) / d

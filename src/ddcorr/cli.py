@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DipParams, Topology2D, Topology3D, dip_1d, dip_2d, dip_3d
+from .analytic import TOPOLOGIES, Topology
 from .planner import DEFAULT_T_IR_US, plan, readout_fidelity
 from .scan import (
     AnalyticModel,
@@ -54,21 +54,6 @@ from .spin_model import (
     transition,
     validate_weak_coupling,
 )
-
-_TOPOLOGY_2D = {
-    "2d-independent": "independent_molecules",
-    "2d-uncorrelated": "uncorrelated",
-    "2d-correlated": "correlated",
-}
-_TOPOLOGY_3D = {
-    "3d-independent": "independent",
-    "3d-uncorrelated": "uncorrelated",
-    "3d-ring": "ring",
-    "3d-star": "star",
-    "3d-linked-ladder": "linked_ladder",
-    "3d-unlinked-ladder": "unlinked_ladder",
-}
-_TOPOLOGY_NAMES = ("1d", *_TOPOLOGY_2D, *_TOPOLOGY_3D)
 
 # Bare field names -> the unit-suffixed spelling the schema requires.
 _SUFFIX_HINTS = {
@@ -135,6 +120,15 @@ def _check_keys(obj: dict, allowed: set, path: str) -> None:
         _fail(path, f"unknown field {key!r} (allowed: {', '.join(sorted(allowed))})")
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; Python's json also parses NaN and Infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _number(obj: dict, key: str, path: str, default=None):
     if key not in obj:
         if default is not None:
@@ -143,6 +137,8 @@ def _number(obj: dict, key: str, path: str, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -159,13 +155,9 @@ def _integer(obj: dict, key: str, path: str, default=None):
 
 def _amp_phase(entry, path: str):
     """A coupling given as amplitude_kHz or [amplitude_kHz, phase_rad]."""
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+    if _is_number(entry):
         return float(entry), 0.0
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
         return float(entry[0]), float(entry[1])
     _fail(path, f"expected amplitude_kHz or [amplitude_kHz, phase_rad], got {entry!r}")
 
@@ -223,8 +215,8 @@ def _parse_custom_cluster(obj: dict, path: str) -> TargetCluster:
         _fail(path, "cluster needs a 'preset' or an 'energies_MHz' list")
     energies = _as_list(obj["energies_MHz"], f"{path}.energies_MHz")
     for i, e in enumerate(energies):
-        if isinstance(e, bool) or not isinstance(e, (int, float)):
-            _fail(f"{path}.energies_MHz[{i}]", f"expected a number, got {e!r}")
+        if not _is_number(e):
+            _fail(f"{path}.energies_MHz[{i}]", f"expected a finite number, got {e!r}")
     entries = []
     for i, c in enumerate(_as_list(obj.get("couplings", []), f"{path}.couplings")):
         cpath = f"{path}.couplings[{i}]"
@@ -329,41 +321,27 @@ def _parse_analytic(obj, clusters, path: str) -> AnalyticModel:
     obj = _as_dict(obj, path)
     _check_keys(obj, {"topology", "cluster", "transitions"}, path)
     name = obj.get("topology")
-    if name not in _TOPOLOGY_NAMES:
-        _fail(f"{path}.topology", f"unknown topology {name!r} (one of {', '.join(_TOPOLOGY_NAMES)})")
+    if name not in TOPOLOGIES:
+        _fail(f"{path}.topology", f"unknown topology {name!r} (one of {', '.join(TOPOLOGIES)})")
     entries = _as_list(obj.get("transitions"), f"{path}.transitions")
-    independent = name in ("2d-independent", "3d-independent")
+    # separate molecules name [cluster, m, n]; otherwise one cluster holds all
+    independent = name.endswith("-independent")
     try:
-        if independent:
-            dims, deltas = [], []
-            for i, entry in enumerate(entries):
-                index, m, n = _resolve_transition(
-                    clusters, entry, f"{path}.transitions[{i}]", with_cluster=True
-                )
-                dims.append(clusters[index].dim)
-                deltas.append(transition(clusters[index], m, n).delta)
-            if name == "2d-independent":
-                topology = Topology2D.independent_molecules(*dims)
-            else:
-                topology = Topology3D.independent(*dims)
-            return AnalyticModel(topology, tuple(deltas), math.prod(dims))
-        index = _integer(obj, "cluster", path)
-        if not 0 <= index < len(clusters):
-            _fail(f"{path}.cluster", f"no cluster {index} (have {len(clusters)})")
-        cluster = clusters[index]
-        deltas = []
+        if not independent:
+            index = _integer(obj, "cluster", path)
+            if not 0 <= index < len(clusters):
+                _fail(f"{path}.cluster", f"no cluster {index} (have {len(clusters)})")
+        dims, deltas = [], []
         for i, entry in enumerate(entries):
-            m, n = _resolve_transition(
-                clusters, entry, f"{path}.transitions[{i}]", with_cluster=False
-            )
-            deltas.append(transition(cluster, m, n).delta)
-        if name == "1d":
-            topology = "1d"
-        elif name in _TOPOLOGY_2D:
-            topology = Topology2D(_TOPOLOGY_2D[name])
-        else:
-            topology = Topology3D(_TOPOLOGY_3D[name])
-        return AnalyticModel(topology, tuple(deltas), cluster.dim)
+            tpath = f"{path}.transitions[{i}]"
+            if independent:
+                index, m, n = _resolve_transition(clusters, entry, tpath, with_cluster=True)
+                dims.append(clusters[index].dim)
+            else:
+                m, n = _resolve_transition(clusters, entry, tpath, with_cluster=False)
+            deltas.append(transition(clusters[index], m, n).delta)
+        d = math.prod(dims) if independent else clusters[index].dim
+        return AnalyticModel(Topology(name, tuple(dims)), tuple(deltas), d)
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:
@@ -490,9 +468,12 @@ def _default_workers() -> int:
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ScenarioError(f"{flag}: expected comma-separated numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"{flag}: expected finite numbers, got {text!r}")
+    return values
 
 
 def _cmd_scan(args) -> int:
@@ -525,32 +506,16 @@ def _cmd_analytic(args) -> int:
     deltas = _parse_floats(args.delta, "--delta")
     pulses = _parse_floats(args.n, "--n")
     name = args.topology
-    if name == "1d":
-        if len(deltas) != 1 or len(pulses) != 1:
-            raise ScenarioError("1d takes one delta and one pulse count")
-        value = dip_1d(args.d, deltas[0], pulses[0])
-    else:
-        if name in ("2d-independent", "3d-independent"):
-            if not args.dims:
-                raise ScenarioError(f"{name} requires --dims")
-            dims = [int(x) for x in _parse_floats(args.dims, "--dims")]
-            topology = (
-                Topology2D.independent_molecules(*dims)
-                if name == "2d-independent"
-                else Topology3D.independent(*dims)
-            )
-            d = math.prod(dims)
-        elif name in _TOPOLOGY_2D:
-            topology, d = Topology2D(_TOPOLOGY_2D[name]), args.d
-        elif name in _TOPOLOGY_3D:
-            topology, d = Topology3D(_TOPOLOGY_3D[name]), args.d
-        else:
-            raise ScenarioError(f"unknown topology {name!r}")
-        if d is None:
-            raise ScenarioError("--d is required for this topology")
-        params = DipParams(d, tuple(deltas), tuple(pulses))
-        value = dip_2d(topology, params) if isinstance(topology, Topology2D) else dip_3d(topology, params)
-    print(_fmt(value))
+    dims = ()
+    if name.endswith("-independent"):
+        if not args.dims:
+            raise ScenarioError(f"{name} requires --dims")
+        dims = tuple(int(x) for x in _parse_floats(args.dims, "--dims"))
+    topology = Topology(name, dims)
+    d = math.prod(dims) if dims else args.d
+    if d is None:
+        raise ScenarioError("--d is required for this topology")
+    print(_fmt(AnalyticModel(topology, deltas, d).evaluate(pulses)))
     return 0
 
 
@@ -646,7 +611,7 @@ def _cmd_validate(args) -> int:
         f"{len(scenario.sequence.blocks)} block(s)",
     ]
     if scenario.grid is not None:
-        parts.append(f"grid {'x'.join(str(len(a.values())) for a in scenario.grid.axes)} [{scenario.grid.engine}]")
+        parts.append(f"grid {'x'.join(str(len(a)) for a in scenario.grid.axes)} [{scenario.grid.engine}]")
     if scenario.analytic_model is not None:
         parts.append("analytic model")
     if scenario.plan_inputs is not None:
@@ -677,7 +642,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("analytic", help="evaluate one closed-form dip")
-    p.add_argument("--topology", required=True, choices=list(_TOPOLOGY_NAMES))
+    p.add_argument("--topology", required=True, choices=TOPOLOGIES)
     p.add_argument("--d", type=int, help="Hilbert dimension")
     p.add_argument("--dims", help="per-molecule dimensions for independent topologies")
     p.add_argument("--delta", required=True, help="comma-separated contrasts")

@@ -140,22 +140,11 @@ def sweep_time(
             raise ValueError("uniform mode prices points at the 2D dip time")
         t_dip = dip_time(deltas[0], omegas[0], deltas[1], omegas[1])
         return points, points * point_time(shots, t_dip, t_ir_us)
+    # N_i = k * step over k < counts[i] averages step * (counts[i] - 1) / 2
+    # pulses, each 2 tau_i long, so the mean evolution per point is:
     taus = [math.pi / (2 * omega) for omega in omegas]
-    total_us = 0.0
-    for combo in _grid(counts, step):
-        evolution = sum(n * 2 * tau for n, tau in zip(combo, taus))
-        total_us += shots * (evolution + t_ir_us)
-    return points, total_us / _US_PER_S
-
-
-def _grid(counts, step):
-    if len(counts) == 1:
-        for i in range(counts[0]):
-            yield (i * step,)
-        return
-    for head in range(counts[0]):
-        for tail in _grid(counts[1:], step):
-            yield (head * step, *tail)
+    evolution = step * sum(tau * (count - 1) for tau, count in zip(taus, counts))
+    return points, shots * points * (evolution + t_ir_us) / _US_PER_S
 
 
 def plan(
@@ -181,7 +170,8 @@ def plan(
     if len(delta_omegas) != 2:
         raise ValueError("dip time is defined for exactly two transitions")
     shots = shots_for_snr(fidelity, snr)
-    t_dip = math.pi**2 / (2 * delta_omegas[0]) + math.pi**2 / (2 * delta_omegas[1])
+    # the dip time depends on each product delta_i * omega_i alone
+    t_dip = dip_time(delta_omegas[0], 1.0, delta_omegas[1], 1.0)
     t_point = point_time(shots, t_dip, t_ir_us)
     sweep_points = sweep_s = None
     if deltas is not None and omegas is not None:

@@ -21,15 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .analytic import (
-    DipParams,
-    Topology2D,
-    Topology3D,
-    dip_1d,
-    dip_2d,
-    dip_3d,
-    magnus_coherence,
-)
+from .analytic import DipParams, Topology, dip_1d, dip_2d, dip_3d, magnus_coherence
 from .exact import coherence_system
 from .sequence import SequenceSpec, build_timeline
 from .spin_model import SystemModel
@@ -63,6 +55,9 @@ class TauAxis:
     def label(self) -> str:
         return f"tau{self.block + 1}_us"
 
+    def __len__(self) -> int:
+        return self.steps
+
     def values(self) -> list[float]:
         return [float(v) for v in np.linspace(self.lo, self.hi, self.steps)]
 
@@ -87,6 +82,9 @@ class PulseAxis:
     @property
     def label(self) -> str:
         return f"n{self.block + 1}"
+
+    def __len__(self) -> int:
+        return (self.stop - self.start) // self.step + 1
 
     def values(self) -> list[int]:
         return list(range(self.start, self.stop + 1, self.step))
@@ -124,7 +122,8 @@ class ScanRecord:
     analytic_L: float | None = None
 
     def __post_init__(self):
-        if self.re_L**2 + self.im_L**2 > 1 + 1e-9:
+        # negated so that a NaN magnitude fails too
+        if not self.re_L**2 + self.im_L**2 <= 1 + 1e-9:
             raise ValueError("|L| > 1: not a physical coherence")
 
 
@@ -138,17 +137,15 @@ class AnalyticModel:
     model for its analytic engines but evaluates the second-order model.
     """
 
-    topology: object
+    topology: Topology
     deltas: tuple[float, ...]
     d: int
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(float(x) for x in self.deltas))
-        expect = {Topology2D: 2, Topology3D: 3}.get(type(self.topology))
-        if self.topology == "1d":
-            expect = 1
-        if expect is None:
+        if not isinstance(self.topology, Topology):
             raise ValueError(f"unrecognized topology {self.topology!r}")
+        expect = self.topology.arity
         if len(self.deltas) != expect:
             raise ValueError(
                 f"{expect} deltas required for this topology, got {len(self.deltas)}"
@@ -158,12 +155,10 @@ class AnalyticModel:
         counts = tuple(float(n) for n in pulse_counts)
         if len(counts) != len(self.deltas):
             raise ValueError("one pulse count per block required")
-        if self.topology == "1d":
+        if self.topology.arity == 1:
             return dip_1d(self.d, self.deltas[0], counts[0])
-        params = DipParams(self.d, self.deltas, counts)
-        if isinstance(self.topology, Topology2D):
-            return dip_2d(self.topology, params)
-        return dip_3d(self.topology, params)
+        dip = dip_2d if self.topology.arity == 2 else dip_3d
+        return dip(self.topology, DipParams(self.d, self.deltas, counts))
 
 
 def _apply_point(spec: SequenceSpec, axes, combo) -> SequenceSpec:

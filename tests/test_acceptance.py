@@ -12,8 +12,7 @@ import pytest
 
 from ddcorr.analytic import (
     DipParams,
-    Topology2D,
-    Topology3D,
+    Topology,
     dip_1d,
     dip_2d,
     dip_3d,
@@ -90,8 +89,8 @@ def fig3_panels(scale=1.0):
 
 def panel_topology(name):
     if name == "uncorrelated-ladder":
-        return Topology2D.uncorrelated()
-    return Topology2D.correlated()
+        return Topology("2d-uncorrelated")
+    return Topology("2d-correlated")
 
 
 def run_panel(name, cluster, pairs, scale=1.0, extent=(126, 88)):
@@ -214,12 +213,12 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
         (
             ladder_preset([0.20, 0.14, 0.30], [5.0, 5.04, None]),
             [(1, 0), (2, 1)],
-            Topology2D.correlated(),
+            Topology("2d-correlated"),
         ),
         (
             ladder_preset([0.20, 0.30, 0.14], [5.0, None, 5.04]),
             [(1, 0), (3, 2)],
-            Topology2D.uncorrelated(),
+            Topology("2d-uncorrelated"),
         ),
     ]
     grid = range(0, 40, 2)
@@ -234,16 +233,16 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
     # three-transition topologies on 20 x 20 x 5 grids
     three_d = [
         (ring_preset(0.34, 0.14, [5.0, 5.04, 4.98]),
-         [(2, 0), (1, 0), (2, 1)], Topology3D.ring()),
+         [(2, 0), (1, 0), (2, 1)], Topology("3d-ring")),
         (star_preset([0.20, 0.14, 0.06], [5.0, 5.04, 4.98]),
-         [(1, 0), (2, 0), (3, 0)], Topology3D.star()),
+         [(1, 0), (2, 0), (3, 0)], Topology("3d-star")),
         (ladder_preset([0.20, 0.14, 0.30], [5.0, 5.04, 4.98]),
-         [(1, 0), (2, 1), (3, 2)], Topology3D.linked_ladder()),
+         [(1, 0), (2, 1), (3, 2)], Topology("3d-linked-ladder")),
         (ladder_preset([0.20, 0.30, 0.14, 0.06], [5.0, None, 5.04, 4.98]),
-         [(1, 0), (3, 2), (4, 3)], Topology3D.unlinked_ladder()),
+         [(1, 0), (3, 2), (4, 3)], Topology("3d-unlinked-ladder")),
         (ladder_preset([0.20, 0.35, 0.14, 0.27, 0.06],
                        [5.0, None, 5.04, None, 4.98]),
-         [(1, 0), (3, 2), (5, 4)], Topology3D.uncorrelated()),
+         [(1, 0), (3, 2), (5, 4)], Topology("3d-uncorrelated")),
     ]
     n3_grid = range(0, 10, 2)
     for cluster, pairs, topo in three_d:
@@ -259,8 +258,8 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
 
     # chain-form reductions: middle transition idle, then last idle too
     reductions = [
-        (three_d[2], Topology2D.uncorrelated()),  # linked chain
-        (three_d[3], Topology2D.uncorrelated()),  # unlinked chain
+        (three_d[2], Topology("2d-uncorrelated")),  # linked chain
+        (three_d[3], Topology("2d-uncorrelated")),  # unlinked chain
     ]
     for (cluster, pairs, topo), reduced in reductions:
         deltas = tuple(transition(cluster, m, n).delta for m, n in pairs)

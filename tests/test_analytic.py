@@ -8,8 +8,7 @@ import pytest
 
 from ddcorr.analytic import (
     DipParams,
-    Topology2D,
-    Topology3D,
+    Topology,
     dip_1d,
     dip_2d,
     dip_3d,
@@ -226,7 +225,7 @@ class TestDip1D:
 class TestDip2D:
     def test_correlated_known_value(self):
         params = DipParams(3, (0.025, 0.036), (63, 44))
-        got = dip_2d(Topology2D.correlated(), params)
+        got = dip_2d(Topology("2d-correlated"), params)
         assert got == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
     def test_uncorrelated_floor_at_half_period(self):
@@ -234,35 +233,35 @@ class TestDip2D:
         params = DipParams(
             4, (d1, d2), (np.pi / (2 * d1), np.pi / (2 * d2))
         )
-        assert dip_2d(Topology2D.uncorrelated(), params) == pytest.approx(
+        assert dip_2d(Topology("2d-uncorrelated"), params) == pytest.approx(
             -1.0
         )
-        assert dip_2d(Topology2D.correlated(), params) == pytest.approx(0.0)
+        assert dip_2d(Topology("2d-correlated"), params) == pytest.approx(0.0)
 
     def test_independent_molecules_is_product(self):
         params = DipParams(6, (0.02, 0.03), (17, 11))
-        got = dip_2d(Topology2D.independent_molecules(2, 3), params)
+        got = dip_2d(Topology("2d-independent", (2, 3)), params)
         want = dip_1d(2, 0.02, 17) * dip_1d(3, 0.03, 11)
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_independent_molecules_dimension_guard(self):
         params = DipParams(5, (0.02, 0.03), (17, 11))
         with pytest.raises(ValueError):
-            dip_2d(Topology2D.independent_molecules(2, 3), params)
+            dip_2d(Topology("2d-independent", (2, 3)), params)
 
     def test_minimum_dimension_guard(self):
         with pytest.raises(ValueError):
             dip_2d(
-                Topology2D.uncorrelated(),
+                Topology("2d-uncorrelated"),
                 DipParams(3, (0.02, 0.03), (1, 1)),
             )
         with pytest.raises(ValueError):
             dip_2d(
-                Topology2D.correlated(), DipParams(2, (0.02, 0.03), (1, 1))
+                Topology("2d-correlated"), DipParams(2, (0.02, 0.03), (1, 1))
             )
 
     def test_exchange_symmetry(self):
-        for topo in (Topology2D.correlated(), Topology2D.uncorrelated()):
+        for topo in (Topology("2d-correlated"), Topology("2d-uncorrelated")):
             a = dip_2d(topo, DipParams(4, (0.02, 0.031), (9, 23)))
             b = dip_2d(topo, DipParams(4, (0.031, 0.02), (23, 9)))
             assert a == pytest.approx(b, abs=1e-14)
@@ -281,7 +280,7 @@ class TestTraceOracle2D:
     def test_closed_form_equals_trace_on_grid(self, make, kind, d):
         cluster, pairs = make()
         deltas = deltas_of(cluster, pairs)
-        topo = Topology2D(kind)
+        topo = Topology(f"2d-{kind}")
         worst = 0.0
         for n1 in range(0, 40, 2):
             for n2 in range(0, 40, 2):
@@ -297,7 +296,7 @@ class TestTraceOracle2D:
         for n1, n2 in [(0, 0), (10, 6), (31, 17), (63, 44)]:
             trace = dip_trace_2d(cluster, pairs[0], pairs[1], n1, n2)
             closed = dip_2d(
-                Topology2D.correlated(), DipParams(3, deltas, (n1, n2))
+                Topology("2d-correlated"), DipParams(3, deltas, (n1, n2))
             )
             assert trace.real == pytest.approx(closed, abs=1e-12)
 
@@ -332,7 +331,7 @@ class TestTraceOracle3D:
     def test_closed_form_equals_trace_on_grid(self, make, kind, d):
         cluster, pairs = make()
         deltas = deltas_of(cluster, pairs)
-        topo = Topology3D(kind)
+        topo = Topology("3d-" + kind.replace("_", "-"))
         worst = 0.0
         for n1 in range(0, 40, 2):
             for n2 in range(0, 40, 2):
@@ -348,16 +347,16 @@ class TestTraceOracle3D:
         """With the middle transition idle the chain forms reduce to the
         matching 2D forms; with the last one idle too, to the 1D dip."""
         cases = [
-            (cluster_linked, "linked_ladder", 4, Topology2D.uncorrelated()),
-            (cluster_unlinked, "unlinked_ladder", 5, Topology2D.uncorrelated()),
-            (cluster_ring, "ring", 3, Topology2D.correlated()),
-            (cluster_star, "star", 4, Topology2D.correlated()),
+            (cluster_linked, "linked_ladder", 4, Topology("2d-uncorrelated")),
+            (cluster_unlinked, "unlinked_ladder", 5, Topology("2d-uncorrelated")),
+            (cluster_ring, "ring", 3, Topology("2d-correlated")),
+            (cluster_star, "star", 4, Topology("2d-correlated")),
         ]
         for make, kind, d, reduced in cases:
             _, pairs = make()
             cluster, _ = make()
             deltas = deltas_of(cluster, pairs)
-            topo = Topology3D(kind)
+            topo = Topology("3d-" + kind.replace("_", "-"))
             for n1 in (0, 9, 22, 41):
                 for n3 in (0, 7, 30):
                     full = dip_3d(topo, DipParams(d, deltas, (n1, 0, n3)))
@@ -393,7 +392,7 @@ class TestTraceOracle3D:
 
     def test_independent_is_product(self):
         params = DipParams(8, (0.02, 0.03, 0.01), (5, 9, 13))
-        got = dip_3d(Topology3D.independent(2, 2, 2), params)
+        got = dip_3d(Topology("3d-independent", (2, 2, 2)), params)
         want = (
             dip_1d(2, 0.02, 5) * dip_1d(2, 0.03, 9) * dip_1d(2, 0.01, 13)
         )
@@ -440,37 +439,37 @@ class TestPulsePeriod:
 
 class TestMinima:
     def test_quoted_values(self):
-        assert minima(Topology2D.uncorrelated(), 4) == pytest.approx(-1.0)
-        assert minima(Topology2D.correlated(), 4) == pytest.approx(0.0)
-        assert minima("1d", 3) == pytest.approx(-1.0 / 3.0)
+        assert minima(Topology("2d-uncorrelated"), 4) == pytest.approx(-1.0)
+        assert minima(Topology("2d-correlated"), 4) == pytest.approx(0.0)
+        assert minima(Topology("1d"), 3) == pytest.approx(-1.0 / 3.0)
 
     def test_dimension_scaling(self):
         for d in range(3, 9):
-            assert minima("1d", d) == pytest.approx((d - 4) / d)
+            assert minima(Topology("1d"), d) == pytest.approx((d - 4) / d)
         for d in range(4, 9):
-            assert minima(Topology2D.uncorrelated(), d) == pytest.approx(
+            assert minima(Topology("2d-uncorrelated"), d) == pytest.approx(
                 (d - 8) / d
             )
         for d in range(3, 9):
-            assert minima(Topology2D.correlated(), d) == pytest.approx(
+            assert minima(Topology("2d-correlated"), d) == pytest.approx(
                 (d - 4) / d
             )
 
     def test_3d_values(self):
-        assert minima(Topology3D.ring(), 3) == pytest.approx(-1.0 / 3.0)
-        assert minima(Topology3D.star(), 4) == pytest.approx(0.0)
-        assert minima(Topology3D.linked_ladder(), 4) == pytest.approx(-1.0)
-        assert minima(Topology3D.unlinked_ladder(), 5) == pytest.approx(
+        assert minima(Topology("3d-ring"), 3) == pytest.approx(-1.0 / 3.0)
+        assert minima(Topology("3d-star"), 4) == pytest.approx(0.0)
+        assert minima(Topology("3d-linked-ladder"), 4) == pytest.approx(-1.0)
+        assert minima(Topology("3d-unlinked-ladder"), 5) == pytest.approx(
             -3.0 / 5.0
         )
-        assert minima(Topology3D.uncorrelated(), 6) == pytest.approx(-1.0)
+        assert minima(Topology("3d-uncorrelated"), 6) == pytest.approx(-1.0)
 
     def test_independent_molecules_corner_product(self):
         assert minima(
-            Topology2D.independent_molecules(2, 2), 4
+            Topology("2d-independent", (2, 2)), 4
         ) == pytest.approx(-1.0)
         assert minima(
-            Topology2D.independent_molecules(3, 5), 15
+            Topology("2d-independent", (3, 5)), 15
         ) == pytest.approx(-1.0 / 3.0)
 
     def test_2d_minima_are_attained_and_global(self):
@@ -480,10 +479,10 @@ class TestMinima:
         period = np.pi / delta
         grid = np.linspace(0.0, period, 241)
         for topo, d in [
-            (Topology2D.uncorrelated(), 4),
-            (Topology2D.uncorrelated(), 6),
-            (Topology2D.correlated(), 3),
-            (Topology2D.correlated(), 4),
+            (Topology("2d-uncorrelated"), 4),
+            (Topology("2d-uncorrelated"), 6),
+            (Topology("2d-correlated"), 3),
+            (Topology("2d-correlated"), 4),
         ]:
             floor = minima(topo, d)
             best = min(
@@ -501,11 +500,11 @@ class TestMinima:
         period = np.pi / delta
         grid = np.linspace(0.0, period, 49)
         for topo, d in [
-            (Topology3D.ring(), 3),
-            (Topology3D.star(), 4),
-            (Topology3D.linked_ladder(), 4),
-            (Topology3D.unlinked_ladder(), 5),
-            (Topology3D.uncorrelated(), 6),
+            (Topology("3d-ring"), 3),
+            (Topology("3d-star"), 4),
+            (Topology("3d-linked-ladder"), 4),
+            (Topology("3d-unlinked-ladder"), 5),
+            (Topology("3d-uncorrelated"), 6),
         ]:
             floor = minima(topo, d)
             best = min(
@@ -521,15 +520,15 @@ class TestMinima:
 class TestValidation:
     def test_unknown_topology_kind(self):
         with pytest.raises(ValueError):
-            Topology2D("diagonal")
+            Topology("diagonal")
         with pytest.raises(ValueError):
-            Topology3D("chain")
+            Topology("chain")
 
     def test_payload_only_for_independent(self):
         with pytest.raises(ValueError):
-            Topology2D("correlated", (3,))
+            Topology("2d-correlated", (3,))
         with pytest.raises(ValueError):
-            Topology3D("ring", (3,))
+            Topology("3d-ring", (3,))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -544,13 +543,13 @@ class TestValidation:
     def test_dip_3d_dimension_guards(self):
         with pytest.raises(ValueError):
             dip_3d(
-                Topology3D.uncorrelated(),
+                Topology("3d-uncorrelated"),
                 DipParams(5, (0.02,) * 3, (1, 1, 1)),
             )
         with pytest.raises(ValueError):
             dip_3d(
-                Topology3D.unlinked_ladder(),
+                Topology("3d-unlinked-ladder"),
                 DipParams(4, (0.02,) * 3, (1, 1, 1)),
             )
         with pytest.raises(ValueError):
-            dip_3d(Topology3D.ring(), DipParams(2, (0.02,) * 3, (1, 1, 1)))
+            dip_3d(Topology("3d-ring"), DipParams(2, (0.02,) * 3, (1, 1, 1)))

@@ -2,10 +2,16 @@
 
 import copy
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ddcorr.analytic import TOPOLOGIES
 from ddcorr.cli import (
     ScenarioError,
     _default_workers,
@@ -15,6 +21,7 @@ from ddcorr.cli import (
 )
 
 TWO_PI = 2.0 * np.pi
+REPO = Path(__file__).resolve().parents[1]
 
 
 def correlated_2d_scenario():
@@ -68,6 +75,20 @@ def tau_scan_scenario():
             ],
         },
     }
+
+
+def run_python(argv):
+    """Run a fresh interpreter from the repository root with one BLAS thread."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -144,6 +165,43 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="2d-correlated"):
             scenario_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "keys,value,where",
+        [
+            (("grid", "axes", 0, "hi_us"), math.inf, "grid.axes[0].hi_us"),
+            (("sequence", 0, "tau_us"), math.nan, "sequence[0].tau_us"),
+            (("clusters", 0, "lambda_kHz"), -math.inf, "clusters[0].lambda_kHz"),
+            (
+                ("clusters", 0),
+                {"energies_MHz": [0.0, math.nan]},
+                "clusters[0].energies_MHz[1]",
+            ),
+            (
+                ("clusters", 0),
+                {
+                    "preset": "ring",
+                    "f_1_MHz": 0.34,
+                    "f_2_MHz": 0.14,
+                    "couplings_kHz": [5.0, [5.04, math.nan], 4.98],
+                },
+                "clusters[0].couplings_kHz[1]",
+            ),
+        ],
+        ids=["hi_us", "tau_us", "lambda_kHz", "energies_MHz", "couplings_kHz"],
+    )
+    def test_non_finite_number_fails_with_field_path(
+        self, tmp_path, capsys, keys, value, where
+    ):
+        payload = tau_scan_scenario()
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        # json writes and reads these as NaN / Infinity / -Infinity
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["validate", path]) == 2
+        assert f"{path}.{where}: " in capsys.readouterr().err
+
     def test_custom_cluster(self):
         payload = {
             "clusters": [
@@ -200,6 +258,30 @@ class TestDispatchBasics:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert dispatch(["analytic", "--delta", "0.025", "--n", "63"]) == 1
 
+    def test_validate_counts_a_huge_axis_without_listing_it(self, tmp_path):
+        payload = correlated_2d_scenario()
+        payload["grid"]["axes"][0]["stop"] = 1_000_000_000
+        payload["grid"]["axes"][1]["stop"] = 88
+        path = write_scenario(tmp_path, payload)
+        # a list of the axis's 500000001 counts cannot fit under a 1 GiB cap
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ddcorr.cli import dispatch\n"
+            f"sys.exit(dispatch(['validate', {path!r}]))\n"
+        )
+        result = run_python(["-c", code])
+        assert result.returncode == 0, result.stderr
+        assert "grid 500000001x45 [both]" in result.stdout
+
+    def test_python_m_ddcorr_runs_quietly(self):
+        result = run_python(
+            ["-m", "ddcorr", "validate", "scenarios/correlated-ladder-cell.json"]
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("OK:")
+        assert result.stderr == ""
+
 
 class TestAnalyticCommand:
     def run(self, capsys, *argv):
@@ -236,14 +318,51 @@ class TestAnalyticCommand:
         assert code == 0
         assert float(out) == pytest.approx(1.0, abs=1e-3)
 
-    def test_missing_dimension_fails(self, capsys):
-        code, _ = self.run(
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--topology", "2d-correlated", "--delta", "0.025,0.036", "--n", "63,44"),
+            ("--topology", "1d", "--delta", "0.025", "--n", "63"),
+            (
+                "--topology", "2d-independent",
+                "--dims", "2",
+                "--delta", "0.025,0.036",
+                "--n", "63,44",
+            ),
+        ],
+        ids=["no-d", "1d-no-d", "dims-count"],
+    )
+    def test_missing_dimension_fails(self, capsys, argv):
+        assert dispatch(["analytic", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_every_topology_is_accepted(self, capsys, name):
+        count = int(name[0])
+        size = ["--dims", ",".join(["2"] * count)] if "independent" in name else ["--d", "6"]
+        code, out = self.run(
             capsys,
-            "--topology", "2d-correlated",
-            "--delta", "0.025,0.036",
-            "--n", "63,44",
+            "--topology", name,
+            *size,
+            "--delta", ",".join(["0.02"] * count),
+            "--n", ",".join(["5"] * count),
         )
+        assert code == 0
+        assert -1.0 <= float(out) <= 1.0
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--d", "3", "--delta", "0.025,nan", "--n", "63,44"], "--delta"),
+            (["--d", "3", "--delta", "0.025,-inf", "--n", "63,44"], "--delta"),
+            (["--d", "3", "--delta", "0.025,0.036", "--n", "63,Infinity"], "--n"),
+        ],
+        ids=["nan", "minus-inf", "infinity"],
+    )
+    def test_non_finite_number_list_fails(self, capsys, argv, flag):
+        code = dispatch(["analytic", "--topology", "2d-correlated", *argv])
         assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}:")
 
     def test_malformed_number_list(self, capsys):
         code, _ = self.run(

@@ -1,5 +1,6 @@
 """Tests for the measurement-budget planner."""
 
+import itertools
 import math
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestSweepTime:
         points, seconds = sweep_time(100, deltas, omegas, mode="exact")
         assert points == 63 * 44 * math.ceil(math.pi / 0.05 / 2)
         assert seconds > 0
+        # brute-force sum of every point's evolution over a small cell
+        small = (0.5, 0.7, 0.9)
+        points, seconds = sweep_time(100, small, omegas, t_ir_us=1.5, mode="exact")
+        taus = [math.pi / (2 * w) for w in omegas]
+        axes = [range(0, 2 * math.ceil(math.pi / d / 2), 2) for d in small]
+        cell = list(itertools.product(*axes))
+        total_us = sum(
+            100 * (sum(n * 2 * tau for n, tau in zip(ns, taus)) + 1.5) for ns in cell
+        )
+        assert points == len(cell) == 4 * 3 * 2
+        assert seconds == pytest.approx(total_us / 1e6, rel=1e-12)
 
     def test_uniform_mode_needs_two_axes(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddcorr.analytic import Topology2D, dip_1d
+from ddcorr.analytic import Topology, dip_1d
 from ddcorr.scan import (
     AnalyticModel,
     GridSpec,
@@ -66,6 +66,13 @@ class TestAxes:
     def test_pulse_axis_default_step(self):
         assert PulseAxis(0, 0, 6).values() == [0, 2, 4, 6]
 
+    @pytest.mark.parametrize(
+        "axis",
+        [TauAxis(0, 1.0, 2.0, 5), PulseAxis(0, 0, 8), PulseAxis(0, 1, 10, 3)],
+    )
+    def test_point_count_matches_values(self, axis):
+        assert len(axis) == len(axis.values())
+
     def test_pulse_axis_validation(self):
         with pytest.raises(ValueError):
             PulseAxis(0, -2, 8)
@@ -100,17 +107,22 @@ class TestScanRecord:
         with pytest.raises(ValueError):
             ScanRecord((1.0,), ("n1",), 1.2, 0.3)
 
+    @pytest.mark.parametrize("re_L,im_L", [(np.nan, 0.0), (0.5, np.nan)])
+    def test_rejects_nan(self, re_L, im_L):
+        with pytest.raises(ValueError):
+            ScanRecord((1.0,), ("n1",), re_L, im_L)
+
 
 class TestAnalyticModel:
     def test_1d_dispatch(self):
-        model = AnalyticModel("1d", (0.025,), 3)
+        model = AnalyticModel(Topology("1d"), (0.025,), 3)
         assert model.evaluate((20,)) == pytest.approx(dip_1d(3, 0.025, 20))
 
     def test_delta_count_must_match_topology(self):
         with pytest.raises(ValueError):
-            AnalyticModel("1d", (0.025, 0.036), 3)
+            AnalyticModel(Topology("1d"), (0.025, 0.036), 3)
         with pytest.raises(ValueError):
-            AnalyticModel(Topology2D.correlated(), (0.025,), 3)
+            AnalyticModel(Topology("2d-correlated"), (0.025,), 3)
 
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
@@ -120,7 +132,7 @@ class TestAnalyticModel:
 class TestRunScan:
     def test_lexicographic_order(self):
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology2D.correlated(), deltas, 4)
+        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
         grid = GridSpec(
             (PulseAxis(0, 0, 4, 2), PulseAxis(1, 0, 2, 2)),
             engine="analytic",
@@ -138,7 +150,7 @@ class TestRunScan:
 
     def test_analytic_engine_fills_both_fields(self):
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology2D.correlated(), deltas, 4)
+        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
         grid = GridSpec(
             (PulseAxis(0, 0, 8, 2), PulseAxis(1, 0, 8, 2)),
             engine="analytic",
@@ -150,7 +162,7 @@ class TestRunScan:
 
     def test_both_engine_attaches_analytic(self):
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology2D.correlated(), deltas, 4)
+        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
         grid = GridSpec(
             (PulseAxis(0, 0, 8, 2), PulseAxis(1, 0, 8, 2)), engine="both"
         )
@@ -161,7 +173,7 @@ class TestRunScan:
 
     def test_analytic_engine_rejects_tau_axis(self):
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology2D.correlated(), deltas, 4)
+        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
         grid = GridSpec((TauAxis(0, 1.0, 2.0, 3),), engine="analytic")
         with pytest.raises(ValueError):
             run_scan(system, spec, grid, analytic_model=model)
