@@ -13,6 +13,7 @@ Subcommands: scan, analytic, plan, filter, lint, validate.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -55,24 +56,8 @@ from .spin_model import (
     validate_weak_coupling,
 )
 
-# Bare field names -> the unit-suffixed spelling the schema requires.
-_SUFFIX_HINTS = {
-    "f_a": "f_a_MHz",
-    "f_b": "f_b_MHz",
-    "lambda": "lambda_kHz",
-    "rung_freqs": "rung_freqs_MHz",
-    "rung_couplings": "rung_couplings_kHz",
-    "f_1": "f_1_MHz",
-    "f_2": "f_2_MHz",
-    "freqs": "freqs_MHz",
-    "energies": "energies_MHz",
-    "amp": "amp_kHz",
-    "tau": "tau_us",
-    "lo": "lo_us",
-    "hi": "hi_us",
-    "t_ir": "t_ir_us",
-    "delta_omega": "delta_omega_kHz",
-}
+# Unit suffixes the schema requires on frequency- and time-valued keys.
+_UNITS = ("_MHz", "_kHz", "_us")
 
 
 class ScenarioError(ValueError):
@@ -98,332 +83,287 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
-def _as_dict(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    return obj
+@contextlib.contextmanager
+def _at(path: str):
+    """Report a model constructor's ValueError or TypeError at a field path.
+
+    Readers stay outside: their ScenarioError already carries its path.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        _fail(path, str(exc))
 
 
-def _as_list(obj, path: str) -> list:
-    if not isinstance(obj, list):
-        _fail(path, f"expected an array, got {type(obj).__name__}")
-    return obj
+# Readers: each takes (value, path) and returns the checked value.
 
 
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    for key in obj:
-        if key in allowed:
-            continue
-        hint = _SUFFIX_HINTS.get(key)
-        if hint and hint in allowed:
-            _fail(path, f"field {key!r} is missing its unit suffix; use {hint!r}")
-        _fail(path, f"unknown field {key!r} (allowed: {', '.join(sorted(allowed))})")
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; Python's json also parses NaN and Infinity."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def _number(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        _fail(path, f"missing required field {key!r}")
-    value = obj[key]
+def _finite(value, path: str) -> float:
+    # Python's json also parses NaN and Infinity
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
+        _fail(path, f"expected a number, got {type(value).__name__}")
     if not math.isfinite(value):
-        _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        _fail(path, f"missing required field {key!r}")
-    value = obj[key]
+def _finite_or_null(value, path: str):
+    return None if value is None else _finite(value, path)
+
+
+def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
+        _fail(path, f"expected an integer, got {value!r}")
     return value
 
 
-def _amp_phase(entry, path: str):
+def _text(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail(path, "expected a string")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, list):
+        _fail(path, f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _each(reader):
+    """Reader for an array whose entries each go through reader at path[i]."""
+    return lambda value, path: [
+        reader(entry, f"{path}[{i}]") for i, entry in enumerate(_array(value, path))
+    ]
+
+
+def _amp_phase(value, path: str) -> tuple[float, float]:
     """A coupling given as amplitude_kHz or [amplitude_kHz, phase_rad]."""
-    if _is_number(entry):
-        return float(entry), 0.0
-    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
-        return float(entry[0]), float(entry[1])
-    _fail(path, f"expected amplitude_kHz or [amplitude_kHz, phase_rad], got {entry!r}")
+    if not isinstance(value, list):
+        return _finite(value, path), 0.0
+    if len(value) != 2:
+        _fail(path, f"expected amplitude_kHz or [amplitude_kHz, phase_rad], got {value!r}")
+    return _finite(value[0], path), _finite(value[1], path)
+
+
+def _fields(obj, table: dict, path: str) -> list:
+    """Read obj's fields by table, in table order.
+
+    table maps each allowed key to a reader, or to (reader, default) for an
+    optional key.
+    """
+    obj = _object(obj, path)
+    for key in obj:
+        if key in table:
+            continue
+        hint = next((key + unit for unit in _UNITS if key + unit in table), None)
+        if hint:
+            _fail(path, f"field {key!r} is missing its unit suffix; use {hint!r}")
+        _fail(path, f"unknown field {key!r} (allowed: {', '.join(sorted(table))})")
+    values = []
+    for key, spec in table.items():
+        reader = spec[0] if isinstance(spec, tuple) else spec
+        if key in obj:
+            values.append(reader(obj[key], f"{path}.{key}"))
+        elif isinstance(spec, tuple):
+            values.append(spec[1])
+        else:
+            _fail(path, f"missing required field {key!r}")
+    return values
+
+
+# preset name -> (constructor, its arguments in order)
+_PRESETS = {
+    "spin_one": (spin_one_preset, {"f_a_MHz": _finite, "f_b_MHz": _finite, "lambda_kHz": _finite}),
+    "ladder": (
+        ladder_preset,
+        {"rung_freqs_MHz": _each(_finite), "rung_couplings_kHz": _each(_finite_or_null)},
+    ),
+    "ring": (
+        ring_preset,
+        {"f_1_MHz": _finite, "f_2_MHz": _finite, "couplings_kHz": _each(_amp_phase)},
+    ),
+    "star": (star_preset, {"freqs_MHz": _each(_finite), "couplings_kHz": _each(_amp_phase)}),
+}
+
+
+def _coupling(obj, path: str) -> tuple:
+    m, n, amp, phase = _fields(
+        obj, {"m": _int, "n": _int, "amp_kHz": _finite, "phase_rad": (_finite, 0.0)}, path
+    )
+    return m, n, TWO_PI * amp / 1000.0, phase
+
+
+_CUSTOM_CLUSTER = {
+    "label": (_text, "custom"),
+    "energies_MHz": (_each(_finite), None),
+    "couplings": (_each(_coupling), []),
+}
 
 
 def _parse_cluster(obj, path: str) -> TargetCluster:
-    obj = _as_dict(obj, path)
-    try:
-        if "preset" not in obj:
-            return _parse_custom_cluster(obj, path)
-        preset = obj["preset"]
-        if preset == "spin_one":
-            _check_keys(obj, {"preset", "label", "f_a_MHz", "f_b_MHz", "lambda_kHz"}, path)
-            cluster = spin_one_preset(
-                _number(obj, "f_a_MHz", path),
-                _number(obj, "f_b_MHz", path),
-                _number(obj, "lambda_kHz", path),
-            )
-        elif preset == "ladder":
-            _check_keys(obj, {"preset", "label", "rung_freqs_MHz", "rung_couplings_kHz"}, path)
-            freqs = _as_list(obj.get("rung_freqs_MHz"), f"{path}.rung_freqs_MHz")
-            coups = _as_list(obj.get("rung_couplings_kHz"), f"{path}.rung_couplings_kHz")
-            cluster = ladder_preset(freqs, coups)
-        elif preset == "ring":
-            _check_keys(obj, {"preset", "label", "f_1_MHz", "f_2_MHz", "couplings_kHz"}, path)
-            entries = [
-                _amp_phase(c, f"{path}.couplings_kHz[{i}]")
-                for i, c in enumerate(_as_list(obj.get("couplings_kHz"), f"{path}.couplings_kHz"))
-            ]
-            cluster = ring_preset(
-                _number(obj, "f_1_MHz", path), _number(obj, "f_2_MHz", path), entries
-            )
-        elif preset == "star":
-            _check_keys(obj, {"preset", "label", "freqs_MHz", "couplings_kHz"}, path)
-            entries = [
-                _amp_phase(c, f"{path}.couplings_kHz[{i}]")
-                for i, c in enumerate(_as_list(obj.get("couplings_kHz"), f"{path}.couplings_kHz"))
-            ]
-            cluster = star_preset(_as_list(obj.get("freqs_MHz"), f"{path}.freqs_MHz"), entries)
-        else:
-            _fail(path, f"unknown preset {preset!r}")
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        _fail(path, str(exc))
-    if "label" in obj:
-        if not isinstance(obj["label"], str):
-            _fail(f"{path}.label", "expected a string")
-        cluster = dataclasses.replace(cluster, label=obj["label"])
-    return cluster
+    if "preset" not in _object(obj, path):
+        label, energies, couplings = _fields(obj, _CUSTOM_CLUSTER, path)
+        if energies is None:
+            _fail(path, "cluster needs a 'preset' or an 'energies_MHz' list")
+        with _at(path):
+            return new_cluster(label, TWO_PI * np.asarray(energies), couplings)
+    preset = obj["preset"]
+    if not isinstance(preset, str) or preset not in _PRESETS:
+        _fail(path, f"unknown preset {preset!r}")
+    make, table = _PRESETS[preset]
+    _, label, *args = _fields(obj, {"preset": _text, "label": (_text, None), **table}, path)
+    with _at(path):
+        cluster = make(*args)
+    return cluster if label is None else dataclasses.replace(cluster, label=label)
 
 
-def _parse_custom_cluster(obj: dict, path: str) -> TargetCluster:
-    _check_keys(obj, {"label", "energies_MHz", "couplings"}, path)
-    if "energies_MHz" not in obj:
-        _fail(path, "cluster needs a 'preset' or an 'energies_MHz' list")
-    energies = _as_list(obj["energies_MHz"], f"{path}.energies_MHz")
-    for i, e in enumerate(energies):
-        if not _is_number(e):
-            _fail(f"{path}.energies_MHz[{i}]", f"expected a finite number, got {e!r}")
-    entries = []
-    for i, c in enumerate(_as_list(obj.get("couplings", []), f"{path}.couplings")):
-        cpath = f"{path}.couplings[{i}]"
-        c = _as_dict(c, cpath)
-        _check_keys(c, {"m", "n", "amp_kHz", "phase_rad"}, cpath)
-        entries.append(
-            (
-                _integer(c, "m", cpath),
-                _integer(c, "n", cpath),
-                TWO_PI * _number(c, "amp_kHz", cpath) / 1000.0,
-                _number(c, "phase_rad", cpath, default=0.0),
-            )
-        )
-    label = obj.get("label", "custom")
-    if not isinstance(label, str):
-        _fail(f"{path}.label", "expected a string")
-    try:
-        return new_cluster(label, TWO_PI * np.asarray(energies, dtype=float), entries)
-    except ValueError as exc:
-        _fail(path, str(exc))
+def _cluster_at(clusters, index: int, path: str) -> TargetCluster:
+    if not 0 <= index < len(clusters):
+        _fail(path, f"no cluster {index} (have {len(clusters)})")
+    return clusters[index]
+
+
+def _transition(clusters, entry, path: str, cluster=None):
+    """Resolve integers [m, n] on cluster, or [cluster, m, n] when cluster is None."""
+    shape, size = ("[cluster, m, n]", 3) if cluster is None else ("[m, n]", 2)
+    if len(entry) != size:
+        _fail(path, f"expected {shape}, got {entry!r}")
+    if cluster is None:
+        cluster = _cluster_at(clusters, entry[0], path)
+    with _at(path):
+        return cluster, transition(cluster, *entry[-2:])
+
+
+_TAU_BLOCK = {"tau_us": _finite, "n_pulses": _int}
+_RESONANT_BLOCK = {"cluster": _int, "m": _int, "n": _int, "order": (_int, 1), "n_pulses": _int}
 
 
 def _parse_block(obj, clusters, path: str) -> Block:
-    obj = _as_dict(obj, path)
-    try:
-        if "tau_us" in obj:
-            _check_keys(obj, {"tau_us", "n_pulses"}, path)
-            return Block(_number(obj, "tau_us", path), _integer(obj, "n_pulses", path))
-        if "cluster" in obj:
-            _check_keys(obj, {"cluster", "m", "n", "order", "n_pulses"}, path)
-            index = _integer(obj, "cluster", path)
-            if not 0 <= index < len(clusters):
-                _fail(f"{path}.cluster", f"no cluster {index} (have {len(clusters)})")
-            spec = transition(
-                clusters[index], _integer(obj, "m", path), _integer(obj, "n", path)
-            )
-            tau = resonant_tau(spec.omega, _integer(obj, "order", path, default=1))
-            return Block(tau, _integer(obj, "n_pulses", path))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-    _fail(path, "block needs either 'tau_us' or a 'cluster' resonance target")
+    if "tau_us" in _object(obj, path):
+        tau, n_pulses = _fields(obj, _TAU_BLOCK, path)
+    elif "cluster" in obj:
+        index, m, n, order, n_pulses = _fields(obj, _RESONANT_BLOCK, path)
+        cluster = _cluster_at(clusters, index, f"{path}.cluster")
+        with _at(path):
+            tau = resonant_tau(transition(cluster, m, n).omega, order)
+    else:
+        _fail(path, "block needs either 'tau_us' or a 'cluster' resonance target")
+    with _at(path):
+        return Block(tau, n_pulses)
+
+
+# axis kind -> (constructor, its arguments in order)
+_AXES = {
+    "tau": (TauAxis, {"block": _int, "lo_us": _finite, "hi_us": _finite, "steps": _int}),
+    "pulse": (PulseAxis, {"block": _int, "start": _int, "stop": _int, "step": (_int, 2)}),
+}
 
 
 def _parse_axis(obj, path: str):
-    obj = _as_dict(obj, path)
-    kind = obj.get("kind")
-    try:
-        if kind == "tau":
-            _check_keys(obj, {"kind", "block", "lo_us", "hi_us", "steps"}, path)
-            return TauAxis(
-                _integer(obj, "block", path),
-                _number(obj, "lo_us", path),
-                _number(obj, "hi_us", path),
-                _integer(obj, "steps", path),
-            )
-        if kind == "pulse":
-            _check_keys(obj, {"kind", "block", "start", "stop", "step"}, path)
-            return PulseAxis(
-                _integer(obj, "block", path),
-                _integer(obj, "start", path),
-                _integer(obj, "stop", path),
-                _integer(obj, "step", path, default=2),
-            )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-    _fail(f"{path}.kind", "axis kind must be 'tau' or 'pulse'")
+    kind = _object(obj, path).get("kind")
+    if not isinstance(kind, str) or kind not in _AXES:
+        _fail(f"{path}.kind", "axis kind must be 'tau' or 'pulse'")
+    make, table = _AXES[kind]
+    _, *args = _fields(obj, {"kind": _text, **table}, path)
+    with _at(path):
+        return make(*args)
 
 
 def _parse_grid(obj, path: str) -> GridSpec:
-    obj = _as_dict(obj, path)
-    _check_keys(obj, {"engine", "axes"}, path)
-    axes = [
-        _parse_axis(a, f"{path}.axes[{i}]")
-        for i, a in enumerate(_as_list(obj.get("axes"), f"{path}.axes"))
-    ]
-    engine = obj.get("engine", "exact")
-    try:
+    axes, engine = _fields(obj, {"axes": _each(_parse_axis), "engine": (_text, "exact")}, path)
+    with _at(path):
         return GridSpec(tuple(axes), engine)
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
-def _resolve_transition(clusters, entry, path: str, with_cluster: bool):
-    entry = _as_list(entry, path)
-    want = 3 if with_cluster else 2
-    if len(entry) != want or not all(isinstance(x, int) for x in entry):
-        shape = "[cluster, m, n]" if with_cluster else "[m, n]"
-        _fail(path, f"expected {shape}, got {entry!r}")
-    if with_cluster:
-        index, m, n = entry
-        if not 0 <= index < len(clusters):
-            _fail(path, f"no cluster {index} (have {len(clusters)})")
-        return index, m, n
-    return entry
+def _topology(value, path: str) -> str:
+    if value not in TOPOLOGIES:
+        _fail(path, f"unknown topology {value!r} (one of {', '.join(TOPOLOGIES)})")
+    return value
+
+
+_TRANSITIONS = _each(_each(_int))
+_ANALYTIC = {"topology": _topology, "cluster": (_int, None), "transitions": _TRANSITIONS}
 
 
 def _parse_analytic(obj, clusters, path: str) -> AnalyticModel:
-    obj = _as_dict(obj, path)
-    _check_keys(obj, {"topology", "cluster", "transitions"}, path)
-    name = obj.get("topology")
-    if name not in TOPOLOGIES:
-        _fail(f"{path}.topology", f"unknown topology {name!r} (one of {', '.join(TOPOLOGIES)})")
-    entries = _as_list(obj.get("transitions"), f"{path}.transitions")
+    name, index, entries = _fields(obj, _ANALYTIC, path)
+    cluster = None
     # separate molecules name [cluster, m, n]; otherwise one cluster holds all
-    independent = name.endswith("-independent")
-    try:
-        if not independent:
-            index = _integer(obj, "cluster", path)
-            if not 0 <= index < len(clusters):
-                _fail(f"{path}.cluster", f"no cluster {index} (have {len(clusters)})")
-        dims, deltas = [], []
-        for i, entry in enumerate(entries):
-            tpath = f"{path}.transitions[{i}]"
-            if independent:
-                index, m, n = _resolve_transition(clusters, entry, tpath, with_cluster=True)
-                dims.append(clusters[index].dim)
-            else:
-                m, n = _resolve_transition(clusters, entry, tpath, with_cluster=False)
-            deltas.append(transition(clusters[index], m, n).delta)
-        d = math.prod(dims) if independent else clusters[index].dim
-        return AnalyticModel(Topology(name, tuple(dims)), tuple(deltas), d)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        _fail(path, str(exc))
+    if not name.endswith("-independent"):
+        if index is None:
+            _fail(path, "missing required field 'cluster'")
+        cluster = _cluster_at(clusters, index, f"{path}.cluster")
+    resolved = [
+        _transition(clusters, entry, f"{path}.transitions[{i}]", cluster)
+        for i, entry in enumerate(entries)
+    ]
+    dims = () if cluster is not None else tuple(c.dim for c, _ in resolved)
+    d = cluster.dim if cluster is not None else math.prod(dims)
+    with _at(path):
+        return AnalyticModel(Topology(name, dims), tuple(t.delta for _, t in resolved), d)
+
+
+_PLAN = {
+    "fidelity": (_finite, None),
+    "alpha0": (_finite, None),
+    "alpha1": (_finite, None),
+    "snr": _finite,
+    "t_ir_us": (_finite, DEFAULT_T_IR_US),
+    "transitions": (_TRANSITIONS, None),
+    "delta_omega_kHz": (_each(_finite), None),
+}
 
 
 def _parse_plan(obj, clusters, path: str) -> dict:
-    obj = _as_dict(obj, path)
-    _check_keys(
-        obj,
-        {"fidelity", "alpha0", "alpha1", "snr", "t_ir_us", "transitions", "delta_omega_kHz"},
-        path,
-    )
-    try:
-        if "fidelity" in obj:
-            fidelity = _number(obj, "fidelity", path)
-        elif "alpha0" in obj and "alpha1" in obj:
-            fidelity = readout_fidelity(
-                _number(obj, "alpha0", path), _number(obj, "alpha1", path)
-            )
-        else:
+    fidelity, alpha0, alpha1, snr, t_ir_us, entries, products = _fields(obj, _PLAN, path)
+    if fidelity is None:
+        if alpha0 is None or alpha1 is None:
             _fail(path, "give 'fidelity' or both 'alpha0' and 'alpha1'")
-        inputs = {
-            "fidelity": fidelity,
-            "snr": _number(obj, "snr", path),
-            "t_ir_us": _number(obj, "t_ir_us", path, default=DEFAULT_T_IR_US),
-        }
-        if "transitions" in obj:
-            entries = _as_list(obj["transitions"], f"{path}.transitions")
-            deltas, omegas = [], []
-            for i, entry in enumerate(entries):
-                index, m, n = _resolve_transition(
-                    clusters, entry, f"{path}.transitions[{i}]", with_cluster=True
-                )
-                spec = transition(clusters[index], m, n)
-                deltas.append(spec.delta)
-                omegas.append(spec.omega)
-            inputs["deltas"] = deltas
-            inputs["omegas"] = omegas
-        elif "delta_omega_kHz" in obj:
-            products = _as_list(obj["delta_omega_kHz"], f"{path}.delta_omega_kHz")
-            inputs["delta_omegas"] = [
-                TWO_PI * _amp_phase(x, f"{path}.delta_omega_kHz[{i}]")[0] / 1000.0
-                for i, x in enumerate(products)
-            ]
-        else:
-            _fail(path, "give 'transitions' or 'delta_omega_kHz'")
-        return inputs
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
+        with _at(path):
+            fidelity = readout_fidelity(alpha0, alpha1)
+    inputs = {"fidelity": fidelity, "snr": snr, "t_ir_us": t_ir_us}
+    if entries is not None:
+        specs = [
+            _transition(clusters, entry, f"{path}.transitions[{i}]")[1]
+            for i, entry in enumerate(entries)
+        ]
+        inputs["deltas"] = [spec.delta for spec in specs]
+        inputs["omegas"] = [spec.omega for spec in specs]
+    elif products is not None:
+        inputs["delta_omegas"] = [TWO_PI * x / 1000.0 for x in products]
+    else:
+        _fail(path, "give 'transitions' or 'delta_omega_kHz'")
+    return inputs
+
+
+_SCENARIO = {
+    "clusters": _each(_parse_cluster),
+    "sequence": _array,
+    "grid": (_parse_grid, None),
+    "analytic": (_object, None),
+    "plan": (_object, None),
+}
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    raw = _as_dict(raw, name)
-    _check_keys(raw, {"clusters", "sequence", "grid", "analytic", "plan"}, name)
-    if "clusters" not in raw or "sequence" not in raw:
-        _fail(name, "scenario needs 'clusters' and 'sequence' sections")
-    clusters = [
-        _parse_cluster(c, f"{name}.clusters[{i}]")
-        for i, c in enumerate(_as_list(raw["clusters"], f"{name}.clusters"))
-    ]
+    clusters, blocks, grid, analytic, plan_section = _fields(raw, _SCENARIO, name)
     if not clusters:
         _fail(f"{name}.clusters", "need at least one cluster")
     blocks = [
-        _parse_block(b, clusters, f"{name}.sequence[{i}]")
-        for i, b in enumerate(_as_list(raw["sequence"], f"{name}.sequence"))
+        _parse_block(b, clusters, f"{name}.sequence[{i}]") for i, b in enumerate(blocks)
     ]
-    try:
+    with _at(f"{name}.sequence"):
         sequence = SequenceSpec(tuple(blocks))
-    except ValueError as exc:
-        _fail(f"{name}.sequence", str(exc))
-    grid = _parse_grid(raw["grid"], f"{name}.grid") if "grid" in raw else None
-    analytic = (
-        _parse_analytic(raw["analytic"], clusters, f"{name}.analytic")
-        if "analytic" in raw
-        else None
-    )
-    plan_inputs = (
-        _parse_plan(raw["plan"], clusters, f"{name}.plan") if "plan" in raw else None
-    )
+    if analytic is not None:
+        analytic = _parse_analytic(analytic, clusters, f"{name}.analytic")
+    if plan_section is not None:
+        plan_section = _parse_plan(plan_section, clusters, f"{name}.plan")
     if grid is not None:
         for i, axis in enumerate(grid.axes):
             if axis.block >= len(blocks):
@@ -433,7 +373,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         sequence=sequence,
         grid=grid,
         analytic_model=analytic,
-        plan_inputs=plan_inputs,
+        plan_inputs=plan_section,
         source=copy.deepcopy(raw),
     )
 
@@ -471,9 +411,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ScenarioError(f"{flag}: expected comma-separated numbers, got {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise ScenarioError(f"{flag}: expected finite numbers, got {text!r}")
-    return values
+    return [_finite(x, flag) for x in values]
 
 
 def _cmd_scan(args) -> int:
@@ -527,13 +465,15 @@ def _cmd_plan(args) -> int:
             raise ScenarioError(f"{args.scenario}: no 'plan' section")
         inputs = dict(scenario.plan_inputs)
     if args.fidelity is not None:
-        inputs["fidelity"] = args.fidelity
+        inputs["fidelity"] = _finite(args.fidelity, "--F")
     elif args.alpha0 is not None and args.alpha1 is not None:
-        inputs["fidelity"] = readout_fidelity(args.alpha0, args.alpha1)
+        inputs["fidelity"] = readout_fidelity(
+            _finite(args.alpha0, "--alpha0"), _finite(args.alpha1, "--alpha1")
+        )
     if args.snr is not None:
-        inputs["snr"] = args.snr
+        inputs["snr"] = _finite(args.snr, "--snr")
     if args.t_ir_us is not None:
-        inputs["t_ir_us"] = args.t_ir_us
+        inputs["t_ir_us"] = _finite(args.t_ir_us, "--t-ir-us")
     if args.delta_omega_khz:
         inputs["delta_omegas"] = [
             TWO_PI * x / 1000.0 for x in _parse_floats(args.delta_omega_khz, "--delta-omega-kHz")
@@ -570,7 +510,8 @@ def _cmd_plan(args) -> int:
 def _cmd_filter(args) -> int:
     scenario = parse_scenario(args.scenario)
     timeline = build_timeline(scenario.sequence)
-    f_lo, f_hi = args.f_min_mhz, args.f_max_mhz
+    f_lo = _finite(args.f_min_mhz, "--f-min-MHz")
+    f_hi = _finite(args.f_max_mhz, "--f-max-MHz")
     if not 0 < f_lo < f_hi:
         raise ScenarioError(f"need 0 < f-min < f-max, got {f_lo}, {f_hi}")
     rows = []

@@ -38,10 +38,6 @@ class ReadoutModel:
             raise ValueError(f"fidelity must be in (0, 1], got {self.fidelity}")
 
     @classmethod
-    def from_fidelity(cls, fidelity: float) -> "ReadoutModel":
-        return cls(float(fidelity))
-
-    @classmethod
     def from_photon_means(cls, alpha0: float, alpha1: float) -> "ReadoutModel":
         return cls(readout_fidelity(alpha0, alpha1))
 
@@ -169,7 +165,8 @@ def plan(
         delta_omegas = [d * w for d, w in zip(deltas, omegas)]
     if len(delta_omegas) != 2:
         raise ValueError("dip time is defined for exactly two transitions")
-    shots = shots_for_snr(fidelity, snr)
+    readout = ReadoutModel(fidelity)
+    shots = shots_for_snr(readout.fidelity, snr)
     # the dip time depends on each product delta_i * omega_i alone
     t_dip = dip_time(delta_omegas[0], 1.0, delta_omegas[1], 1.0)
     t_point = point_time(shots, t_dip, t_ir_us)
@@ -177,7 +174,7 @@ def plan(
     if deltas is not None and omegas is not None:
         sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us, step)
     return PlanReport(
-        fidelity=fidelity,
+        fidelity=readout.fidelity,
         snr=snr,
         shots=shots,
         dip_time_us=t_dip,

@@ -150,6 +150,7 @@ class AnalyticModel:
             raise ValueError(
                 f"{expect} deltas required for this topology, got {len(self.deltas)}"
             )
+        self.topology.check_dim(self.d)
 
     def evaluate(self, pulse_counts) -> float:
         counts = tuple(float(n) for n in pulse_counts)

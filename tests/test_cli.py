@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,312 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
     return str(path)
 
 
+DELETE = object()
+SPIN_ONE = {"preset": "spin_one", "f_a_MHz": 0.2, "f_b_MHz": 0.14, "lambda_kHz": 7.0}
+LADDER = {
+    "preset": "ladder",
+    "rung_freqs_MHz": [0.2, 0.14, 0.3],
+    "rung_couplings_kHz": [5.0, 5.04, None],
+}
+RING = {"preset": "ring", "f_1_MHz": 0.34, "f_2_MHz": 0.14, "couplings_kHz": [5.0, 5.04, 4.98]}
+STAR = {"preset": "star", "freqs_MHz": [0.2, 0.14], "couplings_kHz": [5.0, 5.04]}
+CUSTOM = {"energies_MHz": [0.0, 0.2], "couplings": [{"m": 1, "n": 0, "amp_kHz": 5.0}]}
+TOPOLOGY_LIST = ", ".join(TOPOLOGIES)
+
+
+def edit(base, **changes):
+    """A copy of base with keys replaced, added, or (value DELETE) removed."""
+    out = copy.deepcopy(base)
+    for key, value in changes.items():
+        if value is DELETE:
+            del out[key]
+        else:
+            out[key] = value
+    return out
+
+
+# One malformed edit of correlated_2d_scenario() per error branch of the
+# scenario reader: (keys to the edited value, new value or DELETE, expected
+# stderr after "error: <file>").
+MALFORMED = [
+    pytest.param((), [], ": expected an object, got list", id="not-an-object"),
+    pytest.param(
+        ("extra",), 1,
+        ": unknown field 'extra' (allowed: analytic, clusters, grid, plan, sequence)",
+        id="unknown-section",
+    ),
+    pytest.param(
+        ("sequence",), DELETE, ": missing required field 'sequence'",
+        id="missing-sequence",
+    ),
+    pytest.param(
+        ("clusters",), {"a": 1}, ".clusters: expected an array, got dict",
+        id="clusters-not-array",
+    ),
+    pytest.param(("clusters",), [], ".clusters: need at least one cluster", id="no-clusters"),
+    pytest.param(
+        ("clusters", 0), 3, ".clusters[0]: expected an object, got int", id="cluster-not-object"
+    ),
+    pytest.param(
+        ("clusters", 0), edit(SPIN_ONE, preset="triangle"),
+        ".clusters[0]: unknown preset 'triangle'",
+        id="unknown-preset",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(SPIN_ONE, f_a_MHz=DELETE, f_a=0.2),
+        ".clusters[0]: field 'f_a' is missing its unit suffix; use 'f_a_MHz'",
+        id="suffix-hint",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(SPIN_ONE, colour="red"),
+        ".clusters[0]: unknown field 'colour'"
+        " (allowed: f_a_MHz, f_b_MHz, label, lambda_kHz, preset)",
+        id="unknown-field",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(SPIN_ONE, lambda_kHz=DELETE),
+        ".clusters[0]: missing required field 'lambda_kHz'",
+        id="missing-field",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(SPIN_ONE, f_a_MHz="0.2"),
+        ".clusters[0].f_a_MHz: expected a number, got str",
+        id="number-type",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(SPIN_ONE, f_b_MHz=0.2),
+        ".clusters[0]: f_a == f_b gives degenerate transitions",
+        id="preset-error",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(SPIN_ONE, label=7), ".clusters[0].label: expected a string",
+        id="label-type",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(LADDER, rung_couplings_kHz=5.0),
+        ".clusters[0].rung_couplings_kHz: expected an array, got float",
+        id="ladder-not-array",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(LADDER, rung_couplings_kHz=DELETE),
+        ".clusters[0]: missing required field 'rung_couplings_kHz'",
+        id="ladder-missing",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(LADDER, rung_couplings_kHz=[5.0, "x", None]),
+        ".clusters[0].rung_couplings_kHz[1]: expected a number, got str",
+        id="ladder-entry",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(LADDER, rung_freqs_MHz=[0.2, -0.1, 0.3]),
+        ".clusters[0]: rung frequencies must be positive",
+        id="ladder-error",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(RING, couplings_kHz=DELETE, couplings=[5.0, 5.0, 5.0]),
+        ".clusters[0]: field 'couplings' is missing its unit suffix; use 'couplings_kHz'",
+        id="ring-bare-couplings",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(RING, couplings_kHz=[5.0, [5.0], 4.98]),
+        ".clusters[0].couplings_kHz[1]:"
+        " expected amplitude_kHz or [amplitude_kHz, phase_rad], got [5.0]",
+        id="ring-entry",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(RING, couplings_kHz=[5.0, 5.04]),
+        ".clusters[0]: ring needs exactly 3 couplings, got 2",
+        id="ring-count",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(STAR, freqs_MHz=[0.2, 0.2]),
+        ".clusters[0]: satellite frequencies must be positive and distinct",
+        id="star-error",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(STAR, freqs_MHz=0.2),
+        ".clusters[0].freqs_MHz: expected an array, got float",
+        id="star-freqs-type",
+    ),
+    pytest.param(
+        ("clusters", 0), {"label": "x"},
+        ".clusters[0]: cluster needs a 'preset' or an 'energies_MHz' list",
+        id="custom-no-energies",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, energies_MHz=[0.0, "0.2"]),
+        ".clusters[0].energies_MHz[1]: expected a number, got str",
+        id="custom-energy-type",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, couplings=[3]),
+        ".clusters[0].couplings[0]: expected an object, got int",
+        id="custom-coupling-object",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, couplings=[{"m": 1, "n": 0, "amp": 5.0}]),
+        ".clusters[0].couplings[0]: field 'amp' is missing its unit suffix; use 'amp_kHz'",
+        id="custom-coupling-hint",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, couplings=[{"m": 1.0, "n": 0, "amp_kHz": 5.0}]),
+        ".clusters[0].couplings[0].m: expected an integer, got 1.0",
+        id="custom-coupling-integer",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, couplings=[{"m": 1, "amp_kHz": 5.0}]),
+        ".clusters[0].couplings[0]: missing required field 'n'",
+        id="custom-coupling-missing",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, couplings=[{"m": 5, "n": 0, "amp_kHz": 5.0}]),
+        ".clusters[0]: coupling (5,0) out of range for d=2",
+        id="custom-coupling-range",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, label=None), ".clusters[0].label: expected a string",
+        id="custom-label-type",
+    ),
+    pytest.param(
+        ("sequence",), [], ".sequence: sequence needs at least one block", id="sequence-empty"
+    ),
+    pytest.param(
+        ("sequence", 0), {"tau": 1.25, "n_pulses": 2},
+        ".sequence[0]: block needs either 'tau_us' or a 'cluster' resonance target",
+        id="block-neither",
+    ),
+    pytest.param(
+        ("sequence", 0), {"tau_us": 1.25, "n_pulses": 2, "m": 1},
+        ".sequence[0]: unknown field 'm' (allowed: n_pulses, tau_us)",
+        id="block-unknown-field",
+    ),
+    pytest.param(
+        ("sequence", 0, "n_pulses"), 2.5, ".sequence[0].n_pulses: expected an integer, got 2.5",
+        id="block-integer",
+    ),
+    pytest.param(
+        ("sequence", 0), {"tau_us": -1.0, "n_pulses": 2},
+        ".sequence[0]: block tau must be > 0, got -1.0",
+        id="block-tau-error",
+    ),
+    pytest.param(
+        ("sequence", 1, "cluster"), 5, ".sequence[1].cluster: no cluster 5 (have 1)",
+        id="block-cluster-range",
+    ),
+    pytest.param(
+        ("sequence", 0, "m"), 9, ".sequence[0]: transition (9,0) out of range for d=4",
+        id="block-transition",
+    ),
+    pytest.param(
+        ("sequence", 0, "order"), 0, ".sequence[0]: order must be a positive integer, got 0",
+        id="block-order",
+    ),
+    pytest.param(
+        ("grid", "axes"), DELETE, ".grid: missing required field 'axes'",
+        id="grid-missing-axes",
+    ),
+    pytest.param(
+        ("grid", "engine"), "fast",
+        ".grid: engine must be one of ('exact', 'analytic', 'both'), got 'fast'",
+        id="grid-engine",
+    ),
+    pytest.param(
+        ("grid", "axes", 0, "kind"), "frequency",
+        ".grid.axes[0].kind: axis kind must be 'tau' or 'pulse'",
+        id="axis-kind",
+    ),
+    pytest.param(
+        ("grid", "axes", 0), {"kind": "tau", "block": 0, "lo": 1.0, "hi_us": 2.0, "steps": 5},
+        ".grid.axes[0]: field 'lo' is missing its unit suffix; use 'lo_us'",
+        id="axis-hint",
+    ),
+    pytest.param(
+        ("grid", "axes", 0, "start"), 10,
+        ".grid.axes[0]: pulse axis must contain at least two points",
+        id="axis-error",
+    ),
+    pytest.param(
+        ("grid", "axes", 0, "block"), 5, ".grid.axes[0]: block 5 not in the sequence",
+        id="axis-block",
+    ),
+    pytest.param(
+        ("grid", "axes", 1, "block"), 0, ".grid: duplicate axis for block 0",
+        id="axis-duplicate",
+    ),
+    pytest.param(
+        ("analytic", "topology"), "2d-entangled",
+        f".analytic.topology: unknown topology '2d-entangled' (one of {TOPOLOGY_LIST})",
+        id="topology-unknown",
+    ),
+    pytest.param(
+        ("analytic", "cluster"), DELETE, ".analytic: missing required field 'cluster'",
+        id="analytic-cluster-missing",
+    ),
+    pytest.param(
+        ("analytic", "cluster"), 3, ".analytic.cluster: no cluster 3 (have 1)",
+        id="analytic-cluster-range",
+    ),
+    pytest.param(
+        ("analytic", "transitions", 0), [1, 0, 0],
+        ".analytic.transitions[0]: expected [m, n], got [1, 0, 0]",
+        id="analytic-transition-shape",
+    ),
+    pytest.param(
+        ("analytic", "transitions", 1), [3, 9],
+        ".analytic.transitions[1]: transition (3,9) out of range for d=4",
+        id="analytic-transition-range",
+    ),
+    pytest.param(
+        ("analytic", "transitions"), [[1, 0]],
+        ".analytic: 2 deltas required for this topology, got 1",
+        id="analytic-delta-count",
+    ),
+    pytest.param(
+        ("analytic",), {"topology": "2d-independent", "transitions": [[0, 1, 0], [2, 1, 0]]},
+        ".analytic.transitions[1]: no cluster 2 (have 1)",
+        id="analytic-independent-range",
+    ),
+    pytest.param(
+        ("plan", "shots"), 10,
+        ".plan: unknown field 'shots' (allowed: alpha0, alpha1, delta_omega_kHz, fidelity,"
+        " snr, t_ir_us, transitions)",
+        id="plan-unknown",
+    ),
+    pytest.param(
+        ("plan", "fidelity"), DELETE, ".plan: give 'fidelity' or both 'alpha0' and 'alpha1'",
+        id="plan-no-fidelity",
+    ),
+    pytest.param(
+        ("plan",),
+        {"alpha0": 0.02, "alpha1": 0.02, "snr": 10.0, "transitions": [[0, 1, 0], [0, 2, 1]]},
+        ".plan: indistinguishable states: alpha0 = alpha1 gives F = 0",
+        id="plan-alpha-error",
+    ),
+    pytest.param(
+        ("plan", "snr"), DELETE, ".plan: missing required field 'snr'", id="plan-snr-missing"
+    ),
+    pytest.param(
+        ("plan", "transitions"), DELETE, ".plan: give 'transitions' or 'delta_omega_kHz'",
+        id="plan-no-targets",
+    ),
+    pytest.param(
+        ("plan", "transitions", 0), [1, 0],
+        ".plan.transitions[0]: expected [cluster, m, n], got [1, 0]",
+        id="plan-transition-shape",
+    ),
+    pytest.param(
+        ("plan",), {"fidelity": 0.03, "snr": 10.0, "delta_omega_kHz": [5.0, "x"]},
+        ".plan.delta_omega_kHz[1]: expected a number, got str",
+        id="plan-delta-omega",
+    ),
+    pytest.param(
+        ("plan",), {"fidelity": 0.03, "snr": 10.0, "delta_omega": [5.0, 5.0]},
+        ".plan: field 'delta_omega' is missing its unit suffix; use 'delta_omega_kHz'",
+        id="plan-hint",
+    ),
+]
+
+
 class TestScenarioParsing:
     def test_full_scenario_resolves(self):
         sc = scenario_from_dict(correlated_2d_scenario())
@@ -186,8 +493,32 @@ class TestScenarioParsing:
                 },
                 "clusters[0].couplings_kHz[1]",
             ),
+            (
+                ("clusters", 0),
+                edit(LADDER, rung_freqs_MHz=[0.2, math.nan, 0.3]),
+                "clusters[0].rung_freqs_MHz[1]",
+            ),
+            (
+                ("clusters", 0),
+                edit(LADDER, rung_couplings_kHz=[5.0, math.inf, None]),
+                "clusters[0].rung_couplings_kHz[1]",
+            ),
+            (
+                ("clusters", 0),
+                edit(STAR, freqs_MHz=[0.2, -math.inf]),
+                "clusters[0].freqs_MHz[1]",
+            ),
         ],
-        ids=["hi_us", "tau_us", "lambda_kHz", "energies_MHz", "couplings_kHz"],
+        ids=[
+            "hi_us",
+            "tau_us",
+            "lambda_kHz",
+            "energies_MHz",
+            "couplings_kHz",
+            "rung_freqs_MHz",
+            "rung_couplings_kHz",
+            "freqs_MHz",
+        ],
     )
     def test_non_finite_number_fails_with_field_path(
         self, tmp_path, capsys, keys, value, where
@@ -201,6 +532,44 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, payload)
         assert dispatch(["validate", path]) == 2
         assert f"{path}.{where}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys,value,expected", MALFORMED)
+    def test_error_message(self, tmp_path, capsys, keys, value, expected):
+        payload = correlated_2d_scenario()
+        if not keys:
+            payload = value
+        else:
+            target = payload
+            for key in keys[:-1]:
+                target = target[key]
+            if value is DELETE:
+                del target[keys[-1]]
+            else:
+                target[keys[-1]] = value
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}{expected}\n"
+
+    def test_topology_the_cluster_cannot_host(self, tmp_path, capsys):
+        payload = tau_scan_scenario()
+        payload["analytic"] = {
+            "topology": "2d-uncorrelated",
+            "cluster": 0,
+            "transitions": [[2, 1], [0, 1]],
+        }
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.analytic: 2d-uncorrelated topology needs dimension >= 4, got 3\n"
+        )
+
+    def test_readme_schema_block_parses(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+        scenario = scenario_from_dict(json.loads(re.sub(r"//[^\n]*", "", block)))
+        assert [c.dim for c in scenario.system.clusters] == [3, 3, 3, 3, 2]
+        assert scenario.analytic_model is not None
+        assert scenario.plan_inputs is not None
 
     def test_custom_cluster(self):
         payload = {
@@ -447,6 +816,32 @@ class TestPlanCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["F"] == pytest.approx(0.0408, abs=5e-5)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--F", "nan"], "--F: expected a finite number, got nan"),
+            (["--F", "0.03", "--snr", "inf"], "--snr: expected a finite number, got inf"),
+            (
+                ["--alpha0", "inf", "--alpha1", "0.01"],
+                "--alpha0: expected a finite number, got inf",
+            ),
+            (
+                ["--alpha0", "0.02", "--alpha1=-inf"],
+                "--alpha1: expected a finite number, got -inf",
+            ),
+            (
+                ["--F", "0.03", "--t-ir-us", "nan"],
+                "--t-ir-us: expected a finite number, got nan",
+            ),
+            (["--F", "1.5"], "fidelity must be in (0, 1], got 1.5"),
+        ],
+        ids=["F", "snr", "alpha0", "alpha1", "t-ir-us", "fidelity-above-one"],
+    )
+    def test_bad_readout_flags(self, capsys, argv, message):
+        base = ["--snr", "10", "--delta-omega-kHz", "5,5"]
+        assert dispatch(["plan", *base, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_inputs(self, capsys):
         assert dispatch(["plan", "--F", "0.03", "--snr", "10"]) == 2
         assert dispatch(["plan", "--snr", "10", "--delta-omega-kHz", "5,5"]) == 2
@@ -530,6 +925,25 @@ class TestFilterCommand:
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--f-min-MHz", "nan", "--f-max-MHz", "0.3"],
+                "--f-min-MHz: expected a finite number, got nan",
+            ),
+            (
+                ["--f-min-MHz", "0.1", "--f-max-MHz", "inf"],
+                "--f-max-MHz: expected a finite number, got inf",
+            ),
+        ],
+        ids=["f-min", "f-max"],
+    )
+    def test_non_finite_range(self, tmp_path, capsys, argv, message):
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        assert dispatch(["filter", path, *argv, "--steps", "3"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_range(self, tmp_path, capsys):
         path = write_scenario(tmp_path, tau_scan_scenario())

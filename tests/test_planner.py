@@ -226,6 +226,10 @@ class TestPlan:
         with pytest.raises(ValueError):
             plan(0.03, 10.0, delta_omegas=(COUPLING,))
 
+    def test_fidelity_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="fidelity must be in"):
+            plan(1.5, 10.0, delta_omegas=(COUPLING, COUPLING))
+
 
 class TestPlanReport:
     def test_validation(self):

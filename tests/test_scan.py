@@ -124,6 +124,10 @@ class TestAnalyticModel:
         with pytest.raises(ValueError):
             AnalyticModel(Topology("2d-correlated"), (0.025,), 3)
 
+    def test_dimension_must_host_topology(self):
+        with pytest.raises(ValueError, match="needs dimension >= 4, got 3"):
+            AnalyticModel(Topology("2d-uncorrelated"), (0.025, 0.036), 3)
+
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
             AnalyticModel("2d", (0.025, 0.036), 3)
