@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .exact import compose_coherence
 from .spin_model import SystemModel, TargetCluster, transition
 
 # Topology name -> (driven transitions, least dimension, m of the quantized
@@ -87,10 +88,10 @@ class DipParams:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
         if len(self.deltas) != len(self.pulses):
             raise ValueError("deltas and pulses must have equal length")
-        if any(x <= 0 for x in self.deltas):
-            raise ValueError("every delta must be > 0")
-        if any(n < 0 for n in self.pulses):
-            raise ValueError("pulse counts must be >= 0")
+        if not all(0 < x < math.inf for x in self.deltas):
+            raise ValueError(f"every delta must be finite and > 0, got {self.deltas}")
+        if not all(0 <= n < math.inf for n in self.pulses):
+            raise ValueError(f"pulse counts must be finite and >= 0, got {self.pulses}")
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,22 @@ def _expm_skew(x: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
+def _magnus_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
+    """Lab-frame Magnus block propagators, shaped and ordered as exact.block_stacks.
+
+    A block of N pulses entered on coupling sign s is e^{-i H0 T}
+    exp(s omega1 + omega2), T = 2 N tau: the interaction-frame generator of
+    magnus_generator, moved to the lab frame, which makes it independent of
+    the block's start time.
+    """
+    taus = np.asarray(taus, dtype=float)
+    counts = np.asarray(counts, dtype=int)
+    terms = np.array([magnus_generator(cluster, tau, int(n)) for tau in taus for n in counts])
+    first, second = np.moveaxis(terms, 1, 0).reshape(2, taus.size, counts.size, *terms.shape[-2:])
+    free = np.exp(-2j * np.multiply.outer(np.outer(taus, counts), cluster.energies))
+    return np.stack([free[..., None] * _expm_skew(s * first + second) for s in (1, -1)])
+
+
 def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
     """Second-order Magnus coherence for a batch of block sequences.
 
@@ -261,40 +278,22 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
 
     Returns the complex coherence of each row: the product over clusters of
     (1/d) Tr[(V^-)^dagger V^+], where V^+- multiplies the blocks'
-    exponentiated magnus_generator terms for each sensor branch, moved to
-    the block's start time and sign.  V^+- are unitary, so |L| <= 1.
-    Generators are built once per distinct (block, count).
+    exponentiated magnus_generator terms for each sensor branch, entered on
+    the block's coupling sign.  V^+- are unitary, so |L| <= 1.  Generators
+    are built once per distinct (block, count) and composed by
+    exact.compose_coherence, as the exact engine's blocks are.
     """
     taus = np.asarray(taus, dtype=float)
     counts = np.asarray(counts, dtype=int).reshape(-1, taus.size)
-    durations = 2.0 * counts * taus
-    starts = np.cumsum(durations, axis=1) - durations
-    entry = np.where((np.cumsum(counts, axis=1) - counts) % 2, -1, 1)
-    total = np.ones(len(counts), dtype=complex)
-    for cluster in system.clusters:
-        v = {s: np.eye(cluster.dim, dtype=complex) for s in (1, -1)}
-        for j, tau in enumerate(taus):
-            values, index = np.unique(counts[:, j], return_inverse=True)
-            first, second = map(
-                np.array, zip(*(magnus_generator(cluster, tau, int(n)) for n in values))
-            )
-            props = {s: _expm_skew(s * first + second) for s in (1, -1)}
-            phase = np.exp(1j * starts[:, j, None] * cluster.energies)
-            for s in (1, -1):
-                u = np.where(
-                    (s * entry[:, j] > 0)[:, None, None], props[1][index], props[-1][index]
-                )
-                v[s] = (phase[:, :, None] * u * phase.conj()[:, None, :]) @ v[s]
-        total *= np.einsum("pij,pij->p", v[-1].conj(), v[1]) / cluster.dim
-    return total
+    return compose_coherence(system, np.broadcast_to(taus, counts.shape), counts, _magnus_stacks)
 
 
 def dip_1d(d: int, delta: float, n_pulses: float) -> float:
     """Single-transition dip (d - 2 + 2 cos(2 N delta)) / d."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     return (d - 2 + 2 * math.cos(2 * n_pulses * delta)) / d
 
 

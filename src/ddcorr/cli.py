@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TOPOLOGIES, Topology
-from .planner import DEFAULT_T_IR_US, plan, readout_fidelity
+from .planner import DEFAULT_T_IR_US, ReadoutModel, plan, readout_fidelity
 from .scan import (
     AnalyticModel,
     GridSpec,
@@ -327,6 +327,8 @@ def _parse_plan(obj, clusters, path: str) -> dict:
             _fail(path, "give 'fidelity' or both 'alpha0' and 'alpha1'")
         with _at(path):
             fidelity = readout_fidelity(alpha0, alpha1)
+    with _at(f"{path}.fidelity"):
+        ReadoutModel(fidelity)
     inputs = {"fidelity": fidelity, "snr": snr, "t_ir_us": t_ir_us}
     if entries is not None:
         specs = [
@@ -406,12 +408,14 @@ def _default_workers() -> int:
         return 1
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_numbers(text: str, flag: str, kind=float) -> list:
+    """A flag's comma-separated finite numbers, each read by kind (float or int)."""
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ScenarioError(f"{flag}: expected comma-separated numbers, got {text!r}")
-    return [_finite(x, flag) for x in values]
+        noun = "numbers" if kind is float else "integers"
+        raise ScenarioError(f"{flag}: expected comma-separated {noun}, got {text!r}")
+    return [kind(_finite(x, flag)) for x in values]
 
 
 def _cmd_scan(args) -> int:
@@ -441,14 +445,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    deltas = _parse_floats(args.delta, "--delta")
-    pulses = _parse_floats(args.n, "--n")
+    deltas = _parse_numbers(args.delta, "--delta")
+    pulses = _parse_numbers(args.n, "--n")
     name = args.topology
     dims = ()
     if name.endswith("-independent"):
         if not args.dims:
             raise ScenarioError(f"{name} requires --dims")
-        dims = tuple(int(x) for x in _parse_floats(args.dims, "--dims"))
+        dims = tuple(_parse_numbers(args.dims, "--dims", int))
     topology = Topology(name, dims)
     d = math.prod(dims) if dims else args.d
     if d is None:
@@ -467,22 +471,22 @@ def _cmd_plan(args) -> int:
     if args.fidelity is not None:
         inputs["fidelity"] = _finite(args.fidelity, "--F")
     elif args.alpha0 is not None and args.alpha1 is not None:
-        inputs["fidelity"] = readout_fidelity(
-            _finite(args.alpha0, "--alpha0"), _finite(args.alpha1, "--alpha1")
-        )
+        alphas = _finite(args.alpha0, "--alpha0"), _finite(args.alpha1, "--alpha1")
+        with _at("--alpha0/--alpha1"):
+            inputs["fidelity"] = readout_fidelity(*alphas)
     if args.snr is not None:
         inputs["snr"] = _finite(args.snr, "--snr")
     if args.t_ir_us is not None:
         inputs["t_ir_us"] = _finite(args.t_ir_us, "--t-ir-us")
     if args.delta_omega_khz:
         inputs["delta_omegas"] = [
-            TWO_PI * x / 1000.0 for x in _parse_floats(args.delta_omega_khz, "--delta-omega-kHz")
+            TWO_PI * x / 1000.0 for x in _parse_numbers(args.delta_omega_khz, "--delta-omega-kHz")
         ]
         inputs.pop("deltas", None)
         inputs.pop("omegas", None)
     if args.deltas and args.freqs_mhz:
-        inputs["deltas"] = _parse_floats(args.deltas, "--deltas")
-        inputs["omegas"] = [TWO_PI * f for f in _parse_floats(args.freqs_mhz, "--freqs-MHz")]
+        inputs["deltas"] = _parse_numbers(args.deltas, "--deltas")
+        inputs["omegas"] = [TWO_PI * f for f in _parse_numbers(args.freqs_mhz, "--freqs-MHz")]
     if "fidelity" not in inputs or "snr" not in inputs:
         raise ScenarioError("plan needs a readout fidelity (--F or --alpha0/--alpha1) and --snr")
     if "delta_omegas" not in inputs and "deltas" not in inputs:
@@ -579,7 +583,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="write scan records as CSV")
     p.add_argument("--heatmap", help="write a 16-bit PGM heatmap (2-axis grids)")
     p.add_argument("--engine", choices=["exact", "analytic", "both"], help="override the scenario's engine")
-    p.add_argument("--workers", type=int, default=_default_workers(), help="process count (default $DDCORR_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=_default_workers(), help="accepted for compatibility; scans run in one process (default $DDCORR_WORKERS or 1)")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("analytic", help="evaluate one closed-form dip")

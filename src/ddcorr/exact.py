@@ -13,9 +13,13 @@ clusters.
 
 Only two Hamiltonians ever appear (H0 + beta/2 and H0 - beta/2), so each is
 eigendecomposed once and every segment propagator is a diagonal phase
-sandwich.  The coherence path additionally collapses the long alternating
-interior of a CPMG block into a matrix power; conditional_propagator keeps
-the literal segment-by-segment product as the reference.
+sandwich.  A CPMG block's lab-frame propagator depends only on its (tau, N)
+and the coupling sign it is entered on, so scans build one stack of block
+propagators per block (block_stacks, one cumulative pass over N) and
+compose_coherence multiplies each grid point's blocks in a batch, picking
+each block's entry sign from the parity of the pulses before it.
+conditional_propagator keeps the literal segment-by-segment product as the
+reference; coherence_cluster and coherence_system evaluate it.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from .sequence import PulseTimeline
 from .spin_model import SystemModel, TargetCluster
 
 _HERM_TOL = 1e-10
-# Segment durations are quantized at this many decimals (times are in us)
-# when testing for repeated segments; 1e-12 us of drift is far below any
-# physical phase at the frequencies handled here.
-_DT_DECIMALS = 12
 
 
 def herm_propagator(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
@@ -45,34 +45,12 @@ def herm_propagator(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
-class _ConditionalBases:
-    """Eigendecompositions of H0 +- beta/2 plus a per-(sign, dt) propagator cache."""
-
-    def __init__(self, cluster: TargetCluster):
-        h0 = np.diag(cluster.energies)
-        self.dim = cluster.dim
-        self.eig = {}
-        for sigma in (1, -1):
-            w, v = np.linalg.eigh(h0 + sigma * cluster.coupling / 2.0)
-            self.eig[sigma] = (w, v)
-        self._cache: dict[tuple[int, float], np.ndarray] = {}
-
-    def segment(self, sigma: int, dt: float) -> np.ndarray:
-        key = (sigma, round(dt, _DT_DECIMALS))
-        u = self._cache.get(key)
-        if u is None:
-            w, v = self.eig[sigma]
-            u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-            self._cache[key] = u
-        return u
-
-
-def _segments(timeline: PulseTimeline, sensor_sign: int):
-    """(sigma_p, dt_p) per segment: coupling sign sensor_sign * (-1)^p."""
-    bounds = np.concatenate([[0.0], timeline.flip_times, [timeline.total_time]])
-    dts = np.diff(bounds)
-    sigmas = sensor_sign * np.where(np.arange(dts.size) % 2, -1, 1)
-    return sigmas, dts
+def _segment_propagators(cluster: TargetCluster, dts) -> np.ndarray:
+    """exp(-i (H0 +- beta/2) dt) per dt, (2, len(dts), d, d); [0] is coupling sign +1."""
+    h0 = np.diag(cluster.energies)
+    w, v = np.linalg.eigh(np.stack([h0 + cluster.coupling / 2.0, h0 - cluster.coupling / 2.0]))
+    phases = np.exp(-1j * w[:, None, :] * np.asarray(dts, dtype=float)[:, None])
+    return (v[:, None] * phases[..., None, :]) @ np.swapaxes(v, -1, -2).conj()[:, None]
 
 
 def conditional_propagator(
@@ -86,52 +64,82 @@ def conditional_propagator(
     """
     if sensor_sign not in (1, -1):
         raise ValueError(f"sensor_sign must be +1 or -1, got {sensor_sign}")
-    bases = _ConditionalBases(cluster)
-    sigmas, dts = _segments(timeline, sensor_sign)
+    dts = np.diff(np.concatenate([[0.0], timeline.flip_times, [timeline.total_time]]))
+    segments = _segment_propagators(cluster, dts)
+    # segment p has coupling sign sensor_sign * (-1)^p
+    first = 0 if sensor_sign == 1 else 1
     u = np.eye(cluster.dim, dtype=complex)
-    for sigma, dt in zip(sigmas, dts):
-        u = bases.segment(int(sigma), float(dt)) @ u
+    for p in range(dts.size):
+        u = segments[(first + p) % 2, p] @ u
     return u
 
 
-def _folded_propagator(bases: _ConditionalBases, sigmas, dts) -> np.ndarray:
-    """Segment product with runs of a repeating (sign, dt) pair collapsed.
+def block_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
+    """Lab-frame CPMG block propagators for every (tau, N) pair, both entry signs.
 
-    A CPMG block interior alternates the same two segments N-1 times, so the
-    product reduces to a matrix power; block edges and joins fall through to
-    single steps.
+    Returns shape (2, len(taus), len(counts), d, d); [0] is the block entered
+    on coupling sign +1, [1] on -1.  A block of N >= 1 pulses is a tau
+    segment, N - 1 segments of 2 tau with alternating sign, and a closing tau
+    segment; zero pulses give the identity.  All counts of one tau come from
+    one cumulative pass over N, so no segment product is repeated.
     """
-    keys = [(int(s), round(float(dt), _DT_DECIMALS)) for s, dt in zip(sigmas, dts)]
-    u = np.eye(bases.dim, dtype=complex)
-    i = 0
-    n = len(keys)
-    while i < n:
-        if i + 3 < n and keys[i + 2] == keys[i] and keys[i + 3] == keys[i + 1]:
-            repeats = 2
-            while (
-                i + 2 * repeats + 1 < n
-                and keys[i + 2 * repeats] == keys[i]
-                and keys[i + 2 * repeats + 1] == keys[i + 1]
-            ):
-                repeats += 1
-            pair = bases.segment(*keys[i + 1]) @ bases.segment(*keys[i])
-            u = np.linalg.matrix_power(pair, repeats) @ u
-            i += 2 * repeats
-        else:
-            u = bases.segment(*keys[i]) @ u
-            i += 1
-    return u
+    taus = np.asarray(taus, dtype=float)
+    counts = np.asarray(counts, dtype=int)
+    edge = _segment_propagators(cluster, taus)
+    inner = _segment_propagators(cluster, 2.0 * taus)
+    out = np.empty((2, taus.size, counts.size, cluster.dim, cluster.dim), dtype=complex)
+    out[:, :, counts == 0] = np.eye(cluster.dim)
+    column = {int(n): i for i, n in enumerate(counts)}
+    # run holds the first n segments: entered on sign [0] +1 / [1] -1, its
+    # k-th segment has sign index (entry + k) % 2, so odd k swap the pair
+    run = edge
+    for n in range(1, int(counts.max(initial=0)) + 1):
+        if n > 1:
+            run = (inner[::-1] if n % 2 == 0 else inner) @ run
+        if n in column:
+            out[:, :, column[n]] = (edge[::-1] if n % 2 else edge) @ run
+    return out
+
+
+def compose_branches(cluster: TargetCluster, taus, counts, block_stack) -> np.ndarray:
+    """U^+ ([0]) and U^- ([1]) of P block sequences, shape (2, P, d, d).
+
+    taus and counts are (P, l): each row's block spacings (us) and pulse
+    counts.  block_stack(cluster, taus, counts) gives the propagators of
+    every (tau, N) pair as block_stacks does; it is called once per block
+    with that block's distinct values.  A row's block j enters on coupling
+    sign (-1)^(pulses before block j) in U^+ and the opposite sign in U^-.
+    """
+    taus = np.asarray(taus, dtype=float)
+    counts = np.asarray(counts, dtype=int)
+    flipped = (np.cumsum(counts, axis=1) - counts) % 2
+    branches = None
+    for j in range(counts.shape[1]):
+        tau_values, tau_index = np.unique(taus[:, j], return_inverse=True)
+        count_values, count_index = np.unique(counts[:, j], return_inverse=True)
+        stack = block_stack(cluster, tau_values, count_values)
+        stack = stack.reshape(2, -1, cluster.dim, cluster.dim)
+        row = tau_index * count_values.size + count_index
+        blocks = stack[np.stack([flipped[:, j], 1 - flipped[:, j]]), row]
+        branches = blocks if branches is None else blocks @ branches
+    return branches
+
+
+def compose_coherence(system: SystemModel, taus, counts, block_stack) -> np.ndarray:
+    """Coherence of P block sequences: the product over clusters of
+    (1/d) Tr[(U^-)^dagger U^+], with U^+- from compose_branches."""
+    total = np.ones(len(counts), dtype=complex)
+    for cluster in system.clusters:
+        plus, minus = compose_branches(cluster, taus, counts, block_stack)
+        total *= np.einsum("pij,pij->p", minus.conj(), plus) / cluster.dim
+    return total
 
 
 def coherence_cluster(cluster: TargetCluster, timeline: PulseTimeline) -> complex:
     """Sensor coherence (1/d) Tr[(U^-)^dagger U^+] contributed by one cluster."""
-    bases = _ConditionalBases(cluster)
-    props = {}
-    for sensor_sign in (1, -1):
-        sigmas, dts = _segments(timeline, sensor_sign)
-        props[sensor_sign] = _folded_propagator(bases, sigmas, dts)
-    val = np.trace(props[-1].conj().T @ props[1]) / cluster.dim
-    return complex(val)
+    plus = conditional_propagator(cluster, timeline, 1)
+    minus = conditional_propagator(cluster, timeline, -1)
+    return complex(np.trace(minus.conj().T @ plus) / cluster.dim)
 
 
 def coherence_system(model: SystemModel, timeline: PulseTimeline) -> complex:

@@ -76,7 +76,12 @@ def readout_fidelity(alpha0: float, alpha1: float) -> float:
         raise ValueError("photon means must be >= 0")
     if alpha0 == alpha1:
         raise ValueError("indistinguishable states: alpha0 = alpha1 gives F = 0")
-    return (1 + 2 * (alpha0 + alpha1) / (alpha0 - alpha1) ** 2) ** -0.5
+    try:
+        return (1 + 2 * (alpha0 + alpha1) / (alpha0 - alpha1) ** 2) ** -0.5
+    except OverflowError:
+        raise ValueError(
+            f"photon means {alpha0:g} and {alpha1:g} are too large to evaluate F"
+        ) from None
 
 
 def shots_for_snr(fidelity: float, snr: float) -> int:

@@ -4,9 +4,11 @@ A scan varies 1-3 axes of a base block sequence, evaluating each grid point
 with the exact conditional-evolution engine, the analytic model, or both
 side by side.  The analytic model is the second-order Magnus expansion of
 every block over all couplings (analytic.magnus_coherence); its first-order
-limit is the closed-form dips.  Exact points are independent work items and
-may be evaluated by a process pool; results are always emitted in
-lexicographic grid order, so output bytes do not depend on the worker count.
+limit is the closed-form dips.  Both engines build each block's propagators
+once per distinct (tau, N) and compose every grid point from them in one
+batch (exact.compose_coherence), so a point costs a few d x d products
+however many pulses it has.  Results are emitted in lexicographic grid
+order; the worker count is accepted for compatibility and changes nothing.
 
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
@@ -15,15 +17,15 @@ start at N = 0 so every scan carries the full-coherence anchor L = 1.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .analytic import DipParams, Topology, dip_1d, dip_2d, dip_3d, magnus_coherence
-from .exact import coherence_system
-from .sequence import SequenceSpec, build_timeline
+# unused here, but perfbench --trace 1 wraps coherence_system and build_timeline by name
+from .exact import block_stacks, coherence_system, compose_coherence  # noqa: F401
+from .sequence import SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import SystemModel
 
 _ENGINES = ("exact", "analytic", "both")
@@ -162,30 +164,6 @@ class AnalyticModel:
         return dip(self.topology, DipParams(self.d, self.deltas, counts))
 
 
-def _apply_point(spec: SequenceSpec, axes, combo) -> SequenceSpec:
-    for axis, value in zip(axes, combo):
-        if isinstance(axis, TauAxis):
-            spec = spec.with_block(axis.block, tau=value)
-        else:
-            spec = spec.with_block(axis.block, n_pulses=value)
-    return spec
-
-
-# Worker-process state, installed once per pool worker instead of shipping
-# the model with every grid point.
-_POOL: dict = {}
-
-
-def _pool_init(system, spec, axes):
-    _POOL["args"] = (system, spec, axes)
-
-
-def _pool_eval(combo):
-    system, spec, axes = _POOL["args"]
-    timeline = build_timeline(_apply_point(spec, axes, combo))
-    return coherence_system(system, timeline)
-
-
 def run_scan(
     system: SystemModel,
     base_spec: SequenceSpec,
@@ -202,7 +180,8 @@ def run_scan(
     from the second-order Magnus block generators of every cluster
     (analytic.magnus_coherence), so |analytic_L| <= 1; analytic_model
     declares the topology whose closed forms are that model's first-order
-    limit, and pulse-count axes are the only ones it accepts.
+    limit, and pulse-count axes are the only ones it accepts.  workers is
+    kept for compatibility: every engine runs in this process.
     """
     for axis in grid.axes:
         if axis.block >= len(base_spec.blocks):
@@ -218,26 +197,18 @@ def run_scan(
 
     labels = tuple(axis.label for axis in grid.axes)
     combos = list(product(*(axis.values() for axis in grid.axes)))
+    coords = np.array(combos, dtype=float)
+    taus = np.tile([b.tau for b in base_spec.blocks], (len(combos), 1))
+    counts = np.tile([b.n_pulses for b in base_spec.blocks], (len(combos), 1))
+    for k, axis in enumerate(grid.axes):
+        (taus if isinstance(axis, TauAxis) else counts)[:, axis.block] = coords[:, k]
 
-    exact_vals: list[complex] | None = None
+    exact_vals = None
     if grid.engine in ("exact", "both"):
-        if workers > 1:
-            chunk = max(1, len(combos) // (workers * 8))
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init,
-                initargs=(system, base_spec, grid.axes),
-            ) as pool:
-                exact_vals = list(pool.map(_pool_eval, combos, chunksize=chunk))
-        else:
-            _pool_init(system, base_spec, grid.axes)
-            exact_vals = [_pool_eval(c) for c in combos]
-
+        exact_vals = compose_coherence(system, taus, counts, block_stacks)
     analytic_vals = None
     if needs_analytic:
-        counts = np.tile([b.n_pulses for b in base_spec.blocks], (len(combos), 1))
-        counts[:, [axis.block for axis in grid.axes]] = combos
-        taus = [b.tau for b in base_spec.blocks]
-        analytic_vals = magnus_coherence(system, taus, counts).real
+        analytic_vals = magnus_coherence(system, taus[0], counts).real
 
     records = []
     for i, combo in enumerate(combos):
@@ -245,7 +216,7 @@ def run_scan(
         if analytic_vals is not None:
             analytic_val = float(analytic_vals[i])
         if exact_vals is not None:
-            re, im = exact_vals[i].real, exact_vals[i].imag
+            re, im = float(exact_vals[i].real), float(exact_vals[i].imag)
         else:
             re, im = analytic_val, 0.0
         records.append(

@@ -18,6 +18,7 @@ at the start of the whole timeline.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class Block:
     n_pulses: int
 
     def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"block tau must be finite, got {self.tau}")
         if self.tau <= 0:
             raise ValueError(f"block tau must be > 0, got {self.tau}")
         if self.n_pulses != int(self.n_pulses) or self.n_pulses < 0:

@@ -63,6 +63,8 @@ class TargetCluster:
             raise ValueError(
                 f"coupling shape {coupling.shape} does not match {d} energies"
             )
+        if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(coupling))):
+            raise ValueError("level energies and couplings must be finite")
         if np.max(np.abs(coupling - coupling.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("coupling matrix is not Hermitian")
 

@@ -221,12 +221,20 @@ class TestDip1D:
         with pytest.raises(ValueError):
             dip_1d(3, 0.0, 5)
 
+    def test_rejects_non_finite_delta(self):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            dip_1d(4, np.nan, 2)
+
 
 class TestDip2D:
     def test_correlated_known_value(self):
         params = DipParams(3, (0.025, 0.036), (63, 44))
         got = dip_2d(Topology("2d-correlated"), params)
         assert got == pytest.approx(-1.0 / 3.0, abs=1e-3)
+
+    def test_params_reject_non_finite_delta(self):
+        with pytest.raises(ValueError, match="every delta must be finite"):
+            DipParams(4, (np.nan,), (2,))
 
     def test_uncorrelated_floor_at_half_period(self):
         d1, d2 = 0.025, 0.036

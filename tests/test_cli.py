@@ -380,6 +380,17 @@ MALFORMED = [
         id="plan-alpha-error",
     ),
     pytest.param(
+        ("plan",),
+        {"alpha0": 1e300, "alpha1": 0.01, "snr": 10.0, "delta_omega_kHz": [5.0, 5.0]},
+        ".plan: photon means 1e+300 and 0.01 are too large to evaluate F",
+        id="plan-alpha-overflow",
+    ),
+    pytest.param(
+        ("plan", "fidelity"), 1.5,
+        ".plan.fidelity: fidelity must be in (0, 1], got 1.5",
+        id="plan-fidelity-above-one",
+    ),
+    pytest.param(
         ("plan", "snr"), DELETE, ".plan: missing required field 'snr'", id="plan-snr-missing"
     ),
     pytest.param(
@@ -733,6 +744,16 @@ class TestAnalyticCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}:")
 
+    def test_fractional_dims_fail(self, capsys):
+        code = dispatch([
+            "analytic", "--topology", "2d-independent", "--dims", "2.7,2",
+            "--delta", "0.02,0.02", "--n", "78.54,78.54",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --dims: expected comma-separated integers, got '2.7,2'\n"
+        )
+
     def test_malformed_number_list(self, capsys):
         code, _ = self.run(
             capsys,
@@ -834,8 +855,12 @@ class TestPlanCommand:
                 "--t-ir-us: expected a finite number, got nan",
             ),
             (["--F", "1.5"], "fidelity must be in (0, 1], got 1.5"),
+            (
+                ["--alpha0", "1e300", "--alpha1", "0.01"],
+                "--alpha0/--alpha1: photon means 1e+300 and 0.01 are too large to evaluate F",
+            ),
         ],
-        ids=["F", "snr", "alpha0", "alpha1", "t-ir-us", "fidelity-above-one"],
+        ids=["F", "snr", "alpha0", "alpha1", "t-ir-us", "fidelity-above-one", "alpha-overflow"],
     )
     def test_bad_readout_flags(self, capsys, argv, message):
         base = ["--snr", "10", "--delta-omega-kHz", "5,5"]

@@ -1,0 +1,149 @@
+"""Properties of the block-stack composer behind both scan engines.
+
+Random clusters (d <= 6) and random 1-4 block sequences, with odd and zero
+pulse counts, on a grid that sweeps one block's tau and one block's pulse
+count.  The exact stacks must reproduce the literal segment product of
+conditional_propagator branch by branch, the lab-frame Magnus blocks must
+reproduce the interaction-frame composition that moves each block's
+generator to its start time, and both engines must keep the invariants of
+a coherence: L = 1 without pulses, |L| <= 1, and conjugation when the
+sensor branches swap (the coupling changes sign).
+"""
+
+from itertools import product
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ddcorr.analytic import _expm_skew, magnus_coherence, magnus_generator
+from ddcorr.exact import (
+    block_stacks,
+    coherence_system,
+    compose_branches,
+    compose_coherence,
+    conditional_propagator,
+)
+from ddcorr.scan import GridSpec, PulseAxis, TauAxis, run_scan
+from ddcorr.sequence import Block, SequenceSpec, build_timeline
+from ddcorr.spin_model import SystemModel, TargetCluster, new_cluster
+
+TWO_PI = 2.0 * np.pi
+EXACT_TOL = 1e-12
+FRAME_TOL = 1e-14
+
+
+def random_cluster(rng, dim):
+    energies = np.sort(rng.uniform(0.0, 4.0, size=dim)) + np.linspace(0.0, 0.5, dim)
+    couplings = [
+        (m, n, rng.uniform(0.005, 0.08), rng.uniform(0, TWO_PI))
+        for m in range(dim)
+        for n in range(m)
+        if rng.uniform() < 0.7
+    ]
+    return new_cluster("r", energies, couplings or [(1, 0, 0.02, 0.3)])
+
+
+def flipped(cluster):
+    """The cluster seen from the other sensor branch: coupling sign reversed."""
+    return TargetCluster(cluster.label, cluster.energies, -cluster.coupling)
+
+
+@st.composite
+def scans(draw):
+    """(system, base sequence, grid, per-row sequences, taus, counts)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    system = SystemModel(tuple(
+        random_cluster(rng, draw(st.integers(2, 6))) for _ in range(draw(st.integers(1, 2)))
+    ))
+    n_blocks = draw(st.integers(1, 4))
+    spec = SequenceSpec([
+        Block(rng.uniform(0.3, 2.0), draw(st.integers(0, 9))) for _ in range(n_blocks)
+    ])
+    lo = rng.uniform(0.3, 1.5)
+    start, step = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    grid = GridSpec((
+        TauAxis(draw(st.integers(0, n_blocks - 1)), lo, lo + rng.uniform(0.1, 1.0), 3),
+        PulseAxis(draw(st.integers(0, n_blocks - 1)), start, start + step * 3, step),
+    ))
+    tau_axis, pulse_axis = grid.axes
+    rows = [
+        spec.with_block(tau_axis.block, tau=tau).with_block(pulse_axis.block, n_pulses=n)
+        for tau, n in product(tau_axis.values(), pulse_axis.values())
+    ]
+    taus = np.array([[b.tau for b in row.blocks] for row in rows])
+    counts = np.array([[b.n_pulses for b in row.blocks] for row in rows])
+    return system, spec, grid, rows, taus, counts
+
+
+def start_time_magnus(system, taus, counts):
+    """Magnus coherence composed in the interaction frame, row by row.
+
+    Each block's generator is entered on its coupling sign and moved to its
+    start time t0 by D = diag(e^{i E t0}), as magnus_generator documents.
+    """
+    total = np.ones(len(counts), dtype=complex)
+    for p, row in enumerate(counts):
+        for cluster in system.clusters:
+            v = {s: np.eye(cluster.dim, dtype=complex) for s in (1, -1)}
+            start, before = 0.0, 0
+            for tau, n in zip(taus, row):
+                first, second = magnus_generator(cluster, tau, int(n))
+                frame = np.diag(np.exp(1j * cluster.energies * start))
+                for s in (1, -1):
+                    block = _expm_skew(s * (-1) ** before * first + second)
+                    v[s] = frame @ block @ frame.conj().T @ v[s]
+                start += 2.0 * n * tau
+                before += n
+            total[p] *= np.trace(v[-1].conj().T @ v[1]) / cluster.dim
+    return total
+
+
+@given(scans())
+@settings(max_examples=40, deadline=None)
+def test_exact_branches_match_literal_segment_product(scan):
+    system, spec, grid, rows, taus, counts = scan
+    for cluster in system.clusters:
+        plus, minus = compose_branches(cluster, taus, counts, block_stacks)
+        for p, row in enumerate(rows):
+            timeline = build_timeline(row)
+            np.testing.assert_allclose(
+                plus[p], conditional_propagator(cluster, timeline, 1), rtol=0, atol=EXACT_TOL
+            )
+            np.testing.assert_allclose(
+                minus[p], conditional_propagator(cluster, timeline, -1), rtol=0, atol=EXACT_TOL
+            )
+    records = run_scan(system, spec, grid)
+    got = np.array([complex(r.re_L, r.im_L) for r in records])
+    want = np.array([coherence_system(system, build_timeline(row)) for row in rows])
+    np.testing.assert_allclose(got, want, rtol=0, atol=EXACT_TOL)
+
+
+@given(scans())
+@settings(max_examples=40, deadline=None)
+def test_lab_frame_magnus_matches_start_time_frame(scan):
+    system, _, _, _, taus, counts = scan
+    taus = taus[0]  # the Magnus model takes one tau per block
+    got = magnus_coherence(system, taus, counts)
+    np.testing.assert_allclose(
+        got, start_time_magnus(system, taus, counts), rtol=0, atol=FRAME_TOL
+    )
+
+
+def engines(system, taus, counts):
+    yield compose_coherence(system, taus, counts, block_stacks)
+    yield magnus_coherence(system, taus[0], counts)
+
+
+@given(scans())
+@settings(max_examples=40, deadline=None)
+def test_coherence_invariants(scan):
+    system, _, _, _, taus, counts = scan
+    swapped = SystemModel(tuple(flipped(c) for c in system.clusters))
+    for value, zero, mirror in zip(
+        engines(system, taus, counts),
+        engines(system, taus, np.zeros_like(counts)),
+        engines(swapped, taus, counts),
+    ):
+        np.testing.assert_allclose(zero, 1.0, rtol=0, atol=1e-14)
+        assert np.all(np.abs(value) <= 1.0 + 1e-12)
+        np.testing.assert_allclose(mirror, value.conj(), rtol=0, atol=EXACT_TOL)

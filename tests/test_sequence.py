@@ -51,6 +51,11 @@ class TestBlockAndSpec:
         with pytest.raises(ValueError):
             Block(-1.0, 4)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_block_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="block tau must be finite"):
+            Block(tau, 2)
+
     def test_block_rejects_negative_pulses(self):
         with pytest.raises(ValueError):
             Block(1.0, -1)

@@ -38,6 +38,10 @@ class TestNewCluster:
         with pytest.raises(ValueError):
             new_cluster("bad", [0.0, 1.0], [(2, 0, 0.05, 0.0)])
 
+    def test_rejects_non_finite_energy(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            new_cluster("bad", [0.0, np.nan], [(1, 0, 0.05, 0.0)])
+
     def test_rejects_self_coupling(self):
         with pytest.raises(ValueError):
             new_cluster("bad", [0.0, 1.0], [(1, 1, 0.05, 0.0)])
