@@ -24,8 +24,11 @@ The closed forms are the first-order limit of magnus_generator, which
 carries each block's Magnus expansion to second order over every coupling
 of the cluster: the off-resonant first-order terms of the other
 transitions, and the commutator term that shifts a level shared by two
-driven transitions.  magnus_coherence composes those generators into the
-coherence of whole sequences, as the model that scans compare against.
+driven transitions.  magnus_axis gives the same generators for every
+pulse count of one tau from a single prefix-sum pass over the segments,
+with magnus_generator kept as the literal per-count reference.
+magnus_coherence composes the axis generators into the coherence of whole
+sequences, as the model that scans compare against.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import compose_coherence
+from .exact import check_blocks, compose_coherence
 from .spin_model import SystemModel, TargetCluster, transition
 
 # Topology name -> (driven transitions, least dimension, m of the quantized
@@ -211,12 +214,12 @@ def magnus_generator(
 
     Both terms come from exact per-segment antiderivatives, never
     quadrature.  On resonance, omega1 restricted to the driven transition
-    exponentiates to magnus_rotation(cluster, m, n, n_pulses).
+    exponentiates to magnus_rotation(cluster, m, n, n_pulses).  This is the
+    literal per-count reference; magnus_axis gives the same terms for a
+    whole pulse axis at once.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if n_pulses != int(n_pulses) or n_pulses < 0:
-        raise ValueError(f"n_pulses must be a nonnegative integer, got {n_pulses}")
+    tau, n_pulses = check_blocks(tau, n_pulses)
+    tau, n_pulses = float(tau), int(n_pulses)
     d = cluster.dim
     if n_pulses == 0:
         zero = np.zeros((d, d), dtype=complex)
@@ -246,6 +249,65 @@ def magnus_generator(
     return omega1, omega2
 
 
+def magnus_axis(cluster: TargetCluster, tau: float, counts) -> tuple[np.ndarray, np.ndarray]:
+    """magnus_generator(cluster, tau, N) for every N in counts, in one pass.
+
+    Returns (omega1, omega2), each (len(counts), d, d).  Every block of one
+    tau starts with the same segments A_j, j < N, of an unending CPMG train:
+    segment 0 has length tau, every later one 2 tau, and segment j has sign
+    (-1)^j.  An N-pulse block adds a closing tau segment C_N, starting at
+    (2N - 1) tau with sign (-1)^N.  With S_N = sum_{j<N} A_j and
+    P_N = (1/2) sum_{j<N} [A_j, S_j], both prefix sums,
+
+        omega1 = S_N + C_N,  omega2 = P_N + (1/2) [C_N, S_N] - within / 8,
+
+    where the within-segment term weights the tau and 2 tau twists,
+    computed once, by prefix sums of the segments' start phases.  Counts may
+    be unsorted and repeated; zero counts give zeros.
+    """
+    tau, counts = check_blocks(tau, counts)
+    tau = float(tau)
+    n_max = int(counts.max(initial=0))
+    w = cluster.energies[:, None] - cluster.energies[None, :]
+    beta = cluster.coupling
+    # segment j of the train starts at (2j - 1) tau (0 for j = 0), sign (-1)^j
+    starts = np.concatenate([[0.0], (2 * np.arange(1, n_max + 1) - 1) * tau])
+    signs = np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
+    phases = np.exp(1j * w * starts[:, None, None])
+    short, long = _segment_integral(w, tau), _segment_integral(w, 2.0 * tau)
+    # a tau segment at every start: edges[0] opens each block, edges[N]
+    # closes the N-pulse one
+    edges = -0.5j * beta * signs[:, None, None] * phases * short
+    train = -0.5j * beta * signs[:n_max, None, None] * phases[:n_max] * long
+    train[:1] = edges[:1]
+    zero = np.zeros((1, *w.shape), dtype=complex)
+    # S_j and P_j for j = 0..n_max
+    before = np.concatenate([zero, np.cumsum(train, axis=0)])
+    pairs = train @ before[:-1] - before[:-1] @ train
+    paired = np.concatenate([zero, 0.5 * np.cumsum(pairs, axis=0)])
+    # sum of the 2 tau segments' phases, j = 1..N-1
+    middle = np.concatenate([zero, zero, np.cumsum(phases[1:n_max], axis=0)])
+    w_mk, w_kn = w[:, :, None], w[None, :, :]
+    weights = beta[:, :, None] * beta[None, :, :]
+    short_twist, long_twist = (
+        np.einsum(
+            "mkn,mkn->mn",
+            weights,
+            _nested_integral(w_mk, w_kn, length) - _nested_integral(w_kn, w_mk, length),
+        )
+        for length in (tau, 2.0 * tau)
+    )
+    close, s = edges[counts], before[counts]
+    omega1 = s + close
+    omega2 = paired[counts] + 0.5 * (close @ s - s @ close)
+    omega2 -= (1.0 + phases[counts]) * short_twist / 8.0
+    omega2 -= middle[counts] * long_twist / 8.0
+    empty = counts == 0
+    omega1[empty] = 0.0
+    omega2[empty] = 0.0
+    return omega1, omega2
+
+
 def _expm_skew(x: np.ndarray) -> np.ndarray:
     """exp(x) for a stack of anti-Hermitian matrices, via eigh of i*x."""
     h = 1j * x
@@ -259,12 +321,11 @@ def _magnus_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
     A block of N pulses entered on coupling sign s is e^{-i H0 T}
     exp(s omega1 + omega2), T = 2 N tau: the interaction-frame generator of
     magnus_generator, moved to the lab frame, which makes it independent of
-    the block's start time.
+    the block's start time.  The generators of every count come from one
+    magnus_axis pass per tau.
     """
-    taus = np.asarray(taus, dtype=float)
-    counts = np.asarray(counts, dtype=int)
-    terms = np.array([magnus_generator(cluster, tau, int(n)) for tau in taus for n in counts])
-    first, second = np.moveaxis(terms, 1, 0).reshape(2, taus.size, counts.size, *terms.shape[-2:])
+    terms = np.array([magnus_axis(cluster, tau, counts) for tau in taus])
+    first, second = np.moveaxis(terms, 1, 0)
     free = np.exp(-2j * np.multiply.outer(np.outer(taus, counts), cluster.energies))
     return np.stack([free[..., None] * _expm_skew(s * first + second) for s in (1, -1)])
 
@@ -279,12 +340,13 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
     Returns the complex coherence of each row: the product over clusters of
     (1/d) Tr[(V^-)^dagger V^+], where V^+- multiplies the blocks'
     exponentiated magnus_generator terms for each sensor branch, entered on
-    the block's coupling sign.  V^+- are unitary, so |L| <= 1.  Generators
-    are built once per distinct (block, count) and composed by
-    exact.compose_coherence, as the exact engine's blocks are.
+    the block's coupling sign.  V^+- are unitary, so |L| <= 1.  Each
+    block's generators come from one magnus_axis pass over its distinct
+    counts and are composed by exact.compose_coherence, as the exact
+    engine's blocks are.
     """
     taus = np.asarray(taus, dtype=float)
-    counts = np.asarray(counts, dtype=int).reshape(-1, taus.size)
+    counts = np.reshape(counts, (-1, taus.size))
     return compose_coherence(system, np.broadcast_to(taus, counts.shape), counts, _magnus_stacks)
 
 

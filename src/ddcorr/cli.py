@@ -31,6 +31,7 @@ from .scan import (
     GridSpec,
     PulseAxis,
     TauAxis,
+    check_grid_size,
     run_scan,
     write_csv,
     write_heatmap,
@@ -366,12 +367,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         analytic = _parse_analytic(analytic, clusters, f"{name}.analytic")
     if plan_section is not None:
         plan_section = _parse_plan(plan_section, clusters, f"{name}.plan")
+    system = SystemModel(tuple(clusters))
     if grid is not None:
         for i, axis in enumerate(grid.axes):
             if axis.block >= len(blocks):
                 _fail(f"{name}.grid.axes[{i}]", f"block {axis.block} not in the sequence")
+        with _at(f"{name}.grid"):
+            check_grid_size(system, grid)
     return Scenario(
-        system=SystemModel(tuple(clusters)),
+        system=system,
         sequence=sequence,
         grid=grid,
         analytic_model=analytic,

@@ -74,6 +74,25 @@ def conditional_propagator(
     return u
 
 
+def check_blocks(taus, counts) -> tuple[np.ndarray, np.ndarray]:
+    """taus and counts as float and int arrays of CPMG blocks.
+
+    Raises ValueError unless every tau is finite and > 0 and every count is
+    an integer >= 0, so that no block is built from a NaN, a negative or a
+    truncated value.
+    """
+    taus = np.asarray(taus, dtype=float)
+    bad = taus[~(np.isfinite(taus) & (taus > 0))]
+    if bad.size:
+        raise ValueError(f"tau must be finite and > 0, got {bad[0]:g}")
+    raw = np.asarray(counts)
+    values = raw.astype(float)
+    bad = values[~(np.isfinite(values) & (values >= 0) & (values == np.floor(values)))]
+    if bad.size:
+        raise ValueError(f"pulse counts must be integers >= 0, got {bad[0]:g}")
+    return taus, raw.astype(int)
+
+
 def block_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
     """Lab-frame CPMG block propagators for every (tau, N) pair, both entry signs.
 
@@ -83,8 +102,7 @@ def block_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
     segment; zero pulses give the identity.  All counts of one tau come from
     one cumulative pass over N, so no segment product is repeated.
     """
-    taus = np.asarray(taus, dtype=float)
-    counts = np.asarray(counts, dtype=int)
+    taus, counts = check_blocks(taus, counts)
     edge = _segment_propagators(cluster, taus)
     inner = _segment_propagators(cluster, 2.0 * taus)
     out = np.empty((2, taus.size, counts.size, cluster.dim, cluster.dim), dtype=complex)
@@ -110,8 +128,7 @@ def compose_branches(cluster: TargetCluster, taus, counts, block_stack) -> np.nd
     with that block's distinct values.  A row's block j enters on coupling
     sign (-1)^(pulses before block j) in U^+ and the opposite sign in U^-.
     """
-    taus = np.asarray(taus, dtype=float)
-    counts = np.asarray(counts, dtype=int)
+    taus, counts = check_blocks(taus, counts)
     flipped = (np.cumsum(counts, axis=1) - counts) % 2
     branches = None
     for j in range(counts.shape[1]):

@@ -4,11 +4,14 @@ A scan varies 1-3 axes of a base block sequence, evaluating each grid point
 with the exact conditional-evolution engine, the analytic model, or both
 side by side.  The analytic model is the second-order Magnus expansion of
 every block over all couplings (analytic.magnus_coherence); its first-order
-limit is the closed-form dips.  Both engines build each block's propagators
-once per distinct (tau, N) and compose every grid point from them in one
-batch (exact.compose_coherence), so a point costs a few d x d products
-however many pulses it has.  Results are emitted in lexicographic grid
-order; the worker count is accepted for compatibility and changes nothing.
+limit is the closed-form dips.  Both engines build the propagators of
+every distinct (tau, N) of a block in one pass over its pulse axis (the
+exact engine by a cumulative product, the Magnus model by prefix sums of
+segment terms, analytic.magnus_axis) and compose every grid point from
+them in one batch (exact.compose_coherence), so a point costs a few d x d
+products however many pulses it has.  Results are emitted in lexicographic
+grid order; the worker count is accepted for compatibility and changes
+nothing.  check_grid_size rejects a grid too large to scan in memory.
 
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
@@ -17,6 +20,7 @@ start at N = 0 so every scan carries the full-coherence anchor L = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -32,6 +36,14 @@ _ENGINES = ("exact", "analytic", "both")
 _DIP_THRESHOLD = 0.9
 # Verdict margin around the midpoint of the two quantized minima.
 _AMBIGUOUS_BAND = 0.1
+# Bytes a scan needs per grid point (record, coordinates, CSV line) and per
+# point and unit of each cluster's d^2 (the composer's complex d x d
+# stacks), rounded up from the ~300 and ~96 measured as peak RSS of
+# run_scan plus write_csv (numpy 2.4, Python 3.11, x86-64); and the most a
+# scan may need.
+_POINT_BYTES = 1024
+_MATRIX_BYTES = 128
+_MAX_SCAN_BYTES = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -164,6 +176,21 @@ class AnalyticModel:
         return dip(self.topology, DipParams(self.d, self.deltas, counts))
 
 
+def check_grid_size(system: SystemModel, grid: GridSpec) -> None:
+    """Raise ValueError if scanning grid would need more than _MAX_SCAN_BYTES.
+
+    O(1): the estimate reads the axis lengths and the cluster dimensions,
+    so an oversize grid is rejected before any of its points is built.
+    """
+    points = math.prod(len(axis) for axis in grid.axes)
+    per_point = _POINT_BYTES + _MATRIX_BYTES * sum(c.dim**2 for c in system.clusters)
+    if points * per_point > _MAX_SCAN_BYTES:
+        raise ValueError(
+            f"grid of {points} points needs about {points * per_point / 2**30:.3g} GiB, "
+            f"over the {_MAX_SCAN_BYTES >> 30} GiB a scan may use"
+        )
+
+
 def run_scan(
     system: SystemModel,
     base_spec: SequenceSpec,
@@ -181,8 +208,10 @@ def run_scan(
     (analytic.magnus_coherence), so |analytic_L| <= 1; analytic_model
     declares the topology whose closed forms are that model's first-order
     limit, and pulse-count axes are the only ones it accepts.  workers is
-    kept for compatibility: every engine runs in this process.
+    kept for compatibility: every engine runs in this process.  Grids that
+    check_grid_size rejects raise ValueError before any point is built.
     """
+    check_grid_size(system, grid)
     for axis in grid.axes:
         if axis.block >= len(base_spec.blocks):
             raise ValueError(f"axis block {axis.block} not in the base sequence")

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddcorr import scan as scan_module
 from ddcorr.analytic import TOPOLOGIES
 from ddcorr.cli import (
     ScenarioError,
@@ -643,7 +644,8 @@ class TestDispatchBasics:
         payload["grid"]["axes"][0]["stop"] = 1_000_000_000
         payload["grid"]["axes"][1]["stop"] = 88
         path = write_scenario(tmp_path, payload)
-        # a list of the axis's 500000001 counts cannot fit under a 1 GiB cap
+        # a list of the axis's 500000001 counts cannot fit under a 1 GiB cap,
+        # so the grid is sized from len() and rejected without listing it
         code = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -651,8 +653,31 @@ class TestDispatchBasics:
             f"sys.exit(dispatch(['validate', {path!r}]))\n"
         )
         result = run_python(["-c", code])
-        assert result.returncode == 0, result.stderr
-        assert "grid 500000001x45 [both]" in result.stdout
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path}.grid: grid of 22500000045 points needs about 6.44e+04 GiB, "
+            "over the 4 GiB a scan may use\n"
+        )
+
+    def test_scan_rejects_an_oversize_grid_before_building_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        payload = correlated_2d_scenario()
+        payload["grid"]["axes"][0]["stop"] = 70_000
+        payload["grid"]["axes"][1]["stop"] = 88
+        path = write_scenario(tmp_path, payload)
+
+        def build(*axes):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(scan_module, "product", build)
+        assert dispatch(["scan", path, "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.grid: grid of 1575045 points needs about 4.51 GiB, "
+            "over the 4 GiB a scan may use\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
 
     def test_python_m_ddcorr_runs_quietly(self):
         result = run_python(

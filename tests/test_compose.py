@@ -7,15 +7,24 @@ conditional_propagator branch by branch, the lab-frame Magnus blocks must
 reproduce the interaction-frame composition that moves each block's
 generator to its start time, and both engines must keep the invariants of
 a coherence: L = 1 without pulses, |L| <= 1, and conjugation when the
-sensor branches swap (the coupling changes sign).
+sensor branches swap (the coupling changes sign).  The Magnus generators
+of a whole pulse axis (magnus_axis) must equal the per-count reference
+magnus_generator, and every block builder must reject a tau or a count no
+CPMG block can have.
 """
 
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddcorr.analytic import _expm_skew, magnus_coherence, magnus_generator
+from ddcorr.analytic import (
+    _expm_skew,
+    magnus_axis,
+    magnus_coherence,
+    magnus_generator,
+)
 from ddcorr.exact import (
     block_stacks,
     coherence_system,
@@ -30,6 +39,7 @@ from ddcorr.spin_model import SystemModel, TargetCluster, new_cluster
 TWO_PI = 2.0 * np.pi
 EXACT_TOL = 1e-12
 FRAME_TOL = 1e-14
+AXIS_TOL = 1e-13
 
 
 def random_cluster(rng, dim):
@@ -147,3 +157,81 @@ def test_coherence_invariants(scan):
         np.testing.assert_allclose(zero, 1.0, rtol=0, atol=1e-14)
         assert np.all(np.abs(value) <= 1.0 + 1e-12)
         np.testing.assert_allclose(mirror, value.conj(), rtol=0, atol=EXACT_TOL)
+
+
+@st.composite
+def pulse_axes(draw):
+    """(cluster, tau, counts): d <= 6 with exactly and nearly degenerate level
+    pairs, and unsorted counts with duplicates, 0, 1 and an odd count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 6))
+    energies = rng.uniform(0.0, 4.0, size=dim)
+    for m in range(1, dim):
+        # a level on top of, or within 1e-7..1e-3 rad/us of, an earlier one
+        # puts that pair on the Taylor-series branch of the nested integral
+        kind = draw(st.sampled_from(["free", "exact", "near"]))
+        if kind != "free":
+            gap = 0.0 if kind == "exact" else 10.0 ** rng.uniform(-7, -3) * rng.choice([-1, 1])
+            energies[m] = energies[rng.integers(m)] + gap
+    couplings = [
+        (m, n, rng.uniform(0.005, 0.08), rng.uniform(0, TWO_PI))
+        for m in range(dim)
+        for n in range(m)
+        if rng.uniform() < 0.7
+    ]
+    cluster = new_cluster("r", energies, couplings or [(1, 0, 0.02, 0.3)])
+    tau = 10.0 ** rng.uniform(-1, 0.5)
+    drawn = draw(st.lists(st.integers(0, 60), min_size=1, max_size=10))
+    odd = 2 * draw(st.integers(0, 30)) + 1
+    counts = rng.permutation([*drawn, drawn[0], 0, 1, odd])
+    if np.all(np.diff(counts) >= 0):
+        counts = counts[::-1]
+    return cluster, tau, counts
+
+
+@given(pulse_axes())
+@settings(max_examples=40, deadline=None)
+def test_magnus_axis_matches_per_count_generator(axis):
+    cluster, tau, counts = axis
+    first, second = magnus_axis(cluster, tau, counts)
+    assert first.shape == second.shape == (counts.size, cluster.dim, cluster.dim)
+    for k, n in enumerate(counts):
+        for got, want in zip((first[k], second[k]), magnus_generator(cluster, tau, int(n))):
+            scale = max(np.abs(want).max(), 1.0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=AXIS_TOL * scale)
+
+
+BAD_BLOCKS = [
+    pytest.param(1.25, -2, "pulse counts must be integers >= 0, got -2", id="negative-count"),
+    pytest.param(1.25, 2.7, "pulse counts must be integers >= 0, got 2.7", id="fractional-count"),
+    pytest.param(1.25, np.nan, "pulse counts must be integers >= 0, got nan", id="nan-count"),
+    pytest.param(1.25, np.inf, "pulse counts must be integers >= 0, got inf", id="inf-count"),
+    pytest.param(np.nan, 4, "tau must be finite and > 0, got nan", id="nan-tau"),
+    pytest.param(np.inf, 4, "tau must be finite and > 0, got inf", id="inf-tau"),
+    pytest.param(-1.25, 4, "tau must be finite and > 0, got -1.25", id="negative-tau"),
+    pytest.param(0.0, 4, "tau must be finite and > 0, got 0", id="zero-tau"),
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c, tau, n: block_stacks(c, [tau], [0, n]),
+        lambda c, tau, n: magnus_axis(c, tau, [0, n]),
+        lambda c, tau, n: magnus_generator(c, tau, n),
+        lambda c, tau, n: compose_coherence(SystemModel((c,)), [[tau]], [[n]], block_stacks),
+        lambda c, tau, n: magnus_coherence(SystemModel((c,)), [tau], [[n]]),
+    ],
+    ids=[
+        "block_stacks",
+        "magnus_axis",
+        "magnus_generator",
+        "compose_coherence",
+        "magnus_coherence",
+    ],
+)
+@pytest.mark.parametrize("tau, count, message", BAD_BLOCKS)
+def test_block_builders_reject_invalid_blocks(build, tau, count, message):
+    cluster = random_cluster(np.random.default_rng(5), 3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(cluster, tau, count)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ddcorr import scan as scan_module
 from ddcorr.analytic import Topology, dip_1d
 from ddcorr.scan import (
     AnalyticModel,
@@ -10,6 +11,7 @@ from ddcorr.scan import (
     PulseAxis,
     ScanRecord,
     TauAxis,
+    check_grid_size,
     classify_correlation,
     find_dips,
     run_scan,
@@ -193,6 +195,30 @@ class TestRunScan:
         grid = GridSpec((PulseAxis(2, 0, 8, 2),))
         with pytest.raises(ValueError):
             run_scan(system, spec, grid)
+
+    def test_oversize_grid_rejected_before_it_is_built(self, monkeypatch):
+        system, spec, _ = fig_two_transition_system()
+        grid = GridSpec((PulseAxis(0, 0, 2_000_000_000), PulseAxis(1, 0, 88)))
+
+        def build(*axes):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(scan_module, "product", build)
+        with pytest.raises(ValueError, match="grid of 45000000045 points needs about"):
+            run_scan(system, spec, grid)
+
+    def test_grid_size_limit(self):
+        # one d = 4 cluster: 1024 + 128 * 16 bytes a point, 4 GiB in all
+        system, _, _ = fig_two_transition_system()
+        fits = 4 * 2**30 // 3072
+        check_grid_size(system, GridSpec((PulseAxis(0, 0, fits - 1, 1),)))
+        with pytest.raises(ValueError, match=f"grid of {fits + 1} points"):
+            check_grid_size(system, GridSpec((PulseAxis(0, 0, fits, 1),)))
+        with pytest.raises(ValueError, match="grid of 1000000 points"):
+            check_grid_size(
+                SystemModel(system.clusters * 2),
+                GridSpec((PulseAxis(0, 0, 999, 1), PulseAxis(1, 0, 999, 1))),
+            )
 
     def test_worker_count_does_not_change_results(self):
         cluster = spin_one_preset(0.20, 0.14, 5.0 * np.sqrt(2.0))
