@@ -429,7 +429,7 @@ def _cmd_scan(args) -> int:
         raise ScenarioError(f"{args.scenario}: no 'grid' section to scan")
     if args.engine:
         grid = dataclasses.replace(grid, engine=args.engine)
-    records = run_scan(
+    result = run_scan(
         scenario.system,
         scenario.sequence,
         grid,
@@ -437,14 +437,12 @@ def _cmd_scan(args) -> int:
         workers=args.workers,
     )
     if args.out:
-        write_csv(records, args.out)
+        write_csv(result, args.out)
     if args.heatmap:
-        write_heatmap(records, args.heatmap)
-    best = min(records, key=lambda r: r.re_L)
-    where = ", ".join(
-        f"{label} = {_fmt(value)}" for label, value in zip(best.labels, best.coords)
-    )
-    print(f"{len(records)} points; min Re L = {_fmt(best.re_L)} at {where}")
+        write_heatmap(result, args.heatmap)
+    best = int(np.argmin(result.L.real))
+    where = ", ".join(f"{label} = {_fmt(v)}" for label, v in zip(result.labels, result.coords[best]))
+    print(f"{len(result)} points; min Re L = {_fmt(result.L[best].real)} at {where}")
     return 0
 
 
@@ -584,7 +582,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="run a grid scan from a scenario file")
     p.add_argument("scenario")
-    p.add_argument("--out", help="write scan records as CSV")
+    p.add_argument("--out", help="write the scan as CSV")
     p.add_argument("--heatmap", help="write a 16-bit PGM heatmap (2-axis grids)")
     p.add_argument("--engine", choices=["exact", "analytic", "both"], help="override the scenario's engine")
     p.add_argument("--workers", type=int, default=_default_workers(), help="accepted for compatibility; scans run in one process (default $DDCORR_WORKERS or 1)")

@@ -9,9 +9,9 @@ every distinct (tau, N) of a block in one pass over its pulse axis (the
 exact engine by a cumulative product, the Magnus model by prefix sums of
 segment terms, analytic.magnus_axis) and compose every grid point from
 them in one batch (exact.compose_coherence), so a point costs a few d x d
-products however many pulses it has.  Results are emitted in lexicographic
-grid order; the worker count is accepted for compatibility and changes
-nothing.  check_grid_size rejects a grid too large to scan in memory.
+products however many pulses it has.  A scan is one ScanResult of columns
+in lexicographic grid order; the worker count is kept for compatibility and
+changes nothing.  check_grid_size rejects a grid too large to scan in memory.
 
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +37,11 @@ _ENGINES = ("exact", "analytic", "both")
 _DIP_THRESHOLD = 0.9
 # Verdict margin around the midpoint of the two quantized minima.
 _AMBIGUOUS_BAND = 0.1
-# Bytes a scan needs per grid point (record, coordinates, CSV line) and per
-# point and unit of each cluster's d^2 (the composer's complex d x d
-# stacks), rounded up from the ~300 and ~96 measured as peak RSS of
-# run_scan plus write_csv (numpy 2.4, Python 3.11, x86-64); and the most a
-# scan may need.
+# Bytes a scan needs per grid point (coordinate and coherence columns, CSV
+# line) and per point and unit of each cluster's d^2 (the composer's
+# complex d x d stacks), rounded up from the ~300 and ~96 measured as peak
+# RSS of run_scan plus write_csv (numpy 2.4, Python 3.11, x86-64); and the
+# most a scan may need.
 _POINT_BYTES = 1024
 _MATRIX_BYTES = 128
 _MAX_SCAN_BYTES = 4 << 30
@@ -125,9 +126,8 @@ class GridSpec:
             seen.add(key)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One grid point: coordinates plus the complex coherence parts."""
+class ScanRecord(NamedTuple):
+    """One grid point of a ScanResult: coordinates plus the coherence parts."""
 
     coords: tuple[float, ...]
     labels: tuple[str, ...]
@@ -135,10 +135,42 @@ class ScanRecord:
     im_L: float
     analytic_L: float | None = None
 
+
+@dataclass(frozen=True, eq=False)
+class ScanResult:
+    """A scan as columns in lexicographic grid order; its rows are ScanRecords.
+
+    shape holds the axis lengths, coords is (P, k) float, L (P,) complex and
+    analytic_L (P,) float or None, all checked once, here: P >= 1 points
+    fill shape, and every |L| <= 1.
+    """
+
+    labels: tuple[str, ...]
+    shape: tuple[int, ...]
+    coords: np.ndarray
+    L: np.ndarray
+    analytic_L: np.ndarray | None = None
+
     def __post_init__(self):
+        points, k = len(self.coords), len(self.labels)
+        if self.coords.shape != (points, k) or len(self.shape) != k:
+            raise ValueError("need one label and one axis length per coordinate column")
+        if points < 1 or min(self.shape) < 1 or math.prod(self.shape) != points:
+            raise ValueError(f"{points} points do not fill a {self.shape} grid")
+        for column in (self.L, self.analytic_L):
+            if column is not None and column.shape != (points,):
+                raise ValueError(f"L and analytic_L need {points} values each")
         # negated so that a NaN magnitude fails too
-        if not self.re_L**2 + self.im_L**2 <= 1 + 1e-9:
+        if not np.all(self.L.real**2 + self.L.imag**2 <= 1 + 1e-9):
             raise ValueError("|L| > 1: not a physical coherence")
+
+    def __len__(self) -> int:
+        return len(self.L)
+
+    def __getitem__(self, i: int) -> ScanRecord:
+        L = complex(self.L[i])
+        analytic = None if self.analytic_L is None else float(self.analytic_L[i])
+        return ScanRecord(tuple(self.coords[i].tolist()), self.labels, L.real, L.imag, analytic)
 
 
 @dataclass(frozen=True)
@@ -197,14 +229,13 @@ def run_scan(
     grid: GridSpec,
     analytic_model: AnalyticModel | None = None,
     workers: int = 1,
-) -> list[ScanRecord]:
-    """Evaluate the grid and return records in lexicographic axis order.
+) -> ScanResult:
+    """Evaluate the grid and return its points in lexicographic axis order.
 
-    With engine "exact" the records carry Re/Im of the simulated coherence;
-    "analytic" puts the analytic value in both re_L and analytic_L
-    (im_L = 0); "both" runs the simulator and attaches analytic_L for
-    point-by-point comparison.  analytic_L is Re (1/d) Tr[(V^-)^dagger V^+]
-    from the second-order Magnus block generators of every cluster
+    With engine "exact" L is the simulated coherence; "analytic" puts the
+    analytic value in both L (imaginary part 0) and analytic_L; "both" runs
+    the simulator and attaches analytic_L for point-by-point comparison.
+    analytic_L is Re (1/d) Tr[(V^-)^dagger V^+] from the second-order Magnus block generators of every cluster
     (analytic.magnus_coherence), so |analytic_L| <= 1; analytic_model
     declares the topology whose closed forms are that model's first-order
     limit, and pulse-count axes are the only ones it accepts.  workers is
@@ -224,48 +255,32 @@ def run_scan(
         if any(isinstance(a, TauAxis) for a in grid.axes):
             raise ValueError("closed-form dips are functions of pulse counts only")
 
-    labels = tuple(axis.label for axis in grid.axes)
-    combos = list(product(*(axis.values() for axis in grid.axes)))
-    coords = np.array(combos, dtype=float)
-    taus = np.tile([b.tau for b in base_spec.blocks], (len(combos), 1))
-    counts = np.tile([b.n_pulses for b in base_spec.blocks], (len(combos), 1))
+    coords = np.array(list(product(*(axis.values() for axis in grid.axes))), dtype=float)
+    taus = np.tile([b.tau for b in base_spec.blocks], (len(coords), 1))
+    counts = np.tile([b.n_pulses for b in base_spec.blocks], (len(coords), 1))
     for k, axis in enumerate(grid.axes):
         (taus if isinstance(axis, TauAxis) else counts)[:, axis.block] = coords[:, k]
 
-    exact_vals = None
-    if grid.engine in ("exact", "both"):
-        exact_vals = compose_coherence(system, taus, counts, block_stacks)
-    analytic_vals = None
-    if needs_analytic:
-        analytic_vals = magnus_coherence(system, taus[0], counts).real
-
-    records = []
-    for i, combo in enumerate(combos):
-        analytic_val = None
-        if analytic_vals is not None:
-            analytic_val = float(analytic_vals[i])
-        if exact_vals is not None:
-            re, im = float(exact_vals[i].real), float(exact_vals[i].imag)
-        else:
-            re, im = analytic_val, 0.0
-        records.append(
-            ScanRecord(tuple(float(v) for v in combo), labels, re, im, analytic_val)
-        )
-    return records
+    analytic_L = magnus_coherence(system, taus[0], counts).real if needs_analytic else None
+    if grid.engine == "analytic":
+        L = analytic_L.astype(complex)
+    else:
+        L = compose_coherence(system, taus, counts, block_stacks)
+    labels = tuple(axis.label for axis in grid.axes)
+    return ScanResult(labels, tuple(map(len, grid.axes)), coords, L, analytic_L)
 
 
-def find_dips(records, axis: int = 0, threshold: float = _DIP_THRESHOLD):
-    """Strict local minima of Re L below threshold along a 1D record slice.
+def find_dips(result: ScanResult, threshold: float = _DIP_THRESHOLD):
+    """Strict local minima of Re L below threshold along a 1-axis scan.
 
-    Returns (coordinate, value) pairs using coordinate column `axis`.
+    Returns (coordinate, value) pairs in axis order.
     """
-    values = [r.re_L for r in records]
-    dips = []
-    for i in range(1, len(values) - 1):
-        if values[i] < values[i - 1] and values[i] < values[i + 1]:
-            if values[i] < threshold:
-                dips.append((records[i].coords[axis], values[i]))
-    return dips
+    if len(result.shape) != 1:
+        raise ValueError(f"find_dips needs a 1-axis scan, got {len(result.shape)} axes")
+    values = result.L.real
+    inner = values[1:-1]
+    dips = np.flatnonzero((inner < values[:-2]) & (inner < values[2:]) & (inner < threshold)) + 1
+    return [(float(result.coords[i, 0]), float(values[i])) for i in dips]
 
 
 def classify_correlation(measured_min: float, d: int) -> str:
@@ -286,42 +301,27 @@ def classify_correlation(measured_min: float, d: int) -> str:
     return "uncorrelated" if d >= 4 else "ambiguous"
 
 
-def _format(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def write_csv(records, path) -> None:
-    """Write records as `# ddcorr-scan v1` CSV, full precision, LF endings."""
-    if not records:
-        raise ValueError("no records to write")
-    labels = records[0].labels
-    with_analytic = records[0].analytic_L is not None
-    columns = [*labels, "re_L", "im_L"] + (["analytic_L"] if with_analytic else [])
-    lines = ["# ddcorr-scan v1", ",".join(columns)]
-    for rec in records:
-        if rec.labels != labels or (rec.analytic_L is not None) != with_analytic:
-            raise ValueError("records are not a uniform scan")
-        cells = [_format(v) for v in rec.coords] + [_format(rec.re_L), _format(rec.im_L)]
-        if with_analytic:
-            cells.append(_format(rec.analytic_L))
-        lines.append(",".join(cells))
+def write_csv(result: ScanResult, path) -> None:
+    """Write a scan as `# ddcorr-scan v1` CSV, full precision, LF endings."""
+    extra = [] if result.analytic_L is None else [result.analytic_L]
+    header = [*result.labels, "re_L", "im_L"] + ["analytic_L"] * len(extra)
+    table = np.column_stack([result.coords, result.L.real, result.L.imag, *extra])
+    row = ",".join(["%.17g"] * len(header))
+    lines = ["# ddcorr-scan v1", ",".join(header), *(row % tuple(r) for r in table.tolist())]
     data = "\n".join(lines) + "\n"
     with open(path, "wb") as fh:
         fh.write(data.encode("ascii"))
 
 
-def write_heatmap(records, path) -> None:
+def write_heatmap(result: ScanResult, path) -> None:
     """Render a 2-axis scan as 16-bit binary PGM, Re L in [-1, 1] -> [0, 65535].
 
     Columns run along axis 1 ascending, rows along axis 2 ascending.
     """
-    if not records or len(records[0].coords) != 2:
+    if len(result.shape) != 2:
         raise ValueError("heatmap requires a 2-axis scan")
-    n2 = len({r.coords[1] for r in records})
-    n1, rem = divmod(len(records), n2)
-    if rem or n1 * n2 != len(records):
-        raise ValueError("records do not fill a full 2D grid")
-    grid = np.array([r.re_L for r in records]).reshape(n1, n2)
+    n1, n2 = result.shape
+    grid = result.L.real.reshape(n1, n2)
     pixels = np.rint((np.clip(grid, -1.0, 1.0) + 1.0) / 2.0 * 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n1} {n2}\n65535\n".encode("ascii"))

@@ -583,6 +583,16 @@ class TestScenarioParsing:
         assert scenario.analytic_model is not None
         assert scenario.plan_inputs is not None
 
+    def test_readme_python_blocks_run(self):
+        # in order, in one namespace, as a reader would paste them
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+        assert len(blocks) >= 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert len(namespace["result"]) == 64 * 45
+
     def test_custom_cluster(self):
         payload = {
             "clusters": [

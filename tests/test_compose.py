@@ -122,8 +122,7 @@ def test_exact_branches_match_literal_segment_product(scan):
             np.testing.assert_allclose(
                 minus[p], conditional_propagator(cluster, timeline, -1), rtol=0, atol=EXACT_TOL
             )
-    records = run_scan(system, spec, grid)
-    got = np.array([complex(r.re_L, r.im_L) for r in records])
+    got = run_scan(system, spec, grid).L
     want = np.array([coherence_system(system, build_timeline(row)) for row in rows])
     np.testing.assert_allclose(got, want, rtol=0, atol=EXACT_TOL)
 

@@ -1,7 +1,12 @@
 """Tests for grid scans, dip detection, and the on-disk formats."""
 
+import math
+import struct
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddcorr import scan as scan_module
 from ddcorr.analytic import Topology, dip_1d
@@ -10,6 +15,7 @@ from ddcorr.scan import (
     GridSpec,
     PulseAxis,
     ScanRecord,
+    ScanResult,
     TauAxis,
     check_grid_size,
     classify_correlation,
@@ -104,15 +110,56 @@ class TestGridSpec:
         assert len(grid.axes) == 2
 
 
-class TestScanRecord:
+def scan_result(labels, shape, coords, L, analytic_L=None):
+    """A ScanResult from lists: float coordinates, complex L, float analytic_L."""
+    coords, L = np.array(coords, dtype=float), np.array(L, dtype=complex)
+    analytic_L = None if analytic_L is None else np.array(analytic_L, dtype=float)
+    return ScanResult(labels, shape, coords, L, analytic_L)
+
+
+def scan_1d(values):
+    """A 1-axis ScanResult with coordinates 0, 1, 2, ... and the given L."""
+    return scan_result(("n1",), (len(values),), [[i] for i in range(len(values))], values)
+
+
+class TestScanResult:
     def test_rejects_unphysical_magnitude(self):
-        with pytest.raises(ValueError):
-            ScanRecord((1.0,), ("n1",), 1.2, 0.3)
+        with pytest.raises(ValueError, match=r"\|L\| > 1"):
+            scan_1d([1.0, 1.2 + 0.3j, 0.5])
 
     @pytest.mark.parametrize("re_L,im_L", [(np.nan, 0.0), (0.5, np.nan)])
     def test_rejects_nan(self, re_L, im_L):
+        with pytest.raises(ValueError, match=r"\|L\| > 1"):
+            scan_1d([1.0, complex(re_L, im_L)])
+
+    @pytest.mark.parametrize(
+        "labels,shape,coords,L,analytic_L",
+        [
+            (("n1",), (0,), np.empty((0, 1)), [], None),
+            (("n1", "n2"), (2,), [[0.0], [2.0]], [1.0, 0.5], None),
+            (("n1",), (2, 1), [[0.0], [2.0]], [1.0, 0.5], None),
+            (("n1",), (2,), [0.0, 2.0], [1.0, 0.5], None),
+            (("n1",), (3,), [[0.0], [2.0]], [1.0, 0.5], None),
+            (("n1", "n2"), (-1, -2), [[0.0, 0.0], [0.0, 2.0]], [1.0, 0.5], None),
+            (("n1",), (2,), [[0.0], [2.0]], [1.0], None),
+            (("n1",), (2,), [[0.0], [2.0]], [[1.0], [0.5]], None),
+            (("n1",), (2,), [[0.0], [2.0]], [1.0, 0.5], [1.0]),
+        ],
+        ids=[
+            "empty",
+            "labels",
+            "shape-rank",
+            "flat-coords",
+            "point-count",
+            "negative-length",
+            "short-L",
+            "2d-L",
+            "short-analytic",
+        ],
+    )
+    def test_rejects_inconsistent_columns(self, labels, shape, coords, L, analytic_L):
         with pytest.raises(ValueError):
-            ScanRecord((1.0,), ("n1",), re_L, im_L)
+            scan_result(labels, shape, coords, L, analytic_L)
 
 
 class TestAnalyticModel:
@@ -231,6 +278,32 @@ class TestRunScan:
         assert [r.re_L for r in serial] == [r.re_L for r in pooled]
         assert [r.im_L for r in serial] == [r.im_L for r in pooled]
 
+    def test_rows_view_the_columns(self):
+        # the row uses callers rely on: len, indexing, iteration and min by re_L
+        system, spec, deltas = fig_two_transition_system()
+        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
+        axes = (PulseAxis(0, 0, 8, 2), PulseAxis(1, 0, 6, 2))
+        result = run_scan(system, spec, GridSpec(axes, engine="both"), analytic_model=model)
+        assert result.shape == (5, 4)
+        assert len(result) == 20
+        rows = list(result)
+        assert len(rows) == 20
+        assert [r.coords for r in rows] == [
+            (float(a), float(b)) for a, b in product(*(axis.values() for axis in axes))
+        ]
+        for i, row in enumerate(rows):
+            assert row == result[i]
+            assert row == ScanRecord(
+                tuple(result.coords[i]),
+                ("n1", "n2"),
+                result.L[i].real,
+                result.L[i].imag,
+                result.analytic_L[i],
+            )
+            assert all(type(v) is float for v in (*row.coords, row.re_L, row.im_L, row.analytic_L))
+        best = min(result, key=lambda r: r.re_L)
+        assert best == result[int(np.argmin(result.L.real))]
+
     def test_tau_scan_finds_both_resonances(self):
         cluster = spin_one_preset(0.20, 0.14, 5.0 * np.sqrt(2.0))
         system = SystemModel((cluster,))
@@ -249,29 +322,24 @@ class TestRunScan:
 
 
 class TestFindDips:
-    @staticmethod
-    def records_from(values):
-        return [
-            ScanRecord((float(i),), ("n1",), v, 0.0)
-            for i, v in enumerate(values)
-        ]
-
     def test_finds_interior_minima(self):
-        recs = self.records_from([1.0, 0.2, 0.8, 0.1, 0.9])
-        dips = find_dips(recs)
+        dips = find_dips(scan_1d([1.0, 0.2, 0.8, 0.1, 0.9]))
         assert dips == [(1.0, 0.2), (3.0, 0.1)]
 
     def test_threshold_filters(self):
-        recs = self.records_from([1.0, 0.2, 0.8, 0.1, 0.9])
-        assert find_dips(recs, threshold=0.15) == [(3.0, 0.1)]
+        result = scan_1d([1.0, 0.2, 0.8, 0.1, 0.9])
+        assert find_dips(result, threshold=0.15) == [(3.0, 0.1)]
 
     def test_endpoints_never_count(self):
-        recs = self.records_from([0.0, 0.5, 0.1])
-        assert find_dips(recs) == []
+        assert find_dips(scan_1d([0.0, 0.5, 0.1])) == []
 
     def test_plateau_is_not_a_dip(self):
-        recs = self.records_from([1.0, 0.3, 0.3, 1.0])
-        assert find_dips(recs) == []
+        assert find_dips(scan_1d([1.0, 0.3, 0.3, 1.0])) == []
+
+    def test_rejects_multi_axis_scan(self):
+        result = scan_result(("n1", "n2"), (1, 3), [[0, 0], [0, 2], [0, 4]], [1.0, 0.2, 0.9])
+        with pytest.raises(ValueError, match="1-axis scan"):
+            find_dips(result)
 
 
 class TestClassifyCorrelation:
@@ -297,14 +365,35 @@ class TestClassifyCorrelation:
             classify_correlation(-0.5, 2)
 
 
+# Finite floats the CSV must reproduce bit for bit: signed zeros,
+# subnormals, the extremes and integral values, beside whatever hypothesis
+# draws.  Coherence parts stay within 0.7 so every |L| <= 1.
+SPECIAL = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 3.0, -42.0, 2.0**53]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+UNIT = st.floats(-0.7, 0.7) | st.sampled_from([-0.0, 5e-324, -2.5e-310, 0.5])
+
+
+@st.composite
+def column_scans(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    points = math.prod(shape)
+
+    def column(values, width=None):
+        item = values if width is None else st.tuples(*[values] * width)
+        return draw(st.lists(item, min_size=points, max_size=points))
+
+    coords = column(FINITE, len(shape))
+    L = [complex(re, im) for re, im in column(st.tuples(UNIT, UNIT))]
+    analytic_L = draw(st.none() | st.lists(FINITE, min_size=points, max_size=points))
+    labels = tuple(f"n{k + 1}" for k in range(len(shape)))
+    return scan_result(labels, shape, coords, L, analytic_L), coords, L, analytic_L
+
+
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
-        records = [
-            ScanRecord((0.0,), ("n1",), 1.0, 0.0),
-            ScanRecord((2.0,), ("n1",), 0.25, -0.125),
-        ]
+        result = scan_result(("n1",), (2,), [[0.0], [2.0]], [1.0, 0.25 - 0.125j])
         path = tmp_path / "scan.csv"
-        write_csv(records, path)
+        write_csv(result, path)
         data = path.read_bytes()
         assert data == (
             b"# ddcorr-scan v1\n"
@@ -315,48 +404,49 @@ class TestWriteCsv:
 
     def test_full_precision_roundtrip(self, tmp_path):
         value = 1.0 / 3.0
-        records = [
-            ScanRecord((0.0,), ("n1",), value, 0.0),
-            ScanRecord((2.0,), ("n1",), -value, 0.0),
-        ]
+        result = scan_result(("n1",), (2,), [[0.0], [2.0]], [value, -value])
         path = tmp_path / "scan.csv"
-        write_csv(records, path)
+        write_csv(result, path)
         lines = path.read_text().splitlines()
         assert float(lines[2].split(",")[1]) == value
         assert b"\r" not in path.read_bytes()
 
     def test_analytic_column_when_present(self, tmp_path):
-        records = [
-            ScanRecord((0.0, 0.0), ("n1", "n2"), 1.0, 0.0, 1.0),
-            ScanRecord((0.0, 2.0), ("n1", "n2"), 0.5, 0.0, 0.5),
-        ]
+        result = scan_result(("n1", "n2"), (1, 2), [[0.0, 0.0], [0.0, 2.0]], [1.0, 0.5], [1.0, 0.5])
         path = tmp_path / "scan.csv"
-        write_csv(records, path)
+        write_csv(result, path)
         header = path.read_text().splitlines()[1]
         assert header == "n1,n2,re_L,im_L,analytic_L"
 
-    def test_rejects_empty_and_mixed(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv([], tmp_path / "x.csv")
-        mixed = [
-            ScanRecord((0.0,), ("n1",), 1.0, 0.0),
-            ScanRecord((0.0,), ("n2",), 1.0, 0.0),
-        ]
-        with pytest.raises(ValueError):
-            write_csv(mixed, tmp_path / "y.csv")
+    @given(column_scans())
+    @settings(max_examples=100, deadline=None)
+    def test_cells_are_full_precision_per_value(self, tmp_path_factory, scan):
+        result, coords, L, analytic_L = scan
+        path = tmp_path_factory.mktemp("csv") / "scan.csv"
+        write_csv(result, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 + len(L)
+        for i, line in enumerate(lines[2:]):
+            values = [*coords[i], L[i].real, L[i].imag]
+            if analytic_L is not None:
+                values.append(analytic_L[i])
+            cells = line.split(",")
+            assert cells == [f"{x:.17g}" for x in values]
+            assert [struct.pack("<d", float(c)) for c in cells] == [
+                struct.pack("<d", x) for x in values
+            ]
 
 
 class TestWriteHeatmap:
     @staticmethod
-    def grid_records(values_by_coord):
-        labels = ("n1", "n2")
-        return [
-            ScanRecord(coord, labels, v, 0.0)
-            for coord, v in values_by_coord
-        ]
+    def grid_result(shape, values_by_coord):
+        coords = [coord for coord, _ in values_by_coord]
+        values = [v for _, v in values_by_coord]
+        return scan_result(("n1", "n2"), shape, coords, values)
 
     def test_header_and_pixels(self, tmp_path):
-        records = self.grid_records(
+        result = self.grid_result(
+            (2, 3),
             [
                 ((0.0, 0.0), -1.0),
                 ((0.0, 1.0), 0.0),
@@ -364,10 +454,10 @@ class TestWriteHeatmap:
                 ((1.0, 0.0), 1.0),
                 ((1.0, 1.0), -1.0),
                 ((1.0, 2.0), 0.0),
-            ]
+            ],
         )
         path = tmp_path / "map.pgm"
-        write_heatmap(records, path)
+        write_heatmap(result, path)
         data = path.read_bytes()
         header = b"P5\n2 3\n65535\n"
         assert data.startswith(header)
@@ -377,31 +467,30 @@ class TestWriteHeatmap:
         np.testing.assert_array_equal(pixels, want)
 
     def test_out_of_range_values_clip(self, tmp_path):
-        records = [
-            ScanRecord((0.0, 0.0), ("tau1_us", "tau2_us"), -1.0, 0.0),
-            ScanRecord((0.0, 1.0), ("tau1_us", "tau2_us"), 1.0, 0.0),
-            ScanRecord((1.0, 0.0), ("tau1_us", "tau2_us"), 1.0, 0.0),
-            ScanRecord((1.0, 1.0), ("tau1_us", "tau2_us"), -1.0, 0.0),
-        ]
+        result = scan_result(
+            ("tau1_us", "tau2_us"),
+            (2, 2),
+            [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)],
+            [-1.0, 1.0, 1.0, -1.0],
+        )
         path = tmp_path / "map.pgm"
-        write_heatmap(records, path)
+        write_heatmap(result, path)
         pixels = np.frombuffer(
             path.read_bytes().split(b"65535\n", 1)[1], dtype=">u2"
         )
         assert set(pixels.tolist()) <= {0, 65535}
 
     def test_rejects_non_2d(self, tmp_path):
-        records = [ScanRecord((0.0,), ("n1",), 0.5, 0.0)]
         with pytest.raises(ValueError):
-            write_heatmap(records, tmp_path / "x.pgm")
+            write_heatmap(scan_1d([0.5]), tmp_path / "x.pgm")
 
-    def test_rejects_ragged_grid(self, tmp_path):
-        records = self.grid_records(
-            [
-                ((0.0, 0.0), 0.1),
-                ((0.0, 1.0), 0.2),
-                ((1.0, 0.0), 0.3),
-            ]
-        )
+    def test_rejects_ragged_grid(self):
         with pytest.raises(ValueError):
-            write_heatmap(records, tmp_path / "x.pgm")
+            self.grid_result(
+                (2, 2),
+                [
+                    ((0.0, 0.0), 0.1),
+                    ((0.0, 1.0), 0.2),
+                    ((1.0, 0.0), 0.3),
+                ],
+            )
