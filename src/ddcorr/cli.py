@@ -59,6 +59,8 @@ from .spin_model import (
 
 # Unit suffixes the schema requires on frequency- and time-valued keys.
 _UNITS = ("_MHz", "_kHz", "_us")
+# Re L values this close to the scan minimum tie for the summary point.
+_TIE_TOL = 1e-12
 
 
 class ScenarioError(ValueError):
@@ -440,7 +442,10 @@ def _cmd_scan(args) -> int:
         write_csv(result, args.out)
     if args.heatmap:
         write_heatmap(result, args.heatmap)
-    best = int(np.argmin(result.L.real))
+    # the first point in grid order that ties the minimum, so that a last-bit
+    # change cannot move the summary between two mirror-symmetric minima
+    re_L = result.L.real
+    best = int(np.argmax(re_L <= re_L.min() + _TIE_TOL))
     where = ", ".join(f"{label} = {_fmt(v)}" for label, v in zip(result.labels, result.coords[best]))
     print(f"{len(result)} points; min Re L = {_fmt(result.L[best].real)} at {where}")
     return 0

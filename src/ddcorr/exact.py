@@ -16,8 +16,22 @@ eigendecomposed once and every segment propagator is a diagonal phase
 sandwich.  A CPMG block's lab-frame propagator depends only on its (tau, N)
 and the coupling sign it is entered on, so scans build one stack of block
 propagators per block (block_stacks, one cumulative pass over N) and
-compose_coherence multiplies each grid point's blocks in a batch, picking
+compose_branches multiplies a batch of block sequences from them, picking
 each block's entry sign from the parity of the pulses before it.
+
+A sequence cut at a block boundary into a left part Lft (played first) and
+a right part R has U^+- = R^+- Lft^+-, so
+
+    (1/d) Tr[(U^-)^dagger U^+] = (1/d) Tr[Y X],
+    X = Lft^+ (Lft^-)^dagger,  Y = (R^-)^dagger R^+,
+
+with R entered on the sign the parity of Lft's pulses selects (an odd
+parity swaps R's branches, which turns Y into its adjoint).
+factor_coherence composes every distinct left and right part once and
+gets the coherence of all their pairs from one matrix product of the
+flattened X and Y per cluster, so a scan grid split across the cut costs
+N_left + N_right compositions instead of N_left * N_right.
+compose_coherence is its case with an empty left part.
 conditional_propagator keeps the literal segment-by-segment product as the
 reference; coherence_cluster and coherence_system evaluate it.
 """
@@ -127,29 +141,54 @@ def compose_branches(cluster: TargetCluster, taus, counts, block_stack) -> np.nd
     every (tau, N) pair as block_stacks does; it is called once per block
     with that block's distinct values.  A row's block j enters on coupling
     sign (-1)^(pulses before block j) in U^+ and the opposite sign in U^-.
+    Rows of l = 0 blocks give the identity.
     """
     taus, counts = check_blocks(taus, counts)
+    d = cluster.dim
     flipped = (np.cumsum(counts, axis=1) - counts) % 2
-    branches = None
+    branches = np.broadcast_to(np.eye(d, dtype=complex), (2, len(counts), d, d))
     for j in range(counts.shape[1]):
         tau_values, tau_index = np.unique(taus[:, j], return_inverse=True)
         count_values, count_index = np.unique(counts[:, j], return_inverse=True)
         stack = block_stack(cluster, tau_values, count_values)
-        stack = stack.reshape(2, -1, cluster.dim, cluster.dim)
+        stack = stack.reshape(2, -1, d, d)
         row = tau_index * count_values.size + count_index
         blocks = stack[np.stack([flipped[:, j], 1 - flipped[:, j]]), row]
-        branches = blocks if branches is None else blocks @ branches
+        branches = blocks @ branches if j else blocks
     return branches
+
+
+def factor_coherence(system: SystemModel, left, right, block_stack) -> np.ndarray:
+    """Coherence of every (left row, right row) pair of sequences, shape (A, B).
+
+    left and right are (taus, counts) pairs of shapes (A, c) and (B, l - c):
+    the first c blocks and the last l - c blocks of a sequence.  Each part
+    is composed once per row by compose_branches, and each cluster's
+    (1/d) Tr[Y X] for all pairs is one matrix product per left parity.
+    """
+    left_taus, left_counts = check_blocks(*left)
+    odd = left_counts.sum(axis=1) % 2 == 1
+    total = np.ones((len(left_counts), len(right[1])), dtype=complex)
+    for cluster in system.clusters:
+        d = cluster.dim
+        lft_plus, lft_minus = compose_branches(cluster, left_taus, left_counts, block_stack)
+        r_plus, r_minus = compose_branches(cluster, *right, block_stack)
+        x = lft_plus @ np.swapaxes(lft_minus, -1, -2).conj()
+        y = (np.swapaxes(r_minus, -1, -2).conj() @ r_plus).reshape(-1, d * d)
+        # Tr[Y X] = sum_ij Y_ij X_ji; after an odd left part Y is Y^dagger
+        # and the sum reads conj(Y_ji) X_ji
+        pairs = np.empty_like(total)
+        pairs[~odd] = np.swapaxes(x[~odd], -1, -2).reshape(-1, d * d) @ y.T
+        pairs[odd] = x[odd].reshape(-1, d * d) @ y.conj().T
+        total *= pairs / d
+    return total
 
 
 def compose_coherence(system: SystemModel, taus, counts, block_stack) -> np.ndarray:
     """Coherence of P block sequences: the product over clusters of
-    (1/d) Tr[(U^-)^dagger U^+], with U^+- from compose_branches."""
-    total = np.ones(len(counts), dtype=complex)
-    for cluster in system.clusters:
-        plus, minus = compose_branches(cluster, taus, counts, block_stack)
-        total *= np.einsum("pij,pij->p", minus.conj(), plus) / cluster.dim
-    return total
+    (1/d) Tr[(U^-)^dagger U^+], from factor_coherence with an empty left part."""
+    empty = np.empty((1, 0))
+    return factor_coherence(system, (empty, empty), (taus, counts), block_stack)[0]
 
 
 def coherence_cluster(cluster: TargetCluster, timeline: PulseTimeline) -> complex:

@@ -7,11 +7,15 @@ every block over all couplings (analytic.magnus_coherence); its first-order
 limit is the closed-form dips.  Both engines build the propagators of
 every distinct (tau, N) of a block in one pass over its pulse axis (the
 exact engine by a cumulative product, the Magnus model by prefix sums of
-segment terms, analytic.magnus_axis) and compose every grid point from
-them in one batch (exact.compose_coherence), so a point costs a few d x d
-products however many pulses it has.  A scan is one ScanResult of columns
-in lexicographic grid order; the worker count is kept for compatibility and
-changes nothing.  check_grid_size rejects a grid too large to scan in memory.
+segment terms, analytic.magnus_axis).  run_scan cuts the sequence at the
+block boundary that splits the grid's axes into the fewest left plus right
+rows, composes each distinct left and right part once, and contracts them
+into the whole grid with one matrix product per cluster
+(exact.factor_coherence): a 2-axis grid on two blocks costs N1 + N2 block
+products plus a GEMM instead of a product chain at every point.  A scan is
+one ScanResult of columns in lexicographic grid order; the worker count is
+kept for compatibility and changes nothing.  check_grid_size rejects a grid
+too large to scan in memory.
 
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
@@ -22,14 +26,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import DipParams, Topology, dip_1d, dip_2d, dip_3d, magnus_coherence
-# unused here, but perfbench --trace 1 wraps coherence_system and build_timeline by name
-from .exact import block_stacks, coherence_system, compose_coherence  # noqa: F401
+# magnus_coherence, coherence_system and build_timeline are unused here, but
+# perfbench --trace 1 wraps them by name
+from .analytic import (  # noqa: F401
+    DipParams,
+    Topology,
+    _magnus_stacks,
+    dip_1d,
+    dip_2d,
+    dip_3d,
+    magnus_coherence,
+)
+from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import SystemModel
 
@@ -39,9 +52,10 @@ _DIP_THRESHOLD = 0.9
 _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
 # line) and per point and unit of each cluster's d^2 (the composer's
-# complex d x d stacks), rounded up from the ~300 and ~96 measured as peak
-# RSS of run_scan plus write_csv (numpy 2.4, Python 3.11, x86-64); and the
-# most a scan may need.
+# complex d x d stacks, whose rows are the grid points when no cut splits
+# the axes), rounded up from the ~300 and ~96 measured as peak RSS of
+# run_scan plus write_csv (numpy 2.4, Python 3.11, x86-64); and the most a
+# scan may need.
 _POINT_BYTES = 1024
 _MATRIX_BYTES = 128
 _MAX_SCAN_BYTES = 4 << 30
@@ -172,6 +186,13 @@ class ScanResult:
         analytic = None if self.analytic_L is None else float(self.analytic_L[i])
         return ScanRecord(tuple(self.coords[i].tolist()), self.labels, L.real, L.imag, analytic)
 
+    def __iter__(self):
+        # the rows of __getitem__, from columns converted to Python floats once
+        analytic = [None] * len(self) if self.analytic_L is None else self.analytic_L.tolist()
+        columns = zip(self.coords.tolist(), self.L.real.tolist(), self.L.imag.tolist(), analytic)
+        for coords, re_L, im_L, value in columns:
+            yield ScanRecord(tuple(coords), self.labels, re_L, im_L, value)
+
 
 @dataclass(frozen=True)
 class AnalyticModel:
@@ -235,12 +256,16 @@ def run_scan(
     With engine "exact" L is the simulated coherence; "analytic" puts the
     analytic value in both L (imaginary part 0) and analytic_L; "both" runs
     the simulator and attaches analytic_L for point-by-point comparison.
-    analytic_L is Re (1/d) Tr[(V^-)^dagger V^+] from the second-order Magnus block generators of every cluster
-    (analytic.magnus_coherence), so |analytic_L| <= 1; analytic_model
+    analytic_L is Re (1/d) Tr[(V^-)^dagger V^+] from the second-order
+    Magnus block generators of every cluster (the model of
+    analytic.magnus_coherence), so |analytic_L| <= 1; analytic_model
     declares the topology whose closed forms are that model's first-order
     limit, and pulse-count axes are the only ones it accepts.  workers is
     kept for compatibility: every engine runs in this process.  Grids that
     check_grid_size rejects raise ValueError before any point is built.
+
+    Both engines go through exact.factor_coherence, cut at _cut: the axes on
+    blocks before the cut vary its left rows, the others its right rows.
     """
     check_grid_size(system, grid)
     for axis in grid.axes:
@@ -255,19 +280,55 @@ def run_scan(
         if any(isinstance(a, TauAxis) for a in grid.axes):
             raise ValueError("closed-form dips are functions of pulse counts only")
 
-    coords = np.array(list(product(*(axis.values() for axis in grid.axes))), dtype=float)
-    taus = np.tile([b.tau for b in base_spec.blocks], (len(coords), 1))
-    counts = np.tile([b.n_pulses for b in base_spec.blocks], (len(coords), 1))
-    for k, axis in enumerate(grid.axes):
-        (taus if isinstance(axis, TauAxis) else counts)[:, axis.block] = coords[:, k]
+    blocks = base_spec.blocks
+    shape = tuple(map(len, grid.axes))
+    cut = _cut(grid, len(blocks))
+    # grid axes of the left part (blocks before the cut), then of the right
+    order = sorted(range(len(shape)), key=lambda k: grid.axes[k].block >= cut)
+    left = _part(blocks[:cut], [a for a in grid.axes if a.block < cut], 0)
+    right = _part(blocks[cut:], [a for a in grid.axes if a.block >= cut], cut)
 
-    analytic_L = magnus_coherence(system, taus[0], counts).real if needs_analytic else None
-    if grid.engine == "analytic":
-        L = analytic_L.astype(complex)
-    else:
-        L = compose_coherence(system, taus, counts, block_stacks)
+    def coherence(block_stack):
+        pairs = factor_coherence(system, left, right, block_stack)
+        return pairs.reshape([shape[k] for k in order]).transpose(np.argsort(order)).ravel()
+
+    analytic_L = coherence(_magnus_stacks).real if needs_analytic else None
+    L = analytic_L.astype(complex) if grid.engine == "analytic" else coherence(block_stacks)
     labels = tuple(axis.label for axis in grid.axes)
-    return ScanResult(labels, tuple(map(len, grid.axes)), coords, L, analytic_L)
+    return ScanResult(labels, shape, _points(grid.axes), L, analytic_L)
+
+
+def _points(axes) -> np.ndarray:
+    """(P, k) float coordinates of the axes' grid in lexicographic order."""
+    rows, k = math.prod(map(len, axes)), len(axes)
+    values = chain.from_iterable(product(*(axis.values() for axis in axes)))
+    return np.fromiter(values, float, count=rows * k).reshape(rows, k)
+
+
+def _cut(grid: GridSpec, n_blocks: int) -> int:
+    """The block boundary c that leaves the fewest rows to compose.
+
+    Axes on blocks before c vary the left part and the others the right
+    part, which then have N_left and N_right distinct rows; c = 0 (no left
+    part) is always a candidate, and ties go to the smaller c.
+    """
+
+    def rows(c):
+        left = math.prod(len(a) for a in grid.axes if a.block < c)
+        return left + math.prod(len(a) for a in grid.axes if a.block >= c)
+
+    return min(range(n_blocks + 1), key=rows)
+
+
+def _part(blocks, axes, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, counts) of consecutive blocks, starting at block first, with
+    one row per point of the axes' grid in lexicographic order."""
+    values = _points(axes)
+    taus = np.tile([b.tau for b in blocks], (len(values), 1))
+    counts = np.tile([b.n_pulses for b in blocks], (len(values), 1))
+    for k, axis in enumerate(axes):
+        (taus if isinstance(axis, TauAxis) else counts)[:, axis.block - first] = values[:, k]
+    return taus, counts
 
 
 def find_dips(result: ScanResult, threshold: float = _DIP_THRESHOLD):
@@ -306,9 +367,9 @@ def write_csv(result: ScanResult, path) -> None:
     extra = [] if result.analytic_L is None else [result.analytic_L]
     header = [*result.labels, "re_L", "im_L"] + ["analytic_L"] * len(extra)
     table = np.column_stack([result.coords, result.L.real, result.L.imag, *extra])
-    row = ",".join(["%.17g"] * len(header))
-    lines = ["# ddcorr-scan v1", ",".join(header), *(row % tuple(r) for r in table.tolist())]
-    data = "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    data = "# ddcorr-scan v1\n" + ",".join(header) + "\n" + body
     with open(path, "wb") as fh:
         fh.write(data.encode("ascii"))
 

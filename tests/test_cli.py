@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddcorr import cli as cli_module
 from ddcorr import scan as scan_module
 from ddcorr.analytic import TOPOLOGIES
 from ddcorr.cli import (
@@ -948,6 +949,19 @@ class TestScanCommand:
         assert dispatch(["scan", path, "--out", str(a), "--workers", "1"]) == 0
         assert dispatch(["scan", path, "--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("gap", [1e-16, -1e-16], ids=["first-smaller", "second-smaller"])
+    def test_summary_takes_the_first_of_near_tied_minima(
+        self, tmp_path, capsys, monkeypatch, gap
+    ):
+        values = np.array([0.5, -0.3, 0.1, -0.3 + gap, 0.5])
+        assert values[3] != values[1]
+        coords = np.array([[0.0], [2.0], [4.0], [6.0], [8.0]])
+        result = scan_module.ScanResult(("n1",), (5,), coords, values.astype(complex))
+        monkeypatch.setattr(cli_module, "run_scan", lambda *args, **kwargs: result)
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        assert dispatch(["scan", path]) == 0
+        assert capsys.readouterr().out == "5 points; min Re L = -0.3 at n1 = 2\n"
 
     def test_scan_without_grid_section(self, tmp_path, capsys):
         payload = tau_scan_scenario()

@@ -11,15 +11,24 @@ sensor branches swap (the coupling changes sign).  The Magnus generators
 of a whole pulse axis (magnus_axis) must equal the per-count reference
 magnus_generator, and every block builder must reject a tau or a count no
 CPMG block can have.
+
+run_scan contracts a grid from its left and right parts at one block cut
+(factor_coherence).  On random 1-3 axis grids (two axes on one block, axes
+listed against block order, odd pulse steps so that both left parities
+occur) every engine must equal the coherence of each enumerated row, and a
+grid on two blocks must compose N1 + N2 rows, not N1 * N2.
 """
 
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from ddcorr import exact
 
 from ddcorr.analytic import (
+    Topology,
     _expm_skew,
     magnus_axis,
     magnus_coherence,
@@ -32,7 +41,7 @@ from ddcorr.exact import (
     compose_coherence,
     conditional_propagator,
 )
-from ddcorr.scan import GridSpec, PulseAxis, TauAxis, run_scan
+from ddcorr.scan import AnalyticModel, GridSpec, PulseAxis, TauAxis, run_scan
 from ddcorr.sequence import Block, SequenceSpec, build_timeline
 from ddcorr.spin_model import SystemModel, TargetCluster, new_cluster
 
@@ -40,6 +49,9 @@ TWO_PI = 2.0 * np.pi
 EXACT_TOL = 1e-12
 FRAME_TOL = 1e-14
 AXIS_TOL = 1e-13
+CUT_TOL = 1e-13
+# a topology of each arity, for analytic models of 1-3 block sequences
+ARITY_TOPOLOGY = {1: "1d", 2: "2d-correlated", 3: "3d-ring"}
 
 
 def random_cluster(rng, dim):
@@ -234,3 +246,94 @@ def test_block_builders_reject_invalid_blocks(build, tau, count, message):
     cluster = random_cluster(np.random.default_rng(5), 3)
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(cluster, tau, count)
+
+
+def grid_case(seed, counts, axes):
+    """(system, base sequence, grid axes) of one or two random clusters."""
+    rng = np.random.default_rng(seed)
+    system = SystemModel(tuple(
+        random_cluster(rng, int(rng.integers(2, 7))) for _ in range(int(rng.integers(1, 3)))
+    ))
+    spec = SequenceSpec([Block(rng.uniform(0.3, 2.0), n) for n in counts])
+    return system, spec, tuple(axes)
+
+
+@st.composite
+def grid_cases(draw, max_blocks=4, kinds=("tau", "pulse")):
+    """1-3 axes in any order over 1-max_blocks blocks, a tau and a pulse
+    axis possibly on one block, pulse steps odd or even."""
+    counts = draw(st.lists(st.integers(0, 9), min_size=1, max_size=max_blocks))
+    slots = [(kind, block) for kind in kinds for block in range(len(counts))]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))
+    axes = []
+    for kind, block in chosen:
+        if kind == "tau":
+            lo, width = draw(st.floats(0.3, 1.5)), draw(st.floats(0.1, 1.0))
+            axes.append(TauAxis(block, lo, lo + width, draw(st.integers(2, 3))))
+        else:
+            start, step = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+            axes.append(PulseAxis(block, start, start + step * draw(st.integers(1, 3)), step))
+    return grid_case(draw(st.integers(0, 2**32 - 1)), counts, axes)
+
+
+def grid_rows(spec, axes):
+    """The grid's sequences in lexicographic axis order."""
+    rows = []
+    for point in product(*(axis.values() for axis in axes)):
+        row = spec
+        for axis, value in zip(axes, point):
+            key = "tau" if isinstance(axis, TauAxis) else "n_pulses"
+            row = row.with_block(axis.block, **{key: value})
+        rows.append(row)
+    return rows
+
+
+@given(grid_cases())
+@example(grid_case(1, [3, 2, 5], [PulseAxis(1, 0, 6, 3), TauAxis(1, 0.6, 1.1, 3)]))
+@example(grid_case(2, [1, 4, 2, 3], [TauAxis(3, 0.5, 0.9, 2), PulseAxis(0, 1, 4, 1)]))
+@example(
+    grid_case(3, [2, 1, 0], [PulseAxis(2, 0, 4, 2), TauAxis(0, 0.4, 1.0, 3), PulseAxis(0, 1, 7, 3)])
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_scan_matches_every_row(case):
+    system, spec, axes = case
+    got = run_scan(system, spec, GridSpec(axes)).L
+    want = [coherence_system(system, build_timeline(row)) for row in grid_rows(spec, axes)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=EXACT_TOL)
+
+
+@given(grid_cases(max_blocks=3, kinds=("pulse",)), st.sampled_from(["analytic", "both"]))
+@example(grid_case(4, [3, 2, 5], [PulseAxis(2, 1, 7, 3), PulseAxis(0, 0, 3, 1)]), "both")
+@example(grid_case(5, [1, 4], [PulseAxis(1, 0, 2, 1), PulseAxis(0, 3, 9, 3)]), "analytic")
+@settings(max_examples=40, deadline=None)
+def test_analytic_scan_matches_every_row(case, engine):
+    system, spec, axes = case
+    model = AnalyticModel(Topology(ARITY_TOPOLOGY[len(spec.blocks)]), [0.1] * len(spec.blocks), 6)
+    result = run_scan(system, spec, GridSpec(axes, engine=engine), analytic_model=model)
+    rows = grid_rows(spec, axes)
+    taus = [b.tau for b in spec.blocks]
+    counts = [[b.n_pulses for b in row.blocks] for row in rows]
+    np.testing.assert_allclose(
+        result.analytic_L, magnus_coherence(system, taus, counts).real, rtol=0, atol=CUT_TOL
+    )
+    if engine == "analytic":
+        np.testing.assert_array_equal(result.L, result.analytic_L)
+    else:
+        want = [coherence_system(system, build_timeline(row)) for row in rows]
+        np.testing.assert_allclose(result.L, want, rtol=0, atol=EXACT_TOL)
+
+
+def test_grid_on_two_blocks_composes_each_axis_once(monkeypatch):
+    system, spec, _ = grid_case(6, [2, 3, 4], [])
+    axes = (PulseAxis(2, 0, 8, 2), PulseAxis(0, 1, 10, 3))  # 5 and 4 counts
+    model = AnalyticModel(Topology("3d-ring"), [0.1] * 3, 6)
+    composed = []
+
+    def counting(cluster, taus, counts, block_stack):
+        composed.append(len(counts))
+        return compose_branches(cluster, taus, counts, block_stack)
+
+    monkeypatch.setattr(exact, "compose_branches", counting)
+    run_scan(system, spec, GridSpec(axes, engine="both"), analytic_model=model)
+    # per engine and cluster: the 4 left rows of block 0, the 5 right rows of block 2
+    assert composed == [4, 5] * 2 * len(system.clusters)

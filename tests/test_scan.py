@@ -303,7 +303,18 @@ class TestRunScan:
             assert all(type(v) is float for v in (*row.coords, row.re_L, row.im_L, row.analytic_L))
         best = min(result, key=lambda r: r.re_L)
         assert best == result[int(np.argmin(result.L.real))]
-
+        # without an analytic column every row carries analytic_L None
+        exact = run_scan(system, spec, GridSpec(axes, engine="exact"))
+        assert exact.analytic_L is None
+        rows = list(exact)
+        assert len(rows) == 20
+        for i, row in enumerate(rows):
+            assert row == exact[i]
+            assert row == ScanRecord(
+                tuple(exact.coords[i]), ("n1", "n2"), exact.L[i].real, exact.L[i].imag
+            )
+            assert row.analytic_L is None
+            assert all(type(v) is float for v in (*row.coords, row.re_L, row.im_L))
     def test_tau_scan_finds_both_resonances(self):
         cluster = spin_one_preset(0.20, 0.14, 5.0 * np.sqrt(2.0))
         system = SystemModel((cluster,))
