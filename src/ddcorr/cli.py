@@ -431,13 +431,7 @@ def _cmd_scan(args) -> int:
         raise ScenarioError(f"{args.scenario}: no 'grid' section to scan")
     if args.engine:
         grid = dataclasses.replace(grid, engine=args.engine)
-    result = run_scan(
-        scenario.system,
-        scenario.sequence,
-        grid,
-        analytic_model=scenario.analytic_model,
-        workers=args.workers,
-    )
+    result = run_scan(scenario.system, scenario.sequence, grid, workers=args.workers)
     if args.out:
         write_csv(result, args.out)
     if args.heatmap:
@@ -485,13 +479,17 @@ def _cmd_plan(args) -> int:
         inputs["snr"] = _finite(args.snr, "--snr")
     if args.t_ir_us is not None:
         inputs["t_ir_us"] = _finite(args.t_ir_us, "--t-ir-us")
+    if bool(args.deltas) != bool(args.freqs_mhz):
+        raise ScenarioError("--deltas and --freqs-MHz must be given together")
+    if args.delta_omega_khz or args.deltas:
+        # target flags replace every target the scenario gave
+        for key in ("delta_omegas", "deltas", "omegas"):
+            inputs.pop(key, None)
     if args.delta_omega_khz:
         inputs["delta_omegas"] = [
             TWO_PI * x / 1000.0 for x in _parse_numbers(args.delta_omega_khz, "--delta-omega-kHz")
         ]
-        inputs.pop("deltas", None)
-        inputs.pop("omegas", None)
-    if args.deltas and args.freqs_mhz:
+    if args.deltas:
         inputs["deltas"] = _parse_numbers(args.deltas, "--deltas")
         inputs["omegas"] = [TWO_PI * f for f in _parse_numbers(args.freqs_mhz, "--freqs-MHz")]
     if "fidelity" not in inputs or "snr" not in inputs:
@@ -608,7 +606,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha1", type=float, help="photons per shot, sensor state 1")
     p.add_argument("--snr", type=float, help="target signal-to-noise ratio")
     p.add_argument("--delta-omega-kHz", dest="delta_omega_khz", help="delta*omega products, cyclic kHz")
-    p.add_argument("--deltas", help="contrasts (enables the sweep estimate)")
+    p.add_argument("--deltas", help="contrasts, with --freqs-MHz (enables the sweep estimate)")
     p.add_argument("--freqs-MHz", dest="freqs_mhz", help="transition frequencies, cyclic MHz")
     p.add_argument("--t-ir-us", dest="t_ir_us", type=float, help="init+readout overhead per shot")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -644,9 +642,6 @@ def dispatch(argv) -> int:
         return 1
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,15 +7,15 @@ every block over all couplings (analytic.magnus_coherence); its first-order
 limit is the closed-form dips.  Both engines build the propagators of
 every distinct (tau, N) of a block in one pass over its pulse axis (the
 exact engine by a cumulative product, the Magnus model by prefix sums of
-segment terms, analytic.magnus_axis).  run_scan cuts the sequence at the
-block boundary that splits the grid's axes into the fewest left plus right
-rows, composes each distinct left and right part once, and contracts them
-into the whole grid with one matrix product per cluster
-(exact.factor_coherence): a 2-axis grid on two blocks costs N1 + N2 block
-products plus a GEMM instead of a product chain at every point.  A scan is
-one ScanResult of columns in lexicographic grid order; the worker count is
-kept for compatibility and changes nothing.  check_grid_size rejects a grid
-too large to scan in memory.
+segment terms, analytic.magnus_axis), so both take tau and pulse axes on
+any block.  run_scan cuts the sequence at the block boundary that splits
+the grid's axes into the fewest left plus right rows, composes each
+distinct left and right part once, and contracts them into the whole grid
+with one matrix product per cluster (exact.factor_coherence): a 2-axis
+grid on two blocks costs N1 + N2 block products plus a GEMM instead of a
+product chain at every point.  A scan is one ScanResult of columns in
+lexicographic grid order.  check_grid_size rejects a grid too large to
+scan in memory, from its point count and the cut's row count.
 
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
@@ -51,13 +51,15 @@ _DIP_THRESHOLD = 0.9
 # Verdict margin around the midpoint of the two quantized minima.
 _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
-# line) and per point and unit of each cluster's d^2 (the composer's
-# complex d x d stacks, whose rows are the grid points when no cut splits
-# the axes), rounded up from the ~300 and ~96 measured as peak RSS of
-# run_scan plus write_csv (numpy 2.4, Python 3.11, x86-64); and the most a
-# scan may need.
+# line) and per composed row and unit of each cluster's d^2 (the complex
+# d x d block stacks and branches of one left or right row of the cut),
+# rounded up from at most ~480 and ~340 measured as peak RSS of run_scan
+# plus write_csv on d = 2..12 (numpy 2.4, Python 3.11, x86-64; the larger
+# row cost is the Magnus engines' on a pulse axis of step 2, whose
+# generators are prefix sums over every count up to the largest); and the
+# most a scan may need.
 _POINT_BYTES = 1024
-_MATRIX_BYTES = 128
+_MATRIX_BYTES = 512
 _MAX_SCAN_BYTES = 4 << 30
 
 
@@ -200,8 +202,9 @@ class AnalyticModel:
 
     deltas[i] is the contrast of the transition targeted by block i; d is
     the cluster dimension (the joint dimension for separate molecules).
-    evaluate() gives the first-order closed form; run_scan requires the
-    model for its analytic engines but evaluates the second-order model.
+    evaluate() gives the first-order closed form.  Scans do not read it:
+    their analytic engines evaluate the second-order Magnus model of the
+    whole system.
     """
 
     topology: Topology
@@ -232,14 +235,17 @@ class AnalyticModel:
 def check_grid_size(system: SystemModel, grid: GridSpec) -> None:
     """Raise ValueError if scanning grid would need more than _MAX_SCAN_BYTES.
 
-    O(1): the estimate reads the axis lengths and the cluster dimensions,
-    so an oversize grid is rejected before any of its points is built.
+    The estimate charges every point _POINT_BYTES and every row that the
+    cut composes _MATRIX_BYTES per unit of each cluster's d^2.  It reads
+    only the axis lengths, their blocks and the cluster dimensions, so an
+    oversize grid is rejected before any of its points is built.
     """
     points = math.prod(len(axis) for axis in grid.axes)
-    per_point = _POINT_BYTES + _MATRIX_BYTES * sum(c.dim**2 for c in system.clusters)
-    if points * per_point > _MAX_SCAN_BYTES:
+    _, rows = _cut(grid)
+    need = points * _POINT_BYTES + rows * _MATRIX_BYTES * sum(c.dim**2 for c in system.clusters)
+    if need > _MAX_SCAN_BYTES:
         raise ValueError(
-            f"grid of {points} points needs about {points * per_point / 2**30:.3g} GiB, "
+            f"grid of {points} points needs about {need / 2**30:.3g} GiB, "
             f"over the {_MAX_SCAN_BYTES >> 30} GiB a scan may use"
         )
 
@@ -258,11 +264,10 @@ def run_scan(
     the simulator and attaches analytic_L for point-by-point comparison.
     analytic_L is Re (1/d) Tr[(V^-)^dagger V^+] from the second-order
     Magnus block generators of every cluster (the model of
-    analytic.magnus_coherence), so |analytic_L| <= 1; analytic_model
-    declares the topology whose closed forms are that model's first-order
-    limit, and pulse-count axes are the only ones it accepts.  workers is
-    kept for compatibility: every engine runs in this process.  Grids that
-    check_grid_size rejects raise ValueError before any point is built.
+    analytic.magnus_coherence), so |analytic_L| <= 1; every engine takes
+    any grid.  analytic_model and workers are unused and kept for callers
+    that pass them by keyword.  Grids that check_grid_size rejects raise
+    ValueError before any point is built.
 
     Both engines go through exact.factor_coherence, cut at _cut: the axes on
     blocks before the cut vary its left rows, the others its right rows.
@@ -271,18 +276,10 @@ def run_scan(
     for axis in grid.axes:
         if axis.block >= len(base_spec.blocks):
             raise ValueError(f"axis block {axis.block} not in the base sequence")
-    needs_analytic = grid.engine in ("analytic", "both")
-    if needs_analytic:
-        if analytic_model is None:
-            raise ValueError(f"engine {grid.engine!r} requires an analytic model")
-        if len(analytic_model.deltas) != len(base_spec.blocks):
-            raise ValueError("analytic model must declare one delta per block")
-        if any(isinstance(a, TauAxis) for a in grid.axes):
-            raise ValueError("closed-form dips are functions of pulse counts only")
 
     blocks = base_spec.blocks
     shape = tuple(map(len, grid.axes))
-    cut = _cut(grid, len(blocks))
+    cut, _ = _cut(grid)
     # grid axes of the left part (blocks before the cut), then of the right
     order = sorted(range(len(shape)), key=lambda k: grid.axes[k].block >= cut)
     left = _part(blocks[:cut], [a for a in grid.axes if a.block < cut], 0)
@@ -292,7 +289,7 @@ def run_scan(
         pairs = factor_coherence(system, left, right, block_stack)
         return pairs.reshape([shape[k] for k in order]).transpose(np.argsort(order)).ravel()
 
-    analytic_L = coherence(_magnus_stacks).real if needs_analytic else None
+    analytic_L = None if grid.engine == "exact" else coherence(_magnus_stacks).real
     L = analytic_L.astype(complex) if grid.engine == "analytic" else coherence(block_stacks)
     labels = tuple(axis.label for axis in grid.axes)
     return ScanResult(labels, shape, _points(grid.axes), L, analytic_L)
@@ -305,19 +302,23 @@ def _points(axes) -> np.ndarray:
     return np.fromiter(values, float, count=rows * k).reshape(rows, k)
 
 
-def _cut(grid: GridSpec, n_blocks: int) -> int:
-    """The block boundary c that leaves the fewest rows to compose.
+def _cut(grid: GridSpec) -> tuple[int, int]:
+    """The block boundary c that leaves the fewest rows to compose, and
+    that row count N_left + N_right.
 
     Axes on blocks before c vary the left part and the others the right
-    part, which then have N_left and N_right distinct rows; c = 0 (no left
-    part) is always a candidate, and ties go to the smaller c.
+    part, which then have N_left and N_right distinct rows (one for a part
+    without axes).  The count changes only where c passes an axis's block,
+    so c = 0 and each axis block + 1 are the only candidates; ties go to
+    the smaller c.
     """
 
     def rows(c):
         left = math.prod(len(a) for a in grid.axes if a.block < c)
         return left + math.prod(len(a) for a in grid.axes if a.block >= c)
 
-    return min(range(n_blocks + 1), key=rows)
+    count, cut = min((rows(c), c) for c in {0, *(a.block + 1 for a in grid.axes)})
+    return cut, count
 
 
 def _part(blocks, axes, first: int) -> tuple[np.ndarray, np.ndarray]:

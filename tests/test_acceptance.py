@@ -488,6 +488,23 @@ def test_criterion_8_tau_map_dip_regions(capsys):
     assert ok
 
 
+def test_tau_map_dip_regions_under_the_analytic_engine():
+    # criterion 8's map on the second-order Magnus model
+    steps = 41
+    axis = TauAxis(0, 1.0, 2.0, steps)
+    grid = GridSpec((axis, TauAxis(1, 1.0, 2.0, steps)), engine="analytic")
+    spec = SequenceSpec([Block(1.0, 20), Block(1.0, 20)])
+    values = run_scan(SystemModel((fig1_cluster(),)), spec, grid).L.real
+    taus = np.array(axis.values())
+    regions = _dip_regions(values.reshape(steps, steps), threshold=0.25)
+    centers = np.array([(taus[i], taus[j]) for i, j in regions])
+    assert len(centers) == 4
+    step = taus[1] - taus[0]
+    for target in [(TAU_A, TAU_A), (TAU_A, TAU_B), (TAU_B, TAU_A), (TAU_B, TAU_B)]:
+        near = np.all(np.abs(centers - target) <= step + 1e-9, axis=1)
+        assert near.sum() == 1, (target, centers)
+
+
 def test_criterion_9_determinism_across_workers(tmp_path, capsys):
     cluster = fig1_cluster()
     system = SystemModel((cluster,))

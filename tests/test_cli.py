@@ -667,7 +667,7 @@ class TestDispatchBasics:
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: {path}.grid: grid of 22500000045 points needs about 6.44e+04 GiB, "
+            f"error: {path}.grid: grid of 22500000045 points needs about 2.53e+04 GiB, "
             "over the 4 GiB a scan may use\n"
         )
 
@@ -675,7 +675,7 @@ class TestDispatchBasics:
         self, tmp_path, capsys, monkeypatch
     ):
         payload = correlated_2d_scenario()
-        payload["grid"]["axes"][0]["stop"] = 70_000
+        payload["grid"]["axes"][0]["stop"] = 200_000
         payload["grid"]["axes"][1]["stop"] = 88
         path = write_scenario(tmp_path, payload)
 
@@ -685,7 +685,7 @@ class TestDispatchBasics:
         monkeypatch.setattr(scan_module, "product", build)
         assert dispatch(["scan", path, "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}.grid: grid of 1575045 points needs about 4.51 GiB, "
+            f"error: {path}.grid: grid of 4500045 points needs about 5.05 GiB, "
             "over the 4 GiB a scan may use\n"
         )
         assert not (tmp_path / "out.csv").exists()
@@ -902,6 +902,31 @@ class TestPlanCommand:
         base = ["--snr", "10", "--delta-omega-kHz", "5,5"]
         assert dispatch(["plan", *base, *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("with_scenario", [False, True], ids=["flags", "scenario"])
+    @pytest.mark.parametrize(
+        "flag", [["--deltas", "0.5,0.5"], ["--freqs-MHz", "0.2,0.14"]], ids=["deltas", "freqs"]
+    )
+    def test_deltas_and_freqs_go_together(self, tmp_path, capsys, flag, with_scenario):
+        scenario = [write_scenario(tmp_path, correlated_2d_scenario())] if with_scenario else []
+        argv = ["plan", *scenario, "--F", "0.03", "--snr", "10", *flag]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --deltas and --freqs-MHz must be given together\n"
+
+    def test_deltas_and_freqs_replace_scenario_products(self, tmp_path, capsys):
+        payload = correlated_2d_scenario()
+        payload["plan"] = {"fidelity": 0.03, "snr": 10.0, "delta_omega_kHz": [5.0, 5.0]}
+        path = write_scenario(tmp_path, payload)
+        flags = ["--deltas", "0.025,0.036", "--freqs-MHz", "0.2,0.14", "--json"]
+        assert dispatch(["plan", "--F", "0.03", "--snr", "10", *flags]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert dispatch(["plan", path, *flags]) == 0
+        over = json.loads(capsys.readouterr().out)
+        assert over == alone
+        assert over["t_dip_us"] == pytest.approx(312.913, abs=1e-3)  # not 314.159
+        assert over["sweep_points"] == 2772
 
     def test_missing_inputs(self, capsys):
         assert dispatch(["plan", "--F", "0.03", "--snr", "10"]) == 2

@@ -28,7 +28,6 @@ from hypothesis import example, given, settings, strategies as st
 from ddcorr import exact
 
 from ddcorr.analytic import (
-    Topology,
     _expm_skew,
     magnus_axis,
     magnus_coherence,
@@ -41,7 +40,7 @@ from ddcorr.exact import (
     compose_coherence,
     conditional_propagator,
 )
-from ddcorr.scan import AnalyticModel, GridSpec, PulseAxis, TauAxis, run_scan
+from ddcorr.scan import GridSpec, PulseAxis, TauAxis, run_scan
 from ddcorr.sequence import Block, SequenceSpec, build_timeline
 from ddcorr.spin_model import SystemModel, TargetCluster, new_cluster
 
@@ -50,8 +49,6 @@ EXACT_TOL = 1e-12
 FRAME_TOL = 1e-14
 AXIS_TOL = 1e-13
 CUT_TOL = 1e-13
-# a topology of each arity, for analytic models of 1-3 block sequences
-ARITY_TOPOLOGY = {1: "1d", 2: "2d-correlated", 3: "3d-ring"}
 
 
 def random_cluster(rng, dim):
@@ -259,11 +256,11 @@ def grid_case(seed, counts, axes):
 
 
 @st.composite
-def grid_cases(draw, max_blocks=4, kinds=("tau", "pulse")):
-    """1-3 axes in any order over 1-max_blocks blocks, a tau and a pulse
-    axis possibly on one block, pulse steps odd or even."""
-    counts = draw(st.lists(st.integers(0, 9), min_size=1, max_size=max_blocks))
-    slots = [(kind, block) for kind in kinds for block in range(len(counts))]
+def grid_cases(draw):
+    """1-3 axes in any order over 1-4 blocks, a tau and a pulse axis
+    possibly on one block, pulse steps odd or even."""
+    counts = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))
+    slots = [(kind, block) for kind in ("tau", "pulse") for block in range(len(counts))]
     chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))
     axes = []
     for kind, block in chosen:
@@ -302,20 +299,24 @@ def test_exact_scan_matches_every_row(case):
     np.testing.assert_allclose(got, want, rtol=0, atol=EXACT_TOL)
 
 
-@given(grid_cases(max_blocks=3, kinds=("pulse",)), st.sampled_from(["analytic", "both"]))
+@given(grid_cases(), st.sampled_from(["analytic", "both"]))
 @example(grid_case(4, [3, 2, 5], [PulseAxis(2, 1, 7, 3), PulseAxis(0, 0, 3, 1)]), "both")
 @example(grid_case(5, [1, 4], [PulseAxis(1, 0, 2, 1), PulseAxis(0, 3, 9, 3)]), "analytic")
+@example(grid_case(7, [2, 3], [TauAxis(0, 0.8, 1.3, 3), TauAxis(1, 0.5, 0.9, 2)]), "analytic")
+@example(
+    grid_case(8, [3, 0, 4, 1], [PulseAxis(1, 0, 4, 2), TauAxis(3, 0.4, 0.7, 2), TauAxis(1, 0.6, 1.0, 3)]),
+    "both",
+)
 @settings(max_examples=40, deadline=None)
 def test_analytic_scan_matches_every_row(case, engine):
     system, spec, axes = case
-    model = AnalyticModel(Topology(ARITY_TOPOLOGY[len(spec.blocks)]), [0.1] * len(spec.blocks), 6)
-    result = run_scan(system, spec, GridSpec(axes, engine=engine), analytic_model=model)
+    result = run_scan(system, spec, GridSpec(axes, engine=engine))
     rows = grid_rows(spec, axes)
-    taus = [b.tau for b in spec.blocks]
-    counts = [[b.n_pulses for b in row.blocks] for row in rows]
-    np.testing.assert_allclose(
-        result.analytic_L, magnus_coherence(system, taus, counts).real, rtol=0, atol=CUT_TOL
-    )
+    want = [
+        magnus_coherence(system, [b.tau for b in row.blocks], [b.n_pulses for b in row.blocks])[0]
+        for row in rows
+    ]
+    np.testing.assert_allclose(result.analytic_L, np.real(want), rtol=0, atol=CUT_TOL)
     if engine == "analytic":
         np.testing.assert_array_equal(result.L, result.analytic_L)
     else:
@@ -326,7 +327,6 @@ def test_analytic_scan_matches_every_row(case, engine):
 def test_grid_on_two_blocks_composes_each_axis_once(monkeypatch):
     system, spec, _ = grid_case(6, [2, 3, 4], [])
     axes = (PulseAxis(2, 0, 8, 2), PulseAxis(0, 1, 10, 3))  # 5 and 4 counts
-    model = AnalyticModel(Topology("3d-ring"), [0.1] * 3, 6)
     composed = []
 
     def counting(cluster, taus, counts, block_stack):
@@ -334,6 +334,6 @@ def test_grid_on_two_blocks_composes_each_axis_once(monkeypatch):
         return compose_branches(cluster, taus, counts, block_stack)
 
     monkeypatch.setattr(exact, "compose_branches", counting)
-    run_scan(system, spec, GridSpec(axes, engine="both"), analytic_model=model)
+    run_scan(system, spec, GridSpec(axes, engine="both"))
     # per engine and cluster: the 4 left rows of block 0, the 5 right rows of block 2
     assert composed == [4, 5] * 2 * len(system.clusters)

@@ -1,8 +1,10 @@
 """Tests for grid scans, dip detection, and the on-disk formats."""
 
+import dataclasses
 import math
 import struct
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddcorr import scan as scan_module
 from ddcorr.analytic import Topology, dip_1d
+from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
     AnalyticModel,
     GridSpec,
@@ -33,6 +36,7 @@ from ddcorr.spin_model import (
 )
 
 TWO_PI = 2.0 * np.pi
+REPO = Path(__file__).resolve().parents[1]
 
 
 def fig_two_transition_system():
@@ -224,18 +228,12 @@ class TestRunScan:
             assert rec.analytic_L is not None
             assert abs(rec.re_L - rec.analytic_L) < 0.05
 
-    def test_analytic_engine_rejects_tau_axis(self):
-        system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
-        grid = GridSpec((TauAxis(0, 1.0, 2.0, 3),), engine="analytic")
-        with pytest.raises(ValueError):
-            run_scan(system, spec, grid, analytic_model=model)
-
-    def test_analytic_engine_requires_model(self):
-        system, spec, _ = fig_two_transition_system()
-        grid = GridSpec((PulseAxis(0, 0, 8, 2),), engine="analytic")
-        with pytest.raises(ValueError):
-            run_scan(system, spec, grid)
+    def test_ring_sandwich_reaches_its_minimum_under_the_analytic_engine(self):
+        # four blocks, two of them scanned: the ring's quantized minimum -1/3
+        scenario = parse_scenario(REPO / "scenarios" / "ring-sandwich-slice.json")
+        grid = dataclasses.replace(scenario.grid, engine="analytic")
+        result = run_scan(scenario.system, scenario.sequence, grid)
+        assert result.L.real.min() == pytest.approx(-1.0 / 3.0, abs=0.01)
 
     def test_axis_block_must_exist(self):
         system, spec, _ = fig_two_transition_system()
@@ -255,16 +253,21 @@ class TestRunScan:
             run_scan(system, spec, grid)
 
     def test_grid_size_limit(self):
-        # one d = 4 cluster: 1024 + 128 * 16 bytes a point, 4 GiB in all
+        # one d = 4 cluster: 1024 bytes a point and 512 * 16 a composed row;
+        # a 1-axis grid cuts at 0, so its rows are its points plus the one
+        # empty left part, and 4 GiB holds (4 GiB - 8192) // 9216 points
         system, _, _ = fig_two_transition_system()
-        fits = 4 * 2**30 // 3072
+        fits = (4 * 2**30 - 8192) // 9216
         check_grid_size(system, GridSpec((PulseAxis(0, 0, fits - 1, 1),)))
         with pytest.raises(ValueError, match=f"grid of {fits + 1} points"):
             check_grid_size(system, GridSpec((PulseAxis(0, 0, fits, 1),)))
-        with pytest.raises(ValueError, match="grid of 1000000 points"):
+        # two clusters, two axes on two blocks: 1000 + 1000 rows for 10^6
+        # points fit, 3000 + 2000 rows for 6 * 10^6 points do not
+        pair = SystemModel(system.clusters * 2)
+        check_grid_size(pair, GridSpec((PulseAxis(0, 0, 999, 1), PulseAxis(1, 0, 999, 1))))
+        with pytest.raises(ValueError, match="grid of 6000000 points needs about 5.8 GiB"):
             check_grid_size(
-                SystemModel(system.clusters * 2),
-                GridSpec((PulseAxis(0, 0, 999, 1), PulseAxis(1, 0, 999, 1))),
+                pair, GridSpec((PulseAxis(0, 0, 2999, 1), PulseAxis(1, 0, 1999, 1)))
             )
 
     def test_worker_count_does_not_change_results(self):
