@@ -4,17 +4,19 @@ On resonance with transition (m, n), a CPMG block of N pulses acts on the
 target, to first order in delta = |beta_mn / omega_mn|, as a rotation by
 angle N*delta in the (m, n) plane and identity elsewhere.  The sensor
 coherence dip is then a normalized trace of a short product of such
-rotations, which reduces to the closed forms implemented here for each
-transition topology:
+rotations, which reduces to one closed form per transition topology:
 
   one transition          (d - 2 + 2 cos(2 N delta)) / d
   two, no shared level    (d - 4 + 2 c1 + 2 c2) / d
   two, one shared level   (d - 3 + c1 + c2 + c1 c2) / d
   separate molecules      product of one-transition factors
 
-with c_i = cos(2 N_i delta_i), plus the three-transition variants below.
-Driving each transition for N_i = pi/(2 delta_i) pulses (a half period)
-pins the dip at a quantized minimum fixed by d and the topology alone.
+with c_i = cos(2 N_i delta_i), plus the three-transition variants.
+AnalyticModel(topology, deltas, d).evaluate(pulses) is the one entry point
+for all ten topologies (dip_1d is its one-transition form), and one check
+of (d, deltas, counts) guards both.  Driving each transition for
+N_i = pi/(2 delta_i) pulses (a half period) pins the dip at a quantized
+minimum fixed by d and the topology alone (minima).
 
 Pulse counts may be real-valued here: the closed forms are smooth in N and
 exactly periodic with period pi/delta_i, which the tests exploit.  Integer
@@ -74,27 +76,6 @@ _SERIES_COEF = np.array(
         for j, k in zip(_SERIES_J, _SERIES_K)
     ]
 )
-
-
-@dataclass(frozen=True)
-class DipParams:
-    """Dimension, contrasts delta_i, and (real-valued) pulse counts N_i."""
-
-    d: int
-    deltas: tuple[float, ...]
-    pulses: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(x) for x in self.deltas))
-        object.__setattr__(self, "pulses", tuple(float(x) for x in self.pulses))
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
-        if len(self.deltas) != len(self.pulses):
-            raise ValueError("deltas and pulses must have equal length")
-        if not all(0 < x < math.inf for x in self.deltas):
-            raise ValueError(f"every delta must be finite and > 0, got {self.deltas}")
-        if not all(0 <= n < math.inf for n in self.pulses):
-            raise ValueError(f"pulse counts must be finite and >= 0, got {self.pulses}")
 
 
 @dataclass(frozen=True)
@@ -350,34 +331,80 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
     return compose_coherence(system, np.broadcast_to(taus, counts.shape), counts, _magnus_stacks)
 
 
-def dip_1d(d: int, delta: float, n_pulses: float) -> float:
-    """Single-transition dip (d - 2 + 2 cos(2 N delta)) / d."""
+def _check_dip(d, deltas, counts) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """deltas and counts as float tuples, checked for a closed form at dimension d.
+
+    Raises ValueError unless d >= 2, there is one count per delta, every
+    delta is finite and > 0 and every count is finite and >= 0.
+    """
+    deltas = tuple(float(x) for x in deltas)
+    counts = tuple(float(n) for n in counts)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    return (d - 2 + 2 * math.cos(2 * n_pulses * delta)) / d
+    if len(counts) != len(deltas):
+        raise ValueError("one pulse count per block required")
+    if not all(0 < x < math.inf for x in deltas):
+        raise ValueError(f"every delta must be finite and > 0, got {deltas}")
+    if not all(0 <= n < math.inf for n in counts):
+        raise ValueError(f"pulse counts must be finite and >= 0, got {counts}")
+    return deltas, counts
 
 
-def _molecule_product(topology: Topology, params: DipParams) -> float:
-    """Product of one-transition dips, one per separate molecule."""
-    return math.prod(
-        dip_1d(d, delta, n)
-        for d, delta, n in zip(topology.dims, params.deltas, params.pulses)
-    )
+def dip_1d(d: int, delta: float, n_pulses: float) -> float:
+    """Single-transition dip (d - 2 + 2 cos(2 N delta)) / d."""
+    (delta,), (n,) = _check_dip(d, (delta,), (n_pulses,))
+    return (d - 2 + 2 * math.cos(2 * n * delta)) / d
 
 
-def dip_2d(topology: Topology, params: DipParams) -> float:
-    """Two-transition dip for the given topology."""
-    if topology.arity != 2 or len(params.deltas) != 2:
-        raise ValueError("2D dip needs a 2d topology and exactly two (delta, N) pairs")
-    topology.check_dim(params.d)
-    if topology.independent:
-        return _molecule_product(topology, params)
-    c1, c2 = (math.cos(2 * n * dv) for dv, n in zip(params.deltas, params.pulses))
-    if topology.name == "2d-uncorrelated":
-        return (params.d - 4 + 2 * c1 + 2 * c2) / params.d
-    return (params.d - 3 + c1 + c2 + c1 * c2) / params.d
+@dataclass(frozen=True)
+class AnalyticModel:
+    """The closed-form dip of one topology, at real-valued pulse counts.
+
+    deltas[i] is the contrast of the topology's i-th driven transition (the
+    one block i targets); d is the cluster dimension (the joint dimension
+    for separate molecules).  Scans do not read it: their analytic engines
+    evaluate the second-order Magnus model of the whole system.
+    """
+
+    topology: Topology
+    deltas: tuple[float, ...]
+    d: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "deltas", tuple(float(x) for x in self.deltas))
+        if not isinstance(self.topology, Topology):
+            raise ValueError(f"unrecognized topology {self.topology!r}")
+        expect = self.topology.arity
+        if len(self.deltas) != expect:
+            raise ValueError(
+                f"{expect} deltas required for this topology, got {len(self.deltas)}"
+            )
+        self.topology.check_dim(self.d)
+
+    def evaluate(self, pulses) -> float:
+        """The dip at pulse counts N_i, one per delta (the real part of the trace)."""
+        deltas, counts = _check_dip(self.d, self.deltas, pulses)
+        name, d = self.topology.name, self.d
+        if self.topology.independent or name == "1d":
+            # one one-transition factor per molecule; 1d is a single molecule
+            return math.prod(map(dip_1d, self.topology.dims or (d,), deltas, counts))
+        c = [math.cos(2 * n * delta) for delta, n in zip(deltas, counts)]
+        if name == "2d-uncorrelated":
+            return (d - 4 + 2 * c[0] + 2 * c[1]) / d
+        if name == "2d-correlated":
+            return (d - 3 + c[0] + c[1] + c[0] * c[1]) / d
+        if name == "3d-uncorrelated":
+            # summed term by term: 2 * sum(c) rounds differently
+            return (d - 6 + 2 * c[0] + 2 * c[1] + 2 * c[2]) / d
+        if name == "3d-unlinked-ladder":
+            return (d - 5 + 2 * c[0] + c[1] + c[2] + c[1] * c[2]) / d
+        # ring/star/linked forms carry the middle rotation as split half angles
+        half = counts[1] * deltas[1]
+        cos2, sin2 = math.cos(half) ** 2, math.sin(half) ** 2
+        cross = c[0] * cos2 + cos2 * c[2] - c[0] * sin2 * c[2] - sin2
+        if name == "3d-linked-ladder":
+            return (d - 4 + c[0] + c[2] + cross) / d
+        return (d - 3 + c[0] * c[2] + cross) / d
 
 
 def dip_trace_2d(cluster: TargetCluster, first, second, n1: float, n2: float) -> complex:
@@ -406,28 +433,6 @@ def dip_trace_3d(
     u2 = magnus_rotation(cluster, *t2, n2)
     u3 = magnus_rotation(cluster, *t3, 2 * n3)
     return complex(np.trace(u3 @ u2 @ u1 @ u2) / cluster.dim)
-
-
-def dip_3d(topology: Topology, params: DipParams) -> float:
-    """Three-transition dip for the given topology (real part of the trace)."""
-    if topology.arity != 3 or len(params.deltas) != 3:
-        raise ValueError("3D dip needs a 3d topology and exactly three (delta, N) pairs")
-    topology.check_dim(params.d)
-    if topology.independent:
-        return _molecule_product(topology, params)
-    d = params.d
-    ca, cb, cc = (math.cos(2 * n * dv) for dv, n in zip(params.deltas, params.pulses))
-    if topology.name == "3d-uncorrelated":
-        return (d - 6 + 2 * ca + 2 * cb + 2 * cc) / d
-    if topology.name == "3d-unlinked-ladder":
-        return (d - 5 + 2 * ca + cb + cc + cb * cc) / d
-    # ring/star/linked forms carry the middle rotation as split half angles
-    half = params.pulses[1] * params.deltas[1]
-    cos2, sin2 = math.cos(half) ** 2, math.sin(half) ** 2
-    cross = ca * cos2 + cos2 * cc - ca * sin2 * cc - sin2
-    if topology.name == "3d-linked-ladder":
-        return (d - 4 + ca + cc + cross) / d
-    return (d - 3 + ca * cc + cross) / d
 
 
 def pulse_period(delta: float) -> PulsePeriod:

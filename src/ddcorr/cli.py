@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import TOPOLOGIES, Topology
+from .analytic import TOPOLOGIES, AnalyticModel, Topology
 from .planner import DEFAULT_T_IR_US, ReadoutModel, plan, readout_fidelity
 from .scan import (
-    AnalyticModel,
     GridSpec,
     PulseAxis,
     TauAxis,
@@ -69,17 +66,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved scenario plus its normalized JSON source."""
+    """A fully resolved scenario."""
 
     system: SystemModel
     sequence: SequenceSpec
     grid: GridSpec | None
     analytic_model: AnalyticModel | None
     plan_inputs: dict | None
-    source: dict
-
-    def to_json_dict(self) -> dict:
-        return copy.deepcopy(self.source)
 
 
 def _fail(path: str, message: str):
@@ -382,7 +375,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         grid=grid,
         analytic_model=analytic,
         plan_inputs=plan_section,
-        source=copy.deepcopy(raw),
     )
 
 
@@ -406,14 +398,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("DDCORR_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _parse_numbers(text: str, flag: str, kind=float) -> list:
     """A flag's comma-separated finite numbers, each read by kind (float or int)."""
     try:
@@ -431,7 +415,7 @@ def _cmd_scan(args) -> int:
         raise ScenarioError(f"{args.scenario}: no 'grid' section to scan")
     if args.engine:
         grid = dataclasses.replace(grid, engine=args.engine)
-    result = run_scan(scenario.system, scenario.sequence, grid, workers=args.workers)
+    result = run_scan(scenario.system, scenario.sequence, grid)
     if args.out:
         write_csv(result, args.out)
     if args.heatmap:
@@ -523,6 +507,8 @@ def _cmd_filter(args) -> int:
     f_hi = _finite(args.f_max_mhz, "--f-max-MHz")
     if not 0 < f_lo < f_hi:
         raise ScenarioError(f"need 0 < f-min < f-max, got {f_lo}, {f_hi}")
+    if args.steps < 1:
+        raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
     rows = []
     for f in np.linspace(f_lo, f_hi, args.steps):
         result = filter_numeric(timeline, TWO_PI * f)
@@ -588,7 +574,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="write the scan as CSV")
     p.add_argument("--heatmap", help="write a 16-bit PGM heatmap (2-axis grids)")
     p.add_argument("--engine", choices=["exact", "analytic", "both"], help="override the scenario's engine")
-    p.add_argument("--workers", type=int, default=_default_workers(), help="accepted for compatibility; scans run in one process (default $DDCORR_WORKERS or 1)")
+    # accepted for compatibility and never read: scans run in one process
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("analytic", help="evaluate one closed-form dip")

@@ -13,9 +13,8 @@ both transitions, giving the per-shot evolution time
 
 and a per-point wall time T = K * (t_dip + t_ir), with t_ir the
 initialization + readout overhead per shot.  Sweeping a full unit cell
-N_1c x N_2c in steps of dN costs ceil(N_1c/dN) * ceil(N_2c/dN) points; the
-uniform estimate charges every point the dip-time T, while the exact mode
-sums each grid point's actual evolution time at first-order resonance.
+N_1c x N_2c in steps of dN costs ceil(N_1c/dN) * ceil(N_2c/dN) points, each
+charged the dip-point time T, about the cell's mean per-point evolution.
 """
 
 from __future__ import annotations
@@ -29,17 +28,13 @@ _US_PER_S = 1e6
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Readout quality, given directly as a fidelity or as photon means."""
+    """Readout quality as a fidelity in (0, 1] (see readout_fidelity)."""
 
     fidelity: float
 
     def __post_init__(self):
         if not 0 < self.fidelity <= 1:
             raise ValueError(f"fidelity must be in (0, 1], got {self.fidelity}")
-
-    @classmethod
-    def from_photon_means(cls, alpha0: float, alpha1: float) -> "ReadoutModel":
-        return cls(readout_fidelity(alpha0, alpha1))
 
 
 @dataclass(frozen=True)
@@ -115,14 +110,11 @@ def sweep_time(
     omegas,
     t_ir_us: float = DEFAULT_T_IR_US,
     step: int = 2,
-    mode: str = "uniform",
 ) -> tuple[int, float]:
-    """(points, seconds) to record a full unit cell, one axis per transition.
+    """(points, seconds) to record a full unit cell of two transitions.
 
-    mode "uniform" charges every point the dip-point time; mode "exact" sums
-    the true per-point evolution N_1*2*tau_1 + ... over the even-N grid
-    (N_i = 0, step, ..., < N_ic), which is cheaper since most points evolve
-    for less than the dip time.
+    Every point of the grid N_i = 0, step, ..., < N_ic is charged the
+    dip-point time, about the mean evolution over the cell.
     """
     deltas = tuple(float(x) for x in deltas)
     omegas = tuple(float(x) for x in omegas)
@@ -132,20 +124,11 @@ def sweep_time(
         raise ValueError("all deltas and omegas must be > 0")
     if shots <= 0 or step < 1:
         raise ValueError("need shots > 0 and step >= 1")
-    if mode not in ("uniform", "exact"):
-        raise ValueError(f"mode must be uniform or exact, got {mode!r}")
-    counts = [math.ceil(math.pi / delta / step) for delta in deltas]
-    points = math.prod(counts)
-    if mode == "uniform":
-        if len(deltas) != 2:
-            raise ValueError("uniform mode prices points at the 2D dip time")
-        t_dip = dip_time(deltas[0], omegas[0], deltas[1], omegas[1])
-        return points, points * point_time(shots, t_dip, t_ir_us)
-    # N_i = k * step over k < counts[i] averages step * (counts[i] - 1) / 2
-    # pulses, each 2 tau_i long, so the mean evolution per point is:
-    taus = [math.pi / (2 * omega) for omega in omegas]
-    evolution = step * sum(tau * (count - 1) for tau, count in zip(taus, counts))
-    return points, shots * points * (evolution + t_ir_us) / _US_PER_S
+    if len(deltas) != 2:
+        raise ValueError("the sweep prices points at the 2D dip time")
+    points = math.prod(math.ceil(math.pi / delta / step) for delta in deltas)
+    t_dip = dip_time(deltas[0], omegas[0], deltas[1], omegas[1])
+    return points, points * point_time(shots, t_dip, t_ir_us)
 
 
 def plan(

@@ -33,15 +33,7 @@ import numpy as np
 
 # magnus_coherence, coherence_system and build_timeline are unused here, but
 # perfbench --trace 1 wraps them by name
-from .analytic import (  # noqa: F401
-    DipParams,
-    Topology,
-    _magnus_stacks,
-    dip_1d,
-    dip_2d,
-    dip_3d,
-    magnus_coherence,
-)
+from .analytic import _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import SystemModel
@@ -196,42 +188,6 @@ class ScanResult:
             yield ScanRecord(tuple(coords), self.labels, re_L, im_L, value)
 
 
-@dataclass(frozen=True)
-class AnalyticModel:
-    """Topology declaration binding closed-form dips to a scanned sequence.
-
-    deltas[i] is the contrast of the transition targeted by block i; d is
-    the cluster dimension (the joint dimension for separate molecules).
-    evaluate() gives the first-order closed form.  Scans do not read it:
-    their analytic engines evaluate the second-order Magnus model of the
-    whole system.
-    """
-
-    topology: Topology
-    deltas: tuple[float, ...]
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(x) for x in self.deltas))
-        if not isinstance(self.topology, Topology):
-            raise ValueError(f"unrecognized topology {self.topology!r}")
-        expect = self.topology.arity
-        if len(self.deltas) != expect:
-            raise ValueError(
-                f"{expect} deltas required for this topology, got {len(self.deltas)}"
-            )
-        self.topology.check_dim(self.d)
-
-    def evaluate(self, pulse_counts) -> float:
-        counts = tuple(float(n) for n in pulse_counts)
-        if len(counts) != len(self.deltas):
-            raise ValueError("one pulse count per block required")
-        if self.topology.arity == 1:
-            return dip_1d(self.d, self.deltas[0], counts[0])
-        dip = dip_2d if self.topology.arity == 2 else dip_3d
-        return dip(self.topology, DipParams(self.d, self.deltas, counts))
-
-
 def check_grid_size(system: SystemModel, grid: GridSpec) -> None:
     """Raise ValueError if scanning grid would need more than _MAX_SCAN_BYTES.
 
@@ -254,7 +210,7 @@ def run_scan(
     system: SystemModel,
     base_spec: SequenceSpec,
     grid: GridSpec,
-    analytic_model: AnalyticModel | None = None,
+    analytic_model=None,
     workers: int = 1,
 ) -> ScanResult:
     """Evaluate the grid and return its points in lexicographic axis order.

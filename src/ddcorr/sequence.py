@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import TargetCluster, all_transitions
+from .spin_model import all_transitions
 
 # |cos(omega*t/(2N))| below this, the closed-form CPMG filter is evaluated
 # through the generic segment sum instead (removable 0/0 point).
@@ -236,8 +236,6 @@ def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:
     the block's duration reaches 20% of the on-resonance value 2N
     (odd-harmonic hits, accidental near-resonances) produces a warning.
     """
-    if isinstance(clusters, TargetCluster):
-        clusters = [clusters]
     transitions = []
     for ci, cluster in enumerate(clusters):
         transitions.extend((ci, t) for t in all_transitions(cluster))

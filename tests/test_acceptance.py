@@ -11,18 +11,15 @@ import numpy as np
 import pytest
 
 from ddcorr.analytic import (
-    DipParams,
+    AnalyticModel,
     Topology,
     dip_1d,
-    dip_2d,
-    dip_3d,
     dip_trace_2d,
     dip_trace_3d,
 )
 from ddcorr.exact import coherence_cluster
 from ddcorr.planner import plan, shots_for_snr
 from ddcorr.scan import (
-    AnalyticModel,
     GridSpec,
     PulseAxis,
     TauAxis,
@@ -227,7 +224,7 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
         for n1 in grid:
             for n2 in grid:
                 trace = dip_trace_2d(cluster, pairs[0], pairs[1], n1, n2)
-                closed = dip_2d(topo, DipParams(cluster.dim, deltas, (n1, n2)))
+                closed = AnalyticModel(topo, deltas, cluster.dim).evaluate((n1, n2))
                 check(trace.real, closed)
 
     # three-transition topologies on 20 x 20 x 5 grids
@@ -251,8 +248,8 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
             for n2 in grid:
                 for n3 in n3_grid:
                     trace = dip_trace_3d(cluster, pairs, n1, n2, n3)
-                    closed = dip_3d(
-                        topo, DipParams(cluster.dim, deltas, (n1, n2, n3))
+                    closed = AnalyticModel(topo, deltas, cluster.dim).evaluate(
+                        (n1, n2, n3)
                     )
                     check(trace.real, closed)
 
@@ -266,10 +263,9 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
         for n1 in grid:
             for n3 in grid:
                 trace = dip_trace_3d(cluster, pairs, n1, 0, n3)
-                closed = dip_2d(
-                    reduced,
-                    DipParams(cluster.dim, (deltas[0], deltas[2]), (n1, n3)),
-                )
+                closed = AnalyticModel(
+                    reduced, (deltas[0], deltas[2]), cluster.dim
+                ).evaluate((n1, n3))
                 check(trace.real, closed)
             solo = dip_trace_3d(cluster, pairs, n1, 0, 0)
             check(solo.real, dip_1d(cluster.dim, deltas[0], n1))

@@ -2,16 +2,16 @@
 the second-order Magnus model against the exact propagators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ddcorr.analytic import (
-    DipParams,
+    TOPOLOGIES,
+    AnalyticModel,
     Topology,
     dip_1d,
-    dip_2d,
-    dip_3d,
     dip_trace_2d,
     dip_trace_3d,
     magnus_coherence,
@@ -225,53 +225,51 @@ class TestDip1D:
         with pytest.raises(ValueError, match="delta must be finite"):
             dip_1d(4, np.nan, 2)
 
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match=r"pulse counts must be finite and >= 0, got \(-5.0,\)"):
+            dip_1d(3, 0.02, -5)
+
 
 class TestDip2D:
     def test_correlated_known_value(self):
-        params = DipParams(3, (0.025, 0.036), (63, 44))
-        got = dip_2d(Topology("2d-correlated"), params)
+        model = AnalyticModel(Topology("2d-correlated"), (0.025, 0.036), 3)
+        got = model.evaluate((63, 44))
         assert got == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
     def test_params_reject_non_finite_delta(self):
         with pytest.raises(ValueError, match="every delta must be finite"):
-            DipParams(4, (np.nan,), (2,))
+            AnalyticModel(Topology("1d"), (np.nan,), 4).evaluate((2,))
 
     def test_uncorrelated_floor_at_half_period(self):
         d1, d2 = 0.025, 0.036
-        params = DipParams(
-            4, (d1, d2), (np.pi / (2 * d1), np.pi / (2 * d2))
-        )
-        assert dip_2d(Topology("2d-uncorrelated"), params) == pytest.approx(
-            -1.0
-        )
-        assert dip_2d(Topology("2d-correlated"), params) == pytest.approx(0.0)
+        pulses = (np.pi / (2 * d1), np.pi / (2 * d2))
+        uncorrelated = AnalyticModel(Topology("2d-uncorrelated"), (d1, d2), 4)
+        assert uncorrelated.evaluate(pulses) == pytest.approx(-1.0)
+        correlated = AnalyticModel(Topology("2d-correlated"), (d1, d2), 4)
+        assert correlated.evaluate(pulses) == pytest.approx(0.0)
 
     def test_independent_molecules_is_product(self):
-        params = DipParams(6, (0.02, 0.03), (17, 11))
-        got = dip_2d(Topology("2d-independent", (2, 3)), params)
+        model = AnalyticModel(Topology("2d-independent", (2, 3)), (0.02, 0.03), 6)
+        got = model.evaluate((17, 11))
         want = dip_1d(2, 0.02, 17) * dip_1d(3, 0.03, 11)
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_independent_molecules_dimension_guard(self):
-        params = DipParams(5, (0.02, 0.03), (17, 11))
         with pytest.raises(ValueError):
-            dip_2d(Topology("2d-independent", (2, 3)), params)
+            AnalyticModel(Topology("2d-independent", (2, 3)), (0.02, 0.03), 5).evaluate(
+                (17, 11)
+            )
 
     def test_minimum_dimension_guard(self):
         with pytest.raises(ValueError):
-            dip_2d(
-                Topology("2d-uncorrelated"),
-                DipParams(3, (0.02, 0.03), (1, 1)),
-            )
+            AnalyticModel(Topology("2d-uncorrelated"), (0.02, 0.03), 3).evaluate((1, 1))
         with pytest.raises(ValueError):
-            dip_2d(
-                Topology("2d-correlated"), DipParams(2, (0.02, 0.03), (1, 1))
-            )
+            AnalyticModel(Topology("2d-correlated"), (0.02, 0.03), 2).evaluate((1, 1))
 
     def test_exchange_symmetry(self):
         for topo in (Topology("2d-correlated"), Topology("2d-uncorrelated")):
-            a = dip_2d(topo, DipParams(4, (0.02, 0.031), (9, 23)))
-            b = dip_2d(topo, DipParams(4, (0.031, 0.02), (23, 9)))
+            a = AnalyticModel(topo, (0.02, 0.031), 4).evaluate((9, 23))
+            b = AnalyticModel(topo, (0.031, 0.02), 4).evaluate((23, 9))
             assert a == pytest.approx(b, abs=1e-14)
 
 
@@ -293,7 +291,7 @@ class TestTraceOracle2D:
         for n1 in range(0, 40, 2):
             for n2 in range(0, 40, 2):
                 trace = dip_trace_2d(cluster, pairs[0], pairs[1], n1, n2)
-                closed = dip_2d(topo, DipParams(d, deltas, (n1, n2)))
+                closed = AnalyticModel(topo, deltas, d).evaluate((n1, n2))
                 worst = max(worst, abs(trace.real - closed))
         assert worst < 1e-10
 
@@ -303,9 +301,7 @@ class TestTraceOracle2D:
         deltas = deltas_of(cluster, pairs)
         for n1, n2 in [(0, 0), (10, 6), (31, 17), (63, 44)]:
             trace = dip_trace_2d(cluster, pairs[0], pairs[1], n1, n2)
-            closed = dip_2d(
-                Topology("2d-correlated"), DipParams(3, deltas, (n1, n2))
-            )
+            closed = AnalyticModel(Topology("2d-correlated"), deltas, 3).evaluate((n1, n2))
             assert trace.real == pytest.approx(closed, abs=1e-12)
 
     def test_trace_is_phase_blind(self):
@@ -345,9 +341,7 @@ class TestTraceOracle3D:
             for n2 in range(0, 40, 2):
                 for n3 in range(0, 10, 2):
                     trace = dip_trace_3d(cluster, pairs, n1, n2, n3)
-                    closed = dip_3d(
-                        topo, DipParams(d, deltas, (n1, n2, n3))
-                    )
+                    closed = AnalyticModel(topo, deltas, d).evaluate((n1, n2, n3))
                     worst = max(worst, abs(trace.real - closed))
         assert worst < 1e-10
 
@@ -367,17 +361,12 @@ class TestTraceOracle3D:
             topo = Topology("3d-" + kind.replace("_", "-"))
             for n1 in (0, 9, 22, 41):
                 for n3 in (0, 7, 30):
-                    full = dip_3d(topo, DipParams(d, deltas, (n1, 0, n3)))
-                    two = dip_2d(
-                        reduced,
-                        DipParams(
-                            d,
-                            (deltas[0], deltas[2]),
-                            (n1, n3),
-                        ),
+                    full = AnalyticModel(topo, deltas, d).evaluate((n1, 0, n3))
+                    two = AnalyticModel(reduced, (deltas[0], deltas[2]), d).evaluate(
+                        (n1, n3)
                     )
                     assert full == pytest.approx(two, abs=1e-12)
-                solo = dip_3d(topo, DipParams(d, deltas, (n1, 0, 0)))
+                solo = AnalyticModel(topo, deltas, d).evaluate((n1, 0, 0))
                 assert solo == pytest.approx(
                     dip_1d(d, deltas[0], n1), abs=1e-12
                 )
@@ -399,12 +388,110 @@ class TestTraceOracle3D:
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_independent_is_product(self):
-        params = DipParams(8, (0.02, 0.03, 0.01), (5, 9, 13))
-        got = dip_3d(Topology("3d-independent", (2, 2, 2)), params)
+        model = AnalyticModel(Topology("3d-independent", (2, 2, 2)), (0.02, 0.03, 0.01), 8)
+        got = model.evaluate((5, 9, 13))
         want = (
             dip_1d(2, 0.02, 5) * dip_1d(2, 0.03, 9) * dip_1d(2, 0.01, 13)
         )
         assert got == pytest.approx(want, abs=1e-14)
+
+
+# Every topology's closed form at the values of the code it replaced, as
+# float.hex: rows (d or dims, deltas, pulses, value) with a zero count, a
+# half-period count N_i = pi/(2 delta_i) and generic counts.
+GOLDEN = {
+    "1d": [
+        (3, (0.025,), (0.0,), "0x1.0000000000000p+0"),
+        (3, (0.025,), (62.83185307179586,), "-0x1.5555555555555p-2"),
+        (5, (0.0357,), (17.5,), "0x1.73e00c4e364a9p-1"),
+    ],
+    "2d-independent": [
+        ((2, 3), (0.025, 0.036), (0.0, 11.0), "0x1.9a6d57b82461bp-1"),
+        ((2, 3), (0.025, 0.036), (62.83185307179586, 43.63323129985824), "0x1.5555555555555p-2"),
+        ((3, 3), (0.02, 0.031), (17.0, 44.5), "-0x1.f15c8ad8f1ed3p-3"),
+    ],
+    "2d-uncorrelated": [
+        (4, (0.025, 0.036), (0.0, 44.0), "0x1.6d97048af0800p-13"),
+        (4, (0.025, 0.036), (62.83185307179586, 43.63323129985824), "-0x1.0000000000000p+0"),
+        (6, (0.02, 0.031), (9.0, 23.5), "0x1.5dc5bc91ab54cp-1"),
+    ],
+    "2d-correlated": [
+        (3, (0.025, 0.036), (63.0, 0.0), "-0x1.554f282e1b758p-2"),
+        (3, (0.025, 0.036), (62.83185307179586, 43.63323129985824), "-0x1.5555555555555p-2"),
+        (4, (0.02, 0.031), (9.0, 23.0), "0x1.1b8ca08efdfbcp-1"),
+    ],
+    "3d-independent": [
+        ((2, 2, 2), (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.9e470de77caeep-1"),
+        (
+            (2, 2, 2),
+            (0.021, 0.033, 0.017),
+            (74.79982508547126, 47.59988869075444, 92.39978392911155),
+            "-0x1.0000000000000p+0",
+        ),
+        ((2, 3, 2), (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "-0x1.fb6a77fe087eep-2"),
+    ],
+    "3d-uncorrelated": [
+        (6, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.ddb4d4ed2b357p-1"),
+        (
+            6,
+            (0.021, 0.033, 0.017),
+            (74.79982508547126, 47.59988869075444, 92.39978392911155),
+            "-0x1.0000000000000p+0",
+        ),
+        (7, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.e3277802cdc55p-2"),
+    ],
+    "3d-ring": [
+        (3, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.bd21d98faa1a5p-1"),
+        (
+            3,
+            (0.021, 0.033, 0.017),
+            (74.79982508547126, 47.59988869075444, 92.39978392911155),
+            "-0x1.5555555555555p-2",
+        ),
+        (4, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.67f9fcfd1d540p-3"),
+    ],
+    "3d-star": [
+        (4, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.cdd9632bbf93cp-1"),
+        (
+            4,
+            (0.021, 0.033, 0.017),
+            (74.79982508547126, 47.59988869075444, 92.39978392911155),
+            "0x0.0p+0",
+        ),
+        (5, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.5cca65320bbb3p-2"),
+    ],
+    "3d-linked-ladder": [
+        (4, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.cdd9632bbf93cp-1"),
+        (
+            4,
+            (0.021, 0.033, 0.017),
+            (74.79982508547126, 47.59988869075444, 92.39978392911155),
+            "-0x1.0000000000000p+0",
+        ),
+        (5, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.50eca45867cb2p-2"),
+    ],
+    "3d-unlinked-ladder": [
+        (5, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.d7e11c22ffa96p-1"),
+        (
+            5,
+            (0.021, 0.033, 0.017),
+            (74.79982508547126, 47.59988869075444, 92.39978392911155),
+            "-0x1.3333333333333p-1",
+        ),
+        (6, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.8a54aa00af6afp-2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_closed_forms_match_golden_values_bit_for_bit(name):
+    for size, deltas, pulses, want in GOLDEN[name]:
+        dims = size if isinstance(size, tuple) else ()
+        d = math.prod(dims) if dims else size
+        got = AnalyticModel(Topology(name, dims), deltas, d).evaluate(pulses)
+        assert got.hex() == want, (size, deltas, pulses)
+        if name == "1d":
+            assert dip_1d(d, deltas[0], pulses[0]).hex() == want
 
 
 class TestPeriodicityAndParity:
@@ -494,13 +581,13 @@ class TestMinima:
         ]:
             floor = minima(topo, d)
             best = min(
-                dip_2d(topo, DipParams(d, (delta, delta), (n1, n2)))
+                AnalyticModel(topo, (delta, delta), d).evaluate((n1, n2))
                 for n1 in grid
                 for n2 in grid
             )
             assert best >= floor - 1e-9
             half = period / 2.0
-            at_half = dip_2d(topo, DipParams(d, (delta, delta), (half, half)))
+            at_half = AnalyticModel(topo, (delta, delta), d).evaluate((half, half))
             assert at_half == pytest.approx(floor, abs=1e-9)
 
     def test_3d_minima_are_attained_and_global(self):
@@ -516,7 +603,7 @@ class TestMinima:
         ]:
             floor = minima(topo, d)
             best = min(
-                dip_3d(topo, DipParams(d, (delta,) * 3, (n1, n2, n3)))
+                AnalyticModel(topo, (delta,) * 3, d).evaluate((n1, n2, n3))
                 for n1 in grid
                 for n2 in grid
                 for n3 in grid
@@ -540,24 +627,18 @@ class TestValidation:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            DipParams(1, (0.02,), (3,))
+            AnalyticModel(Topology("1d"), (0.02,), 1).evaluate((3,))
         with pytest.raises(ValueError):
-            DipParams(3, (0.02, 0.03), (3,))
+            AnalyticModel(Topology("2d-correlated"), (0.02, 0.03), 3).evaluate((3,))
         with pytest.raises(ValueError):
-            DipParams(3, (-0.02,), (3,))
+            AnalyticModel(Topology("1d"), (-0.02,), 3).evaluate((3,))
         with pytest.raises(ValueError):
-            DipParams(3, (0.02,), (-3,))
+            AnalyticModel(Topology("1d"), (0.02,), 3).evaluate((-3,))
 
     def test_dip_3d_dimension_guards(self):
         with pytest.raises(ValueError):
-            dip_3d(
-                Topology("3d-uncorrelated"),
-                DipParams(5, (0.02,) * 3, (1, 1, 1)),
-            )
+            AnalyticModel(Topology("3d-uncorrelated"), (0.02,) * 3, 5).evaluate((1, 1, 1))
         with pytest.raises(ValueError):
-            dip_3d(
-                Topology("3d-unlinked-ladder"),
-                DipParams(4, (0.02,) * 3, (1, 1, 1)),
-            )
+            AnalyticModel(Topology("3d-unlinked-ladder"), (0.02,) * 3, 4).evaluate((1, 1, 1))
         with pytest.raises(ValueError):
-            dip_3d(Topology("3d-ring"), DipParams(2, (0.02,) * 3, (1, 1, 1)))
+            AnalyticModel(Topology("3d-ring"), (0.02,) * 3, 2).evaluate((1, 1, 1))

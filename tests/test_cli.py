@@ -17,7 +17,6 @@ from ddcorr import scan as scan_module
 from ddcorr.analytic import TOPOLOGIES
 from ddcorr.cli import (
     ScenarioError,
-    _default_workers,
     dispatch,
     parse_scenario,
     scenario_from_dict,
@@ -430,18 +429,9 @@ class TestScenarioParsing:
         assert sc.analytic_model.d == 4
         assert sc.plan_inputs["fidelity"] == 0.03
 
-    def test_roundtrip_preserves_source(self):
-        source = correlated_2d_scenario()
-        sc = scenario_from_dict(copy.deepcopy(source))
-        assert sc.to_json_dict() == source
-        mutated = sc.to_json_dict()
-        mutated["clusters"].clear()
-        assert sc.to_json_dict() == source
-
     def test_reparse_equivalence(self, tmp_path):
-        source = correlated_2d_scenario()
-        sc = scenario_from_dict(copy.deepcopy(source))
-        again = scenario_from_dict(sc.to_json_dict())
+        sc = scenario_from_dict(correlated_2d_scenario())
+        again = scenario_from_dict(correlated_2d_scenario())
         assert again.system.clusters[0] == sc.system.clusters[0]
         assert again.sequence == sc.sequence
         assert again.grid == sc.grid
@@ -790,6 +780,15 @@ class TestAnalyticCommand:
             "error: --dims: expected comma-separated integers, got '2.7,2'\n"
         )
 
+    def test_1d_negative_count_fails(self, capsys):
+        code = dispatch(
+            ["analytic", "--topology", "1d", "--d", "3", "--delta", "0.02", "--n", "-5"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: pulse counts must be finite and >= 0, got (-5.0,)\n"
+        )
+
     def test_malformed_number_list(self, capsys):
         code, _ = self.run(
             capsys,
@@ -975,6 +974,20 @@ class TestScanCommand:
         assert dispatch(["scan", path, "--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_must_be_an_integer(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        assert dispatch(["scan", path, "--workers", "abc"]) == 1
+        assert "--workers: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_workers_environment_is_not_read(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert dispatch(["scan", path, "--out", str(a)]) == 0
+        monkeypatch.setenv("DDCORR_WORKERS", "zebra")
+        assert dispatch(["scan", path, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("gap", [1e-16, -1e-16], ids=["first-smaller", "second-smaller"])
     def test_summary_takes_the_first_of_near_tied_minima(
         self, tmp_path, capsys, monkeypatch, gap
@@ -1044,6 +1057,18 @@ class TestFilterCommand:
         assert dispatch(["filter", path, *argv, "--steps", "3"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_fail(self, tmp_path, capsys, steps):
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        out_csv = tmp_path / "filter.csv"
+        argv = ["filter", path, "--f-min-MHz", "0.1", "--f-max-MHz", "0.3"]
+        code = dispatch([*argv, "--steps", steps, "--out", str(out_csv)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --steps: expected an integer >= 1, got {steps}\n"
+        assert not out_csv.exists()
+
     def test_bad_range(self, tmp_path, capsys):
         path = write_scenario(tmp_path, tau_scan_scenario())
         code = dispatch(
@@ -1074,17 +1099,3 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "resonant" in out
         assert "clean" not in out
-
-
-class TestWorkerDefaults:
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("DDCORR_WORKERS", "3")
-        assert _default_workers() == 3
-
-    def test_env_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("DDCORR_WORKERS", "zebra")
-        assert _default_workers() == 1
-        monkeypatch.setenv("DDCORR_WORKERS", "-4")
-        assert _default_workers() == 1
-        monkeypatch.delenv("DDCORR_WORKERS")
-        assert _default_workers() == 1

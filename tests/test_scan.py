@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddcorr import scan as scan_module
-from ddcorr.analytic import Topology, dip_1d
+from ddcorr.analytic import AnalyticModel, Topology, dip_1d
 from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
-    AnalyticModel,
     GridSpec,
     PulseAxis,
     ScanRecord,
