@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TOPOLOGIES, AnalyticModel, Topology
-from .planner import DEFAULT_T_IR_US, ReadoutModel, plan, readout_fidelity
+from .planner import DEFAULT_T_IR_US, BudgetOverflow, ReadoutModel, plan, readout_fidelity
 from .scan import (
     GridSpec,
     PulseAxis,
@@ -318,11 +318,14 @@ _PLAN = {
 
 def _parse_plan(obj, clusters, path: str) -> dict:
     fidelity, alpha0, alpha1, snr, t_ir_us, entries, products = _fields(obj, _PLAN, path)
+    # the field path of each input, for a budget that overflows
+    labels = {key: f"{path}.{key}" for key in ("fidelity", "snr", "t_ir_us")}
     if fidelity is None:
         if alpha0 is None or alpha1 is None:
             _fail(path, "give 'fidelity' or both 'alpha0' and 'alpha1'")
         with _at(path):
             fidelity = readout_fidelity(alpha0, alpha1)
+        labels["fidelity"] = path
     with _at(f"{path}.fidelity"):
         ReadoutModel(fidelity)
     inputs = {"fidelity": fidelity, "snr": snr, "t_ir_us": t_ir_us}
@@ -333,10 +336,15 @@ def _parse_plan(obj, clusters, path: str) -> dict:
         ]
         inputs["deltas"] = [spec.delta for spec in specs]
         inputs["omegas"] = [spec.omega for spec in specs]
+        labels["deltas"] = labels["omegas"] = f"{path}.transitions"
     elif products is not None:
         inputs["delta_omegas"] = [TWO_PI * x / 1000.0 for x in products]
+        labels["delta_omegas"] = f"{path}.delta_omega_kHz"
     else:
         _fail(path, "give 'transitions' or 'delta_omega_kHz'")
+    # the section alone must give a finite budget; the plan command checks
+    # the flags that override it
+    _plan(inputs, labels)
     return inputs
 
 
@@ -446,8 +454,20 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
+def _plan(inputs: dict, labels: dict):
+    """plan(**inputs); a count or time too large for a float fails at the
+    labels (flags or field paths) of the inputs it depends on."""
+    try:
+        return plan(**inputs)
+    except BudgetOverflow as exc:
+        where = dict.fromkeys(labels[key] for key in exc.inputs if key in labels)
+        _fail("/".join(where), str(exc))
+
+
 def _cmd_plan(args) -> int:
     inputs: dict = {}
+    # the flag of each input a flag gave; the scenario's were checked at parse
+    flags: dict = {}
     if args.scenario:
         scenario = parse_scenario(args.scenario)
         if scenario.plan_inputs is None:
@@ -455,14 +475,18 @@ def _cmd_plan(args) -> int:
         inputs = dict(scenario.plan_inputs)
     if args.fidelity is not None:
         inputs["fidelity"] = _finite(args.fidelity, "--F")
+        flags["fidelity"] = "--F"
     elif args.alpha0 is not None and args.alpha1 is not None:
         alphas = _finite(args.alpha0, "--alpha0"), _finite(args.alpha1, "--alpha1")
         with _at("--alpha0/--alpha1"):
             inputs["fidelity"] = readout_fidelity(*alphas)
+        flags["fidelity"] = "--alpha0/--alpha1"
     if args.snr is not None:
         inputs["snr"] = _finite(args.snr, "--snr")
+        flags["snr"] = "--snr"
     if args.t_ir_us is not None:
         inputs["t_ir_us"] = _finite(args.t_ir_us, "--t-ir-us")
+        flags["t_ir_us"] = "--t-ir-us"
     if bool(args.deltas) != bool(args.freqs_mhz):
         raise ScenarioError("--deltas and --freqs-MHz must be given together")
     if args.delta_omega_khz or args.deltas:
@@ -473,21 +497,16 @@ def _cmd_plan(args) -> int:
         inputs["delta_omegas"] = [
             TWO_PI * x / 1000.0 for x in _parse_numbers(args.delta_omega_khz, "--delta-omega-kHz")
         ]
+        flags["delta_omegas"] = "--delta-omega-kHz"
     if args.deltas:
         inputs["deltas"] = _parse_numbers(args.deltas, "--deltas")
         inputs["omegas"] = [TWO_PI * f for f in _parse_numbers(args.freqs_mhz, "--freqs-MHz")]
+        flags.update(deltas="--deltas", omegas="--freqs-MHz")
     if "fidelity" not in inputs or "snr" not in inputs:
         raise ScenarioError("plan needs a readout fidelity (--F or --alpha0/--alpha1) and --snr")
     if "delta_omegas" not in inputs and "deltas" not in inputs:
         raise ScenarioError("plan needs --delta-omega-kHz, or --deltas with --freqs-MHz")
-    report = plan(
-        inputs["fidelity"],
-        inputs["snr"],
-        delta_omegas=inputs.get("delta_omegas"),
-        deltas=inputs.get("deltas"),
-        omegas=inputs.get("omegas"),
-        t_ir_us=inputs.get("t_ir_us", DEFAULT_T_IR_US),
-    )
+    report = _plan(inputs, flags)
     if args.json:
         print(json.dumps(report.to_json_dict()))
         return 0

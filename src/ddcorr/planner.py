@@ -15,15 +15,28 @@ and a per-point wall time T = K * (t_dip + t_ir), with t_ir the
 initialization + readout overhead per shot.  Sweeping a full unit cell
 N_1c x N_2c in steps of dN costs ceil(N_1c/dN) * ceil(N_2c/dN) points, each
 charged the dip-point time T, about the cell's mean per-point evolution.
+Inputs that give a count or time too large for a float raise BudgetOverflow.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 DEFAULT_T_IR_US = 1.0
 _US_PER_S = 1e6
+
+
+class BudgetOverflow(ValueError):
+    """A shot count, unit cell or time too large for a float.
+
+    From plan(), inputs names the plan() arguments the value depends on.
+    """
+
+    def __init__(self, message: str, inputs: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.inputs = inputs
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,10 @@ def shots_for_snr(fidelity: float, snr: float) -> int:
     """K = ceil(xi^2 / F^2) repetitions to resolve the dip at SNR xi."""
     if fidelity <= 0 or snr <= 0:
         raise ValueError("fidelity and snr must be > 0")
-    return math.ceil((snr / fidelity) ** 2)
+    try:
+        return math.ceil((snr / fidelity) ** 2)
+    except OverflowError:
+        raise BudgetOverflow(f"snr {snr:g} at F = {fidelity:g} needs too many shots") from None
 
 
 def dip_time(delta1: float, omega1: float, delta2: float, omega2: float) -> float:
@@ -94,14 +110,28 @@ def dip_time(delta1: float, omega1: float, delta2: float, omega2: float) -> floa
     """
     if min(delta1, omega1, delta2, omega2) <= 0:
         raise ValueError("all deltas and omegas must be > 0")
-    return math.pi**2 / (2 * delta1 * omega1) + math.pi**2 / (2 * delta2 * omega2)
+    try:
+        t_dip = math.pi**2 / (2 * delta1 * omega1) + math.pi**2 / (2 * delta2 * omega2)
+    except ZeroDivisionError:  # a product of subnormals rounds to 0
+        t_dip = math.inf
+    if not math.isfinite(t_dip):
+        raise BudgetOverflow(
+            f"delta * omega = {delta1 * omega1:g} and {delta2 * omega2:g} rad/us "
+            "give an infinite dip time"
+        )
+    return t_dip
 
 
 def point_time(shots: int, dip_time_us: float, t_ir_us: float = DEFAULT_T_IR_US) -> float:
     """Wall time (s) for one grid point: K * (evolution + overhead)."""
     if shots <= 0 or dip_time_us <= 0 or t_ir_us < 0:
         raise ValueError("need shots > 0, dip_time > 0, t_ir >= 0")
-    return shots * (dip_time_us + t_ir_us) / _US_PER_S
+    t_point = shots * (dip_time_us + t_ir_us) / _US_PER_S
+    if not math.isfinite(t_point):
+        raise BudgetOverflow(
+            f"{shots:.3g} shots of {dip_time_us:g} + {t_ir_us:g} us give an infinite point time"
+        )
+    return t_point
 
 
 def sweep_time(
@@ -126,9 +156,21 @@ def sweep_time(
         raise ValueError("need shots > 0 and step >= 1")
     if len(deltas) != 2:
         raise ValueError("the sweep prices points at the 2D dip time")
-    points = math.prod(math.ceil(math.pi / delta / step) for delta in deltas)
+    sides = [math.pi / delta / step for delta in deltas]
+    if not all(map(math.isfinite, sides)):
+        raise BudgetOverflow(f"deltas {deltas[0]:g} and {deltas[1]:g} give an infinite unit cell")
+    points = math.prod(map(math.ceil, sides))
     t_dip = dip_time(deltas[0], omegas[0], deltas[1], omegas[1])
-    return points, points * point_time(shots, t_dip, t_ir_us)
+    t_point = point_time(shots, t_dip, t_ir_us)
+    try:
+        seconds = points * t_point
+    except OverflowError:  # more points than a float holds
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise BudgetOverflow(
+            f"{sides[0]:.3g} x {sides[1]:.3g} points of {t_point:g} s give an infinite sweep time"
+        )
+    return points, seconds
 
 
 def plan(
@@ -145,22 +187,29 @@ def plan(
     delta_omegas: two products delta_i * omega_i (rad/us), enough for the
     shot count and dip/point times.  Supplying deltas and omegas separately
     additionally prices the unit-cell sweep (the cell size depends on the
-    deltas alone).
+    deltas alone).  A BudgetOverflow names in inputs the arguments of the
+    value that overflowed.
     """
-    if delta_omegas is None:
-        if deltas is None or omegas is None:
-            raise ValueError("give delta_omegas, or deltas and omegas")
-        delta_omegas = [d * w for d, w in zip(deltas, omegas)]
-    if len(delta_omegas) != 2:
+    if delta_omegas is not None:
+        pairs, targets = [(x, 1.0) for x in delta_omegas], ("delta_omegas",)
+    elif deltas is not None and omegas is not None:
+        pairs, targets = list(zip(deltas, omegas)), ("deltas", "omegas")
+    else:
+        raise ValueError("give delta_omegas, or deltas and omegas")
+    if len(pairs) != 2:
         raise ValueError("dip time is defined for exactly two transitions")
     readout = ReadoutModel(fidelity)
-    shots = shots_for_snr(readout.fidelity, snr)
+    with _overflow_of("fidelity", "snr"):
+        shots = shots_for_snr(readout.fidelity, snr)
     # the dip time depends on each product delta_i * omega_i alone
-    t_dip = dip_time(delta_omegas[0], 1.0, delta_omegas[1], 1.0)
-    t_point = point_time(shots, t_dip, t_ir_us)
+    with _overflow_of(*targets):
+        t_dip = dip_time(*pairs[0], *pairs[1])
+    with _overflow_of("fidelity", "snr", *targets, "t_ir_us"):
+        t_point = point_time(shots, t_dip, t_ir_us)
     sweep_points = sweep_s = None
     if deltas is not None and omegas is not None:
-        sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us, step)
+        with _overflow_of("fidelity", "snr", "deltas", "omegas", "t_ir_us"):
+            sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us, step)
     return PlanReport(
         fidelity=readout.fidelity,
         snr=snr,
@@ -170,3 +219,12 @@ def plan(
         sweep_points=sweep_points,
         sweep_time_s=sweep_s,
     )
+
+
+@contextlib.contextmanager
+def _overflow_of(*inputs: str):
+    """Re-raise a BudgetOverflow with inputs set to the named plan() arguments."""
+    try:
+        yield
+    except BudgetOverflow as exc:
+        raise BudgetOverflow(str(exc), inputs) from None

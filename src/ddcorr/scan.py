@@ -17,6 +17,11 @@ product chain at every point.  A scan is one ScanResult of columns in
 lexicographic grid order.  check_grid_size rejects a grid too large to
 scan in memory, from its point count and the cut's row count.
 
+Output costs what a scan's distinct values cost: write_csv formats each
+distinct column, and each distinct value within it, once and joins the
+rows from the formatted columns, and iterating a ScanResult builds its
+ScanRecord rows in C from columns converted to Python floats once.
+
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
 start at N = 0 so every scan carries the full-coherence anchor L = 1.
@@ -26,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product
+from functools import partial
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -43,13 +49,16 @@ _DIP_THRESHOLD = 0.9
 # Verdict margin around the midpoint of the two quantized minima.
 _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
-# line) and per composed row and unit of each cluster's d^2 (the complex
-# d x d block stacks and branches of one left or right row of the cut),
-# rounded up from at most ~480 and ~340 measured as peak RSS of run_scan
-# plus write_csv on d = 2..12 (numpy 2.4, Python 3.11, x86-64; the larger
-# row cost is the Magnus engines' on a pulse axis of step 2, whose
-# generators are prefix sums over every count up to the largest); and the
-# most a scan may need.
+# cells and lines) and per composed row and unit of each cluster's d^2 (the
+# complex d x d block stacks and branches of one left or right row of the
+# cut); and the most a scan may need.  Per point, peak RSS of run_scan plus
+# write_csv rose by 443-666 bytes on 447 x 447 pulse grids at d = 3
+# (engines analytic, exact and both), of which write_csv's own peak is
+# 315-521 (tracemalloc; its formatted cells, one string per distinct value,
+# and the row strings of the join are alive at once).  Per row, ~340 was
+# measured as peak RSS on d = 2..12 (the Magnus engines' on a pulse axis of
+# step 2, whose generators are prefix sums over every count up to the
+# largest).  numpy 2.4, Python 3.11, x86-64.
 _POINT_BYTES = 1024
 _MATRIX_BYTES = 512
 _MAX_SCAN_BYTES = 4 << 30
@@ -181,11 +190,21 @@ class ScanResult:
         return ScanRecord(tuple(self.coords[i].tolist()), self.labels, L.real, L.imag, analytic)
 
     def __iter__(self):
-        # the rows of __getitem__, from columns converted to Python floats once
-        analytic = [None] * len(self) if self.analytic_L is None else self.analytic_L.tolist()
-        columns = zip(self.coords.tolist(), self.L.real.tolist(), self.L.imag.tolist(), analytic)
-        for coords, re_L, im_L, value in columns:
-            yield ScanRecord(tuple(coords), self.labels, re_L, im_L, value)
+        """The rows of __getitem__, in grid order.
+
+        Returns a map iterator that builds each ScanRecord in C
+        (tuple.__new__ over zipped columns), from columns converted to
+        Python floats once with tolist(); each call starts a fresh one.
+        """
+        analytic = repeat(None) if self.analytic_L is None else self.analytic_L.tolist()
+        columns = zip(
+            map(tuple, self.coords.tolist()),
+            repeat(self.labels),
+            self.L.real.tolist(),
+            self.L.imag.tolist(),
+            analytic,
+        )
+        return map(partial(tuple.__new__, ScanRecord), columns)
 
 
 def check_grid_size(system: SystemModel, grid: GridSpec) -> None:
@@ -320,13 +339,30 @@ def classify_correlation(measured_min: float, d: int) -> str:
 
 
 def write_csv(result: ScanResult, path) -> None:
-    """Write a scan as `# ddcorr-scan v1` CSV, full precision, LF endings."""
+    """Write a scan as `# ddcorr-scan v1` CSV, full precision, LF endings.
+
+    Every cell is its float formatted with "%.17g".  Each distinct column,
+    and each distinct value within a column, is formatted once: both are
+    keyed on their float64 bits, so -0.0 and 0.0 stay apart.  A column's
+    distinct values (np.unique) are formatted by one % operation and taken
+    back to its rows by the inverse index, and the rows are joined from the
+    formatted columns.  So under the analytic engine analytic_L reuses
+    re_L's cells and im_L is one formatted +0.0.
+    """
     extra = [] if result.analytic_L is None else [result.analytic_L]
     header = [*result.labels, "re_L", "im_L"] + ["analytic_L"] * len(extra)
-    table = np.column_stack([result.coords, result.L.real, result.L.imag, *extra])
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    body = (row * len(table)) % tuple(table.ravel().tolist())
-    data = "# ddcorr-scan v1\n" + ",".join(header) + "\n" + body
+    formatted = {}
+    cells = []
+    for column in (*result.coords.T, result.L.real, result.L.imag, *extra):
+        bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
+        key = bits.tobytes()
+        if key not in formatted:
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            text = ("%.17g\n" * len(distinct) % tuple(distinct.view(float).tolist())).split("\n")
+            formatted[key] = np.array(text, dtype=object)[inverse].tolist()
+        cells.append(formatted[key])
+    rows = map(",".join, zip(*cells))
+    data = "\n".join(chain(["# ddcorr-scan v1", ",".join(header)], rows, [""]))
     with open(path, "wb") as fh:
         fh.write(data.encode("ascii"))
 

@@ -409,6 +409,12 @@ MALFORMED = [
         id="plan-delta-omega",
     ),
     pytest.param(
+        ("plan",), {"fidelity": 0.03, "snr": 10.0, "delta_omega_kHz": [1e-320, 5.0]},
+        ".plan.delta_omega_kHz: delta * omega = 6.42285e-323 and 0.0314159 rad/us give an"
+        " infinite dip time",
+        id="plan-dip-time-overflow",
+    ),
+    pytest.param(
         ("plan",), {"fidelity": 0.03, "snr": 10.0, "delta_omega": [5.0, 5.0]},
         ".plan: field 'delta_omega' is missing its unit suffix; use 'delta_omega_kHz'",
         id="plan-hint",
@@ -926,6 +932,45 @@ class TestPlanCommand:
         assert over == alone
         assert over["t_dip_us"] == pytest.approx(312.913, abs=1e-3)  # not 314.159
         assert over["sweep_points"] == 2772
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--deltas", "1e-320,0.1", "--freqs-MHz", "1,1"],
+                "--deltas/--freqs-MHz: delta * omega = 6.28303e-320 and 0.628319 rad/us give an"
+                " infinite dip time",
+            ),
+            (
+                ["--delta-omega-kHz", "1e-320,5"],
+                "--delta-omega-kHz: delta * omega = 6.42285e-323 and 0.0314159 rad/us give an"
+                " infinite dip time",
+            ),
+            (
+                ["--deltas", "1e-200,1e-200", "--freqs-MHz", "1,1"],
+                "--F/--snr/--deltas/--freqs-MHz: 1.57e+200 x 1.57e+200 points of 1.74534e+199 s"
+                " give an infinite sweep time",
+            ),
+            (
+                ["--delta-omega-kHz", "1,5", "--t-ir-us", "1e308"],
+                "--F/--snr/--delta-omega-kHz/--t-ir-us: 1.11e+05 shots of 942.478 + 1e+308 us"
+                " give an infinite point time",
+            ),
+        ],
+        ids=["dip-from-deltas", "dip-from-products", "sweep", "point"],
+    )
+    def test_infinite_budget_names_its_flags(self, capsys, argv, message):
+        assert dispatch(["plan", "--F", "0.03", "--snr", "10", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_flag_that_overflows_a_scenario_budget(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, correlated_2d_scenario())
+        assert dispatch(["plan", path, "--snr", "1e200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --snr: snr 1e+200 at F = 0.03 needs too many shots\n"
 
     def test_missing_inputs(self, capsys):
         assert dispatch(["plan", "--F", "0.03", "--snr", "10"]) == 2

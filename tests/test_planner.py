@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from ddcorr.planner import (
     DEFAULT_T_IR_US,
+    BudgetOverflow,
     PlanReport,
     ReadoutModel,
     dip_time,
@@ -199,6 +200,49 @@ class TestPlan:
     def test_fidelity_outside_unit_interval(self):
         with pytest.raises(ValueError, match="fidelity must be in"):
             plan(1.5, 10.0, delta_omegas=(COUPLING, COUPLING))
+
+
+class TestBudgetOverflow:
+    """Inputs whose counts or times do not fit a float raise, naming them."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: shots_for_snr(0.03, 1e200),
+            lambda: shots_for_snr(1e-300, 10.0),
+            lambda: dip_time(1e-320, 1.0, 0.02, 1.0),
+            lambda: dip_time(1e-320, 1e-10, 0.02, 1.0),  # the product rounds to 0
+            lambda: point_time(10, 9.0, 1e308),
+            lambda: sweep_time(100, (1e-320, 0.02), (1e3, 1.0)),
+            lambda: sweep_time(100, (1e-200, 1e-200), (1.0, 1.0)),
+        ],
+        ids=["snr", "fidelity", "dip", "dip-product", "point", "cell", "sweep"],
+    )
+    def test_raises_instead_of_inf(self, call):
+        with pytest.raises(BudgetOverflow):
+            call()
+
+    @pytest.mark.parametrize(
+        "kwargs,inputs",
+        [
+            ({"snr": 1e200, "delta_omegas": (COUPLING, COUPLING)}, ("fidelity", "snr")),
+            ({"delta_omegas": (1e-320, COUPLING)}, ("delta_omegas",)),
+            ({"deltas": (1e-320, 0.02), "omegas": OMEGAS}, ("deltas", "omegas")),
+            (
+                {"t_ir_us": 1e308, "delta_omegas": (COUPLING, COUPLING)},
+                ("fidelity", "snr", "delta_omegas", "t_ir_us"),
+            ),
+            (
+                {"deltas": (1e-200, 1e-200), "omegas": (1.0, 1.0)},
+                ("fidelity", "snr", "deltas", "omegas", "t_ir_us"),
+            ),
+        ],
+        ids=["shots", "dip-products", "dip-deltas", "point", "sweep"],
+    )
+    def test_plan_names_the_inputs(self, kwargs, inputs):
+        with pytest.raises(BudgetOverflow) as info:
+            plan(**{"fidelity": 0.03, "snr": 10.0, **kwargs})
+        assert info.value.inputs == inputs
 
 
 class TestPlanReport:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddcorr import scan as scan_module
 from ddcorr.analytic import AnalyticModel, Topology, dip_1d
@@ -294,6 +294,7 @@ class TestRunScan:
             (float(a), float(b)) for a, b in product(*(axis.values() for axis in axes))
         ]
         for i, row in enumerate(rows):
+            assert type(row) is ScanRecord and type(row.coords) is tuple
             assert row == result[i]
             assert row == ScanRecord(
                 tuple(result.coords[i]),
@@ -305,18 +306,28 @@ class TestRunScan:
             assert all(type(v) is float for v in (*row.coords, row.re_L, row.im_L, row.analytic_L))
         best = min(result, key=lambda r: r.re_L)
         assert best == result[int(np.argmin(result.L.real))]
+        # every iter() starts over, independent of the ones before it
+        first, second = iter(result), iter(result)
+        assert first is not second
+        assert next(first) == rows[0]
+        assert next(first) == rows[1]
+        assert next(second) == rows[0]
+        assert list(result) == rows
         # without an analytic column every row carries analytic_L None
         exact = run_scan(system, spec, GridSpec(axes, engine="exact"))
         assert exact.analytic_L is None
         rows = list(exact)
         assert len(rows) == 20
         for i, row in enumerate(rows):
+            assert type(row) is ScanRecord and type(row.coords) is tuple
             assert row == exact[i]
             assert row == ScanRecord(
                 tuple(exact.coords[i]), ("n1", "n2"), exact.L[i].real, exact.L[i].imag
             )
             assert row.analytic_L is None
             assert all(type(v) is float for v in (*row.coords, row.re_L, row.im_L))
+        assert list(exact) == rows
+
     def test_tau_scan_finds_both_resonances(self):
         cluster = spin_one_preset(0.20, 0.14, 5.0 * np.sqrt(2.0))
         system = SystemModel((cluster,))
@@ -402,6 +413,48 @@ def column_scans(draw):
     return scan_result(labels, shape, coords, L, analytic_L), coords, L, analytic_L
 
 
+# Cells that format alike but differ in their bits: NaNs with other payloads
+# or signs, beside the infinities that analytic_L may hold.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+NONFINITE = [math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf]
+
+
+@st.composite
+def repeating_scans(draw):
+    """ScanResults whose columns repeat: each column draws from one small
+    pool of values, is constant, or copies an earlier column (so analytic_L
+    can be re_L); analytic_L also draws NaN and the infinities."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    points = math.prod(shape)
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | UNIT, min_size=1, max_size=4))
+    width = len(shape) + 2 + draw(st.integers(0, 1))
+    columns = []
+    for j in range(width):
+        values = st.sampled_from(pool + NONFINITE if j == len(shape) + 2 else pool)
+        kind = draw(st.sampled_from(["pool", "constant", "copy"][: 2 + bool(columns)]))
+        if kind == "copy":
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "constant":
+            columns.append([draw(values)] * points)
+        else:
+            columns.append(draw(st.lists(values, min_size=points, max_size=points)))
+    coords = list(zip(*columns[: len(shape)]))
+    L = [complex(re, im) for re, im in zip(*columns[len(shape) : len(shape) + 2])]
+    analytic_L = columns[len(shape) + 2] if width > len(shape) + 2 else None
+    labels = tuple(f"n{k + 1}" for k in range(len(shape)))
+    return scan_result(labels, shape, coords, L, analytic_L)
+
+
+def one_format_csv(result) -> bytes:
+    """The reference writer: every cell of every row "%.17g" in one % pass."""
+    extra = [] if result.analytic_L is None else [result.analytic_L]
+    header = [*result.labels, "re_L", "im_L"] + ["analytic_L"] * len(extra)
+    table = np.column_stack([result.coords, result.L.real, result.L.imag, *extra])
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    return ("# ddcorr-scan v1\n" + ",".join(header) + "\n" + body).encode("ascii")
+
+
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
         result = scan_result(("n1",), (2,), [[0.0], [2.0]], [1.0, 0.25 - 0.125j])
@@ -448,6 +501,24 @@ class TestWriteCsv:
             assert [struct.pack("<d", float(c)) for c in cells] == [
                 struct.pack("<d", x) for x in values
             ]
+
+    @given(repeating_scans())
+    @example(scan_result(("n1",), (4,), [[0.0], [-0.0], [-0.0], [0.0]], [0.5, -0.0, 0.0, 0.5]))
+    @example(
+        scan_result(
+            ("n1", "n2"),
+            (2, 2),
+            [[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [2.0, 2.0]],
+            [0.5, -0.0, 0.0, 0.5],
+            [0.5, -0.0, 0.0, 0.5],
+        )
+    )
+    @example(scan_result(("n1",), (5,), [[3.0]] * 5, [0.25] * 5, [0.25, *NONFINITE[2:], math.nan]))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_one_format_per_cell(self, tmp_path_factory, result):
+        path = tmp_path_factory.mktemp("csv") / "scan.csv"
+        write_csv(result, path)
+        assert path.read_bytes() == one_format_csv(result)
 
 
 class TestWriteHeatmap:
