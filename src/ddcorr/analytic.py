@@ -27,7 +27,8 @@ carries each block's Magnus expansion to second order over every coupling
 of the cluster: the off-resonant first-order terms of the other
 transitions, and the commutator term that shifts a level shared by two
 driven transitions.  magnus_axis gives the same generators for every
-pulse count of one tau from a single prefix-sum pass over the segments,
+pulse count of one tau by folding the terms of a tau and a 2 tau segment
+with the second-order BCH rule for concatenated runs (exact.fold_blocks),
 with magnus_generator kept as the literal per-count reference.
 magnus_coherence composes the axis generators into the coherence of whole
 sequences, as the model that scans compare against.
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import check_blocks, compose_coherence
+from .exact import check_blocks, compose_coherence, fold_blocks
 from .spin_model import SystemModel, TargetCluster, transition
 
 # Topology name -> (driven transitions, least dimension, m of the quantized
@@ -230,63 +231,47 @@ def magnus_generator(
     return omega1, omega2
 
 
+def _concat(later, earlier):
+    """Magnus terms (S, Q, phase) of earlier followed by later, stacked.
+
+    S is a run's first-order term from t = 0, Q has its second-order term
+    P as anti-Hermitian part (Q - Q^dagger) / 2, and phase is e^{i w T}
+    for its length T.  A shift by t multiplies terms elementwise by
+    e^{i w t}, an automorphism of the matrix product, so the BCH rule for
+    concatenated runs (Blanes et al., Phys. Rep. 470, 151 (2009), sec. 2)
+    gives (S1 + ph1 S2, P1 + ph1 P2 + (1/2) [ph1 S2, S1], ph1 ph2).  The S
+    are anti-Hermitian, so that commutator is the anti-Hermitian part of
+    ph1 S2 S1, which Q takes whole.
+    """
+    out = earlier[2] * later
+    cross = out[0] @ earlier[0]
+    out[:2] += earlier[:2]
+    out[1] += cross
+    return out
+
+
 def magnus_axis(cluster: TargetCluster, tau: float, counts) -> tuple[np.ndarray, np.ndarray]:
-    """magnus_generator(cluster, tau, N) for every N in counts, in one pass.
+    """magnus_generator(cluster, tau, N) for every N in counts, in one fold.
 
-    Returns (omega1, omega2), each (len(counts), d, d).  Every block of one
-    tau starts with the same segments A_j, j < N, of an unending CPMG train:
-    segment 0 has length tau, every later one 2 tau, and segment j has sign
-    (-1)^j.  An N-pulse block adds a closing tau segment C_N, starting at
-    (2N - 1) tau with sign (-1)^N.  With S_N = sum_{j<N} A_j and
-    P_N = (1/2) sum_{j<N} [A_j, S_j], both prefix sums,
-
-        omega1 = S_N + C_N,  omega2 = P_N + (1/2) [C_N, S_N] - within / 8,
-
-    where the within-segment term weights the tau and 2 tau twists,
-    computed once, by prefix sums of the segments' start phases.  Counts may
-    be unsorted and repeated; zero counts give zeros.
+    Returns (omega1, omega2), each (len(counts), d, d), by exact.fold_blocks
+    with _concat.  A tau segment of sign s has the terms (s S, P, e^{i w
+    tau}), with S the filter integral and P the within-segment term of
+    magnus_generator (anti-Hermitian, so its own Q); a 2 tau segment is two
+    tau segments of one sign.  Counts may be unsorted and repeated; zero
+    counts give zeros.
     """
     tau, counts = check_blocks(tau, counts)
-    tau = float(tau)
-    n_max = int(counts.max(initial=0))
     w = cluster.energies[:, None] - cluster.energies[None, :]
     beta = cluster.coupling
-    # segment j of the train starts at (2j - 1) tau (0 for j = 0), sign (-1)^j
-    starts = np.concatenate([[0.0], (2 * np.arange(1, n_max + 1) - 1) * tau])
-    signs = np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
-    phases = np.exp(1j * w * starts[:, None, None])
-    short, long = _segment_integral(w, tau), _segment_integral(w, 2.0 * tau)
-    # a tau segment at every start: edges[0] opens each block, edges[N]
-    # closes the N-pulse one
-    edges = -0.5j * beta * signs[:, None, None] * phases * short
-    train = -0.5j * beta * signs[:n_max, None, None] * phases[:n_max] * long
-    train[:1] = edges[:1]
-    zero = np.zeros((1, *w.shape), dtype=complex)
-    # S_j and P_j for j = 0..n_max
-    before = np.concatenate([zero, np.cumsum(train, axis=0)])
-    pairs = train @ before[:-1] - before[:-1] @ train
-    paired = np.concatenate([zero, 0.5 * np.cumsum(pairs, axis=0)])
-    # sum of the 2 tau segments' phases, j = 1..N-1
-    middle = np.concatenate([zero, zero, np.cumsum(phases[1:n_max], axis=0)])
     w_mk, w_kn = w[:, :, None], w[None, :, :]
-    weights = beta[:, :, None] * beta[None, :, :]
-    short_twist, long_twist = (
-        np.einsum(
-            "mkn,mkn->mn",
-            weights,
-            _nested_integral(w_mk, w_kn, length) - _nested_integral(w_kn, w_mk, length),
-        )
-        for length in (tau, 2.0 * tau)
-    )
-    close, s = edges[counts], before[counts]
-    omega1 = s + close
-    omega2 = paired[counts] + 0.5 * (close @ s - s @ close)
-    omega2 -= (1.0 + phases[counts]) * short_twist / 8.0
-    omega2 -= middle[counts] * long_twist / 8.0
-    empty = counts == 0
-    omega1[empty] = 0.0
-    omega2[empty] = 0.0
-    return omega1, omega2
+    twist = _nested_integral(w_mk, w_kn, tau) - _nested_integral(w_kn, w_mk, tau)
+    within = -np.einsum("mkn,mkn->mn", beta[:, :, None] * beta[None, :, :], twist) / 8.0
+    first = -0.5j * beta * _segment_integral(w, tau)
+    edge = [np.stack([s * first, within, np.exp(1j * w * tau)]) for s in (1, -1)]
+    one = np.array([0, 0, 1], dtype=complex)[:, None, None] * np.ones(w.shape)
+    inner = [_concat(x, x) for x in edge]
+    omega1, q, _ = fold_blocks(edge, inner, counts, _concat, one)
+    return omega1, 0.5 * (q - np.swapaxes(q, -1, -2).conj())
 
 
 def _expm_skew(x: np.ndarray) -> np.ndarray:

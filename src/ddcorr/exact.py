@@ -15,9 +15,10 @@ Only two Hamiltonians ever appear (H0 + beta/2 and H0 - beta/2), so each is
 eigendecomposed once and every segment propagator is a diagonal phase
 sandwich.  A CPMG block's lab-frame propagator depends only on its (tau, N)
 and the coupling sign it is entered on, so scans build one stack of block
-propagators per block (block_stacks, one cumulative pass over N) and
-compose_branches multiplies a batch of block sequences from them, picking
-each block's entry sign from the parity of the pulses before it.
+propagators per block (block_stacks, folded from its segments by
+fold_blocks at a cost of log N per count) and compose_branches multiplies
+a batch of block sequences from them, picking each block's entry sign
+from the parity of the pulses before it.
 
 A sequence cut at a block boundary into a left part Lft (played first) and
 a right part R has U^+- = R^+- Lft^+-, so
@@ -42,22 +43,6 @@ import numpy as np
 
 from .sequence import PulseTimeline
 from .spin_model import SystemModel, TargetCluster
-
-_HERM_TOL = 1e-10
-
-
-def herm_propagator(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i * H * dt) for Hermitian H (rad/us and us), via eigendecomposition."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > _HERM_TOL:
-        raise ValueError("Hamiltonian is not Hermitian")
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
-
 
 def _segment_propagators(cluster: TargetCluster, dts) -> np.ndarray:
     """exp(-i (H0 +- beta/2) dt) per dt, (2, len(dts), d, d); [0] is coupling sign +1."""
@@ -107,30 +92,49 @@ def check_blocks(taus, counts) -> tuple[np.ndarray, np.ndarray]:
     return taus, raw.astype(int)
 
 
+def _power(cell, ks, combine, one):
+    """cell^k for each of the sorted distinct ks, on the count axis: the
+    square of cell^(k // 2), times cell where k is odd."""
+    if ks.max(initial=0) <= 1:
+        return np.where((ks == 1)[:, None, None], cell, one)
+    half, inverse = np.unique(ks // 2, return_inverse=True)
+    root = _power(cell, half, combine, one)
+    square = combine(root, root)[..., inverse, :, :]
+    return combine(np.where((ks % 2 == 1)[:, None, None], cell, one), square)
+
+
+def fold_blocks(edge, inner, counts, combine, one):
+    """The CPMG block of every count, on a count axis at -3, from its segments.
+
+    Elements are arrays (..., d, d); combine(later, earlier) concatenates
+    two, and one is the identity (zero counts give it).  edge and inner
+    hold the tau and 2 tau segments, [0] on the entry sign and [1] on the
+    other.  A block of N >= 1 pulses is a tau segment, N - 1 of 2 tau with
+    alternating sign and a closing tau segment; later factors first,
+
+        edge[N % 2] inner[1]^(N even) cell^k edge[0],
+        cell = inner[0] inner[1],  k = (N - 1) // 2.
+    """
+    counts = np.asarray(counts)
+    # a count axis of length 1 on every element, for broadcasting
+    e0, e1, i0, i1, one = (x[..., None, :, :] for x in (*edge, *inner, one))
+    ks, inverse = np.unique(np.maximum(counts - 1, 0) // 2, return_inverse=True)
+    cells = _power(combine(i0, i1), ks, combine, one)[..., inverse, :, :]
+    tail = np.where((counts % 2 == 0)[:, None, None], combine(e0, i1), e1)
+    return np.where((counts == 0)[:, None, None], one, combine(tail, combine(cells, e0)))
+
+
 def block_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
     """Lab-frame CPMG block propagators for every (tau, N) pair, both entry signs.
 
     Returns shape (2, len(taus), len(counts), d, d); [0] is the block entered
-    on coupling sign +1, [1] on -1.  A block of N >= 1 pulses is a tau
-    segment, N - 1 segments of 2 tau with alternating sign, and a closing tau
-    segment; zero pulses give the identity.  All counts of one tau come from
-    one cumulative pass over N, so no segment product is repeated.
+    on coupling sign +1, [1] on -1: entered on -1, the segments' sign pair
+    swaps.
     """
     taus, counts = check_blocks(taus, counts)
-    edge = _segment_propagators(cluster, taus)
-    inner = _segment_propagators(cluster, 2.0 * taus)
-    out = np.empty((2, taus.size, counts.size, cluster.dim, cluster.dim), dtype=complex)
-    out[:, :, counts == 0] = np.eye(cluster.dim)
-    column = {int(n): i for i, n in enumerate(counts)}
-    # run holds the first n segments: entered on sign [0] +1 / [1] -1, its
-    # k-th segment has sign index (entry + k) % 2, so odd k swap the pair
-    run = edge
-    for n in range(1, int(counts.max(initial=0)) + 1):
-        if n > 1:
-            run = (inner[::-1] if n % 2 == 0 else inner) @ run
-        if n in column:
-            out[:, :, column[n]] = (edge[::-1] if n % 2 else edge) @ run
-    return out
+    edge, inner = np.split(_segment_propagators(cluster, np.append(taus, 2.0 * taus)), 2, axis=1)
+    one = np.eye(cluster.dim, dtype=complex)
+    return fold_blocks((edge, edge[::-1]), (inner, inner[::-1]), counts, np.matmul, one)
 
 
 def compose_branches(cluster: TargetCluster, taus, counts, block_stack) -> np.ndarray:

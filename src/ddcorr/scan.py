@@ -4,11 +4,11 @@ A scan varies 1-3 axes of a base block sequence, evaluating each grid point
 with the exact conditional-evolution engine, the analytic model, or both
 side by side.  The analytic model is the second-order Magnus expansion of
 every block over all couplings (analytic.magnus_coherence); its first-order
-limit is the closed-form dips.  Both engines build the propagators of
-every distinct (tau, N) of a block in one pass over its pulse axis (the
-exact engine by a cumulative product, the Magnus model by prefix sums of
-segment terms, analytic.magnus_axis), so both take tau and pulse axes on
-any block.  run_scan cuts the sequence at the block boundary that splits
+limit is the closed-form dips.  Both engines build the blocks of every
+distinct (tau, N) of a block by one fold of its segments, squaring at a
+cost of log N per count (exact.fold_blocks, which analytic.magnus_axis
+shares), so both take tau and pulse axes on any block, whatever their
+counts.  run_scan cuts the sequence at the block boundary that splits
 the grid's axes into the fewest left plus right rows, composes each
 distinct left and right part once, and contracts them into the whole grid
 with one matrix product per cluster (exact.factor_coherence): a 2-axis
@@ -41,7 +41,7 @@ import numpy as np
 # perfbench --trace 1 wraps them by name
 from .analytic import _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
-from .sequence import SequenceSpec, build_timeline  # noqa: F401
+from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import SystemModel
 
 _ENGINES = ("exact", "analytic", "both")
@@ -55,10 +55,10 @@ _AMBIGUOUS_BAND = 0.1
 # write_csv rose by 443-666 bytes on 447 x 447 pulse grids at d = 3
 # (engines analytic, exact and both), of which write_csv's own peak is
 # 315-521 (tracemalloc; its formatted cells, one string per distinct value,
-# and the row strings of the join are alive at once).  Per row, ~340 was
-# measured as peak RSS on d = 2..12 (the Magnus engines' on a pulse axis of
-# step 2, whose generators are prefix sums over every count up to the
-# largest).  numpy 2.4, Python 3.11, x86-64.
+# and the row strings of the join are alive at once).  Per row, at most
+# ~330 was measured as peak RSS on d = 2..12, on tau axes and on pulse axes
+# of step 2 and 16, whatever their largest count (block folds keep O(d^2)
+# per count).  numpy 2.4, Python 3.11, x86-64.
 _POINT_BYTES = 1024
 _MATRIX_BYTES = 512
 _MAX_SCAN_BYTES = 4 << 30
@@ -110,6 +110,8 @@ class PulseAxis:
             raise ValueError("need start >= 0 and step >= 1")
         if self.stop < self.start + self.step:
             raise ValueError("pulse axis must contain at least two points")
+        if self.stop > MAX_PULSES:
+            raise ValueError(f"pulse counts must be at most 2**53, got {self.stop}")
 
     @property
     def label(self) -> str:

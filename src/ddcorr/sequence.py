@@ -37,6 +37,9 @@ _OVERLAP_FRACTION = 0.2
 # of an odd integer.
 _RESONANCE_RESIDUAL = 0.05
 
+# Larger pulse counts do not survive float64 (coordinates, 2*N*tau) exactly.
+MAX_PULSES = 2**53
+
 
 @dataclass(frozen=True)
 class Block:
@@ -52,6 +55,8 @@ class Block:
             raise ValueError(f"block tau must be > 0, got {self.tau}")
         if self.n_pulses != int(self.n_pulses) or self.n_pulses < 0:
             raise ValueError(f"n_pulses must be a nonnegative integer, got {self.n_pulses}")
+        if self.n_pulses > MAX_PULSES:
+            raise ValueError(f"n_pulses must be at most 2**53, got {self.n_pulses}")
         object.__setattr__(self, "n_pulses", int(self.n_pulses))
 
     @property

@@ -283,6 +283,16 @@ MALFORMED = [
         id="block-integer",
     ),
     pytest.param(
+        ("sequence", 0, "n_pulses"), 10**30,
+        f".sequence[0]: n_pulses must be at most 2**53, got {10**30}",
+        id="block-absurd-count",
+    ),
+    pytest.param(
+        ("sequence", 1), {"tau_us": 1.25, "n_pulses": 2**62},
+        f".sequence[1]: n_pulses must be at most 2**53, got {2**62}",
+        id="fixed-block-absurd-count",
+    ),
+    pytest.param(
         ("sequence", 0), {"tau_us": -1.0, "n_pulses": 2},
         ".sequence[0]: block tau must be > 0, got -1.0",
         id="block-tau-error",
@@ -322,6 +332,12 @@ MALFORMED = [
         ("grid", "axes", 0, "start"), 10,
         ".grid.axes[0]: pulse axis must contain at least two points",
         id="axis-error",
+    ),
+    pytest.param(
+        ("grid", "axes", 0),
+        {"kind": "pulse", "block": 0, "start": 0, "stop": 10**30, "step": 10**30},
+        f".grid.axes[0]: pulse counts must be at most 2**53, got {10**30}",
+        id="axis-absurd-count",
     ),
     pytest.param(
         ("grid", "axes", 0, "block"), 5, ".grid.axes[0]: block 5 not in the sequence",

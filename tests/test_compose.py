@@ -10,7 +10,9 @@ a coherence: L = 1 without pulses, |L| <= 1, and conjugation when the
 sensor branches swap (the coupling changes sign).  The Magnus generators
 of a whole pulse axis (magnus_axis) must equal the per-count reference
 magnus_generator, and every block builder must reject a tau or a count no
-CPMG block can have.
+CPMG block can have.  Blocks are folded by squaring, so on a sparse axis
+with counts of 1e4 both engines must still match the per-count
+references, and the Magnus blocks of counts to 2e5 must fit in 1 MiB.
 
 run_scan contracts a grid from its left and right parts at one block cut
 (factor_coherence).  On random 1-3 axis grids (two axes on one block, axes
@@ -19,7 +21,9 @@ occur) every engine must equal the coherence of each enumerated row, and a
 grid on two blocks must compose N1 + N2 rows, not N1 * N2.
 """
 
+import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from ddcorr import exact
 
 from ddcorr.analytic import (
     _expm_skew,
+    _magnus_stacks,
     magnus_axis,
     magnus_coherence,
     magnus_generator,
@@ -207,6 +212,63 @@ def test_magnus_axis_matches_per_count_generator(axis):
         for got, want in zip((first[k], second[k]), magnus_generator(cluster, tau, int(n))):
             scale = max(np.abs(want).max(), 1.0)
             np.testing.assert_allclose(got, want, rtol=0, atol=AXIS_TOL * scale)
+
+
+def extended(cluster):
+    """The cluster's arrays in long double, for magnus_generator as an oracle.
+
+    In float64 the generator's phases e^{i w t} round by about eps |w| t,
+    so at N = 1e4 its sums drift by up to 1e-10, far more than the fold
+    does from a long-double evaluation.
+    """
+    return SimpleNamespace(
+        energies=cluster.energies.astype(np.longdouble),
+        coupling=cluster.coupling.astype(np.clongdouble),
+        dim=cluster.dim,
+    )
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs an extended long double"
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_axis_matches_per_count_references(seed):
+    """Counts of 1e4 on one axis: both engines' blocks match the per-count
+    references.  The literal segment product drifts in proportion to N, and
+    any float64 phase e^{i w t} of a block of length t is good to about
+    eps |w| t, hence the tolerances' growth with N and with |w| tau."""
+    rng = np.random.default_rng(seed)
+    cluster = random_cluster(rng, int(rng.integers(2, 7)))
+    # dyadic, so that the oracle's segment starts (2j - 1) tau are exact
+    tau = round(rng.uniform(0.3, 2.0) * 2**20) / 2**20
+    counts = rng.permutation([0, 1, 9999, 10000, 10001, 12345])
+    stacks = block_stacks(cluster, [tau], counts)
+    first, second = magnus_axis(cluster, tau, counts)
+    spread = max(1.0, np.ptp(cluster.energies) * tau)
+    for k, n in enumerate(counts):
+        timeline = build_timeline(SequenceSpec([Block(tau, int(n))]))
+        for entry, sign in enumerate((1, -1)):
+            want = conditional_propagator(cluster, timeline, sign)
+            np.testing.assert_allclose(
+                stacks[entry, 0, k], want, rtol=0, atol=max(1e-12, 1e-14 * n)
+            )
+        reference = magnus_generator(extended(cluster), tau, int(n))
+        for got, want in zip((first[k], second[k]), reference):
+            scale = max(float(np.abs(want).max()), 1.0)
+            atol = AXIS_TOL * scale * max(1.0, n / 1000) * spread
+            np.testing.assert_allclose(got, want.astype(complex), rtol=0, atol=atol)
+
+
+def test_magnus_blocks_memory_does_not_grow_with_the_largest_count():
+    cluster = random_cluster(np.random.default_rng(9), 3)
+    counts = range(0, 200001, 20000)
+    tracemalloc.start()
+    try:
+        _magnus_stacks(cluster, [0.8], counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 BAD_BLOCKS = [

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from ddcorr.exact import (
     coherence_cluster,
     coherence_system,
     conditional_propagator,
-    herm_propagator,
 )
 from ddcorr.sequence import (
     Block,
@@ -49,42 +49,6 @@ def random_timeline(rng, max_blocks=2):
     return build_timeline(spec)
 
 
-class TestHermPropagator:
-    def test_zero_hamiltonian_gives_identity(self):
-        u = herm_propagator(np.zeros((3, 3)), 1.7)
-        np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
-
-    def test_zero_time_gives_identity(self):
-        h = np.diag([1.0, 2.0, 3.0])
-        u = herm_propagator(h, 0.0)
-        np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
-
-    def test_diagonal_hamiltonian_gives_phases(self):
-        h = np.diag([1.0, -0.5])
-        u = herm_propagator(h, 2.0)
-        np.testing.assert_allclose(
-            np.diag(u), [np.exp(-2.0j), np.exp(1.0j)], atol=1e-14
-        )
-
-    def test_rejects_non_hermitian(self):
-        h = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            herm_propagator(h, 1.0)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            herm_propagator(np.eye(2), -0.1)
-
-    @given(seed=st.integers(0, 10_000), dt=st.floats(0.0, 20.0))
-    @settings(max_examples=40, deadline=None)
-    def test_unitarity(self, seed, dt):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = a + a.conj().T
-        u = herm_propagator(h, dt)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
-
-
 class TestConditionalPropagator:
     def test_zero_coupling_signs_agree(self):
         c = new_cluster("k", [0.0, 1.3, 2.9], [(1, 0, 0.0, 0.0)])
@@ -92,7 +56,7 @@ class TestConditionalPropagator:
         up = conditional_propagator(c, tl, +1)
         down = conditional_propagator(c, tl, -1)
         np.testing.assert_allclose(up, down, atol=1e-13)
-        free = herm_propagator(np.diag(c.energies), tl.total_time)
+        free = expm(-1j * np.diag(c.energies) * tl.total_time)
         np.testing.assert_allclose(up, free, atol=1e-12)
 
     def test_rejects_bad_sign(self):

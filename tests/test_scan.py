@@ -92,6 +92,14 @@ class TestAxes:
         with pytest.raises(ValueError):
             PulseAxis(0, 4, 4)
 
+    def test_pulse_axis_counts_stop_at_2_pow_53(self):
+        assert len(PulseAxis(0, 0, 2**53, 2**52)) == 3
+        absurd = [(0, 2**53 + 2, 2**52 + 1), (0, 10**30, 10**30), (2**60, 2**61, 2)]
+        for start, stop, step in absurd:
+            message = rf"^pulse counts must be at most 2\*\*53, got {stop}$"
+            with pytest.raises(ValueError, match=message):
+                PulseAxis(0, start, stop, step)
+
 
 class TestGridSpec:
     def test_engine_whitelist(self):

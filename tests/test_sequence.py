@@ -60,6 +60,12 @@ class TestBlockAndSpec:
         with pytest.raises(ValueError):
             Block(1.0, -1)
 
+    def test_block_pulses_stop_at_2_pow_53(self):
+        assert Block(1.0, 2**53).n_pulses == 2**53
+        for n in (2**53 + 1, 2**62, 10**30, 1e30):
+            with pytest.raises(ValueError, match=r"^n_pulses must be at most 2\*\*53, got "):
+                Block(1.0, n)
+
     def test_spec_total_time(self):
         spec = SequenceSpec([Block(1.25, 4), Block(0.5, 3)])
         assert spec.total_time == pytest.approx(10.0 + 3.0)
