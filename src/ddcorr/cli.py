@@ -37,6 +37,7 @@ from .sequence import (
     Block,
     SequenceSpec,
     build_timeline,
+    check_timeline_size,
     filter_numeric,
     lint_resonance_overlap,
     resonant_tau,
@@ -521,6 +522,8 @@ def _cmd_plan(args) -> int:
 
 def _cmd_filter(args) -> int:
     scenario = parse_scenario(args.scenario)
+    with _at(f"{args.scenario}.sequence"):
+        check_timeline_size(scenario.sequence)
     timeline = build_timeline(scenario.sequence)
     f_lo = _finite(args.f_min_mhz, "--f-min-MHz")
     f_hi = _finite(args.f_max_mhz, "--f-max-MHz")

@@ -17,10 +17,16 @@ product chain at every point.  A scan is one ScanResult of columns in
 lexicographic grid order.  check_grid_size rejects a grid too large to
 scan in memory, from its point count and the cut's row count.
 
-Output costs what a scan's distinct values cost: write_csv formats each
-distinct column, and each distinct value within it, once and joins the
-rows from the formatted columns, and iterating a ScanResult builds its
-ScanRecord rows in C from columns converted to Python floats once.
+write_csv prints every cell as "%.17g" would, byte for byte, without a
+% operation per value: a numpy encoder computes the 17 significant digits
+and the decimal exponent of a block of cells at once, exactly (a
+double-double product with powers of ten from Python ints, rounded half to
+even), and lays them out as NUL-padded bytes that one bytes.translate
+compacts.  Non-finite cells, and the rare ones too close to a rounding tie
+for that arithmetic to decide, take "%.17g" % itself.  Identical columns
+are encoded once, and a column that repeats one grid axis only for that
+axis.  Iterating a ScanResult builds its ScanRecord rows in C from columns
+converted to Python floats once.
 
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
@@ -32,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +47,7 @@ import numpy as np
 # perfbench --trace 1 wraps them by name
 from .analytic import _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
-from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
+from .sequence import MAX_BYTES, MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import SystemModel
 
 _ENGINES = ("exact", "analytic", "both")
@@ -51,17 +57,16 @@ _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
 # cells and lines) and per composed row and unit of each cluster's d^2 (the
 # complex d x d block stacks and branches of one left or right row of the
-# cut); and the most a scan may need.  Per point, peak RSS of run_scan plus
-# write_csv rose by 443-666 bytes on 447 x 447 pulse grids at d = 3
-# (engines analytic, exact and both), of which write_csv's own peak is
-# 315-521 (tracemalloc; its formatted cells, one string per distinct value,
-# and the row strings of the join are alive at once).  Per row, at most
-# ~330 was measured as peak RSS on d = 2..12, on tau axes and on pulse axes
-# of step 2 and 16, whatever their largest count (block folds keep O(d^2)
-# per count).  numpy 2.4, Python 3.11, x86-64.
+# cut); the most a scan may need is sequence.MAX_BYTES.  Per point, peak
+# RSS of run_scan plus write_csv rose by 67-92 bytes on 447 x 447 pulse
+# grids at d = 3 (engines exact, analytic and both), of which write_csv's
+# own peak is 37-46 (tracemalloc; its contiguous column copies, as it
+# writes in blocks of a fixed size).  Per row, at most ~330 was measured as
+# peak RSS on d = 2..12, on tau axes and on pulse axes of step 2 and 16,
+# whatever their largest count (block folds keep O(d^2) per count).
+# numpy 2.4, Python 3.11, x86-64.
 _POINT_BYTES = 1024
 _MATRIX_BYTES = 512
-_MAX_SCAN_BYTES = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -196,11 +201,12 @@ class ScanResult:
 
         Returns a map iterator that builds each ScanRecord in C
         (tuple.__new__ over zipped columns), from columns converted to
-        Python floats once with tolist(); each call starts a fresh one.
+        Python floats once with tolist(), the coordinate tuples included;
+        each call starts a fresh one.
         """
         analytic = repeat(None) if self.analytic_L is None else self.analytic_L.tolist()
         columns = zip(
-            map(tuple, self.coords.tolist()),
+            zip(*self.coords.T.tolist()),
             repeat(self.labels),
             self.L.real.tolist(),
             self.L.imag.tolist(),
@@ -210,7 +216,7 @@ class ScanResult:
 
 
 def check_grid_size(system: SystemModel, grid: GridSpec) -> None:
-    """Raise ValueError if scanning grid would need more than _MAX_SCAN_BYTES.
+    """Raise ValueError if scanning grid would need more than MAX_BYTES.
 
     The estimate charges every point _POINT_BYTES and every row that the
     cut composes _MATRIX_BYTES per unit of each cluster's d^2.  It reads
@@ -220,10 +226,10 @@ def check_grid_size(system: SystemModel, grid: GridSpec) -> None:
     points = math.prod(len(axis) for axis in grid.axes)
     _, rows = _cut(grid)
     need = points * _POINT_BYTES + rows * _MATRIX_BYTES * sum(c.dim**2 for c in system.clusters)
-    if need > _MAX_SCAN_BYTES:
+    if need > MAX_BYTES:
         raise ValueError(
             f"grid of {points} points needs about {need / 2**30:.3g} GiB, "
-            f"over the {_MAX_SCAN_BYTES >> 30} GiB a scan may use"
+            f"over the {MAX_BYTES >> 30} GiB a scan may use"
         )
 
 
@@ -274,9 +280,10 @@ def run_scan(
 
 def _points(axes) -> np.ndarray:
     """(P, k) float coordinates of the axes' grid in lexicographic order."""
-    rows, k = math.prod(map(len, axes)), len(axes)
-    values = chain.from_iterable(product(*(axis.values() for axis in axes)))
-    return np.fromiter(values, float, count=rows * k).reshape(rows, k)
+    if not axes:
+        return np.empty((1, 0))
+    values = [np.array(axis.values(), float) for axis in axes]
+    return np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _cut(grid: GridSpec) -> tuple[int, int]:
@@ -343,30 +350,287 @@ def classify_correlation(measured_min: float, d: int) -> str:
 def write_csv(result: ScanResult, path) -> None:
     """Write a scan as `# ddcorr-scan v1` CSV, full precision, LF endings.
 
-    Every cell is its float formatted with "%.17g".  Each distinct column,
-    and each distinct value within a column, is formatted once: both are
-    keyed on their float64 bits, so -0.0 and 0.0 stay apart.  A column's
-    distinct values (np.unique) are formatted by one % operation and taken
-    back to its rows by the inverse index, and the rows are joined from the
-    formatted columns.  So under the analytic engine analytic_L reuses
-    re_L's cells and im_L is one formatted +0.0.
+    Every cell is its float formatted with "%.17g", byte for byte, but the
+    digits come from numpy arithmetic on many cells at once (_encode_cells)
+    instead of one % operation per value.  Each distinct column is encoded
+    once, compared on its float64 bits (so -0.0 and 0.0 stay apart), and a
+    column that varies along one grid axis only (every coordinate column of
+    a grid of 2 or 3 axes, a constant im_L) only for that axis's values:
+    under the analytic engine analytic_L reuses re_L's cells, and re_L is
+    the one column encoded cell by cell.  Rows go out in blocks of
+    _CSV_ROWS: a block's cells are NUL-padded uint32 lanes laid out row by
+    row, with a comma in the spare first byte of every cell but a row's
+    first, and one bytes.translate drops the NULs before it is written.
     """
     extra = [] if result.analytic_L is None else [result.analytic_L]
     header = [*result.labels, "re_L", "im_L"] + ["analytic_L"] * len(extra)
-    formatted = {}
-    cells = []
-    for column in (*result.coords.T, result.L.real, result.L.imag, *extra):
-        bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
-        key = bits.tobytes()
-        if key not in formatted:
-            distinct, inverse = np.unique(bits, return_inverse=True)
-            text = ("%.17g\n" * len(distinct) % tuple(distinct.view(float).tolist())).split("\n")
-            formatted[key] = np.array(text, dtype=object)[inverse].tolist()
-        cells.append(formatted[key])
-    rows = map(",".join, zip(*cells))
-    data = "\n".join(chain(["# ddcorr-scan v1", ",".join(header)], rows, [""]))
+    columns = [
+        np.ascontiguousarray(c, dtype=float)
+        for c in (*result.coords.T, result.L.real, result.L.imag, *extra)
+    ]
+    shape, points = result.shape, len(result)
+    tables, powers = _csv_tables(), {}
+    # source[c] is the first column with c's bits; the distinct ones either
+    # repeat one line of a grid axis (lines, as (stride, length)) or vary
+    source, lines, varying = [], {}, []
+    for c, column in enumerate(columns):
+        bits = column.view(np.uint64)
+        same = (d for d in [*lines, *varying] if np.array_equal(bits, columns[d].view(np.uint64)))
+        source.append(next(same, c))
+        if source[c] == c:
+            axis = _grid_axis(bits, shape)
+            if axis is None:
+                varying.append(c)
+            else:
+                lines[c] = (math.prod(shape[axis + 1 :]), shape[axis])
+    values = [columns[c][: n * stride : stride] for c, (stride, n) in lines.items()]
+    if values:
+        cut = np.cumsum([len(v) for v in values])[:-1]
+        split = np.split(_encode_blocks(np.concatenate(values), tables, powers), cut, axis=1)
+        lines = {c: (*lines[c], _nonzero_lanes(lanes)) for c, lanes in zip(lines, split)}
+    step = _CSV_CELLS // max(1, len(varying))
     with open(path, "wb") as fh:
-        fh.write(data.encode("ascii"))
+        fh.write(("# ddcorr-scan v1\n" + ",".join(header) + "\n").encode("ascii"))
+        for first in range(0, points, step):
+            end = min(first + step, points)
+            if varying:
+                x = np.concatenate([columns[c][first:end] for c in varying])
+                encoded = _encode_cells(x, tables, powers).reshape(_LANES, len(varying), -1)
+            for start in range(first, end, _CSV_ROWS):
+                rows = np.arange(start, min(start + _CSV_ROWS, end))
+                span = slice(start - first, start - first + len(rows))
+                cells = {
+                    c: lanes.take(rows // stride % n, axis=1)
+                    for c, (stride, n, lanes) in lines.items()
+                }
+                for k, c in enumerate(varying):
+                    cells[c] = _nonzero_lanes(encoded[:, k, span])
+                newline = np.full((1, len(rows)), ord("\n"), np.uint32)
+                parts = [cells[c] for c in source] + [newline]
+                text = np.concatenate(parts)
+                text[np.cumsum([len(part) for part in parts[:-2]])] |= ord(",")
+                fh.write(text.T.tobytes().translate(None, b"\0"))
+
+
+# Cells that write_csv encodes at once, and rows that it writes at once.
+# Per-operation overhead favours large blocks, but most scratch arrays of
+# a block must stay under the allocator's 128 KiB mmap threshold to be
+# reused: larger ones fault in fresh pages every time, which cost about 2
+# of the 3.5 ms that encoding one 11303-cell column took in one call.
+_CSV_CELLS = 4096
+_CSV_ROWS = 1024
+# uint32 lanes of an encoded cell: a spare byte, the sign, "0." and zeros
+# and the integer digits (5); the point and the fraction digits (5); and
+# "e+XXX" (2).
+_LANES = 12
+# a digit remainder this close to 1/2 may be a rounding tie, which
+# "%.17g" % decides
+_TIE = 2.0**-30
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double in halves
+# offset of the decimal exponents (-324..308) in the encoder's tables
+_X0 = 330
+
+
+def _grid_axis(bits, shape):
+    """The first axis k, shorter than the grid, along which alone bits (a
+    column in grid order) varies; else None."""
+    grid = bits.reshape(shape)
+    for k in range(len(shape)):
+        line = grid[tuple(slice(None) if j == k else slice(0, 1) for j in range(len(shape)))]
+        if shape[k] < len(bits) and (grid == line).all():
+            return k
+    return None
+
+
+def _encode_blocks(x, tables, powers: dict) -> np.ndarray:
+    """_encode_cells of x, _CSV_CELLS cells at a time."""
+    blocks = range(0, len(x), _CSV_CELLS)
+    return np.concatenate(
+        [_encode_cells(x[b : b + _CSV_CELLS], tables, powers) for b in blocks], axis=1
+    )
+
+
+def _nonzero_lanes(lanes):
+    return lanes[lanes.any(axis=1)]
+
+
+def _csv_tables():
+    """The encoder's small tables, built per write_csv call.
+
+    digits4[k] and zeros4[k]: the uint32 lane of the 4 ASCII digits of
+    k < 10**4 and the count of its trailing zero digits.  lead[d]: the first
+    digit lane for leading digit d, with the point in the byte before it.
+    Indexed by decimal exponent X + _X0: whole[.], the digits before the
+    point (X + 1 in fixed point, none after "0.", one before "e"), and
+    head[:, . + 2 _X0 s], the first two lanes for sign s (0 or 1) with "0."
+    and its zeros.  The digit lanes hold digit j at byte j + 3;
+    keep_whole[:, w] keeps digits j < w, and keep_frac[:, 18 w + k] digits
+    w <= j < k and the point when w > 0 digits precede it and some follow.
+    """
+    d = np.arange(10)
+    ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):
+        ascii4[..., k] = (d + ord("0")).reshape((10,) + (1,) * (3 - k))
+    z = (d == 0).astype(np.uint8)
+    zeros4 = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    lead = ((d + ord("0")) << 24 | ord(".") << 16).astype(np.uint32)
+    X = np.arange(-_X0, _X0)
+    whole = np.where((X < -4) | (X > 16), 1, np.maximum(X + 1, 0))
+    head = np.zeros((2, 2, 2 * _X0), np.uint32)
+    zeros = b"".join((b"\0\0" + b"0.000"[: 6 - k]).ljust(8, b"\0") for k in range(1, 5))
+    head[:, :, _X0 - 4 : _X0] = np.frombuffer(zeros, np.uint32).reshape(-1, 2).T
+    head[1, 0] |= ord("-") << 8
+    j = np.arange(20) - 3
+    w = np.arange(18)[:, None, None]
+    k = np.arange(18)[:, None]
+
+    def lanes(mask):
+        return (mask * np.uint8(255)).view(np.uint32).reshape(-1, 5).T
+
+    return (
+        ascii4.view(np.uint32).ravel(),
+        zeros4.ravel(),
+        lead,
+        whole,
+        head.transpose(1, 0, 2).reshape(2, -1),
+        lanes((j >= 0) & (j < k)),
+        lanes((j >= w) & (j < k) | (j == -1) & (k > w) & (w > 0)),
+    )
+
+
+def _power(X: int) -> tuple[float, ...]:
+    """(up, down, hi, head, tail, lo) for decimal exponent X: up * down =
+    2**e, and hi + lo equals 10**(16 - X) / 2**e to a relative 2**-105,
+    with 1/2 < hi < 2.
+
+    hi is the double nearest to the scaled power and head + tail its
+    Veltkamp split into 26-bit halves, so that products with them are
+    exact; lo is the double nearest to the remainder.  Python ints make
+    every step exact, and neither up nor down leaves the normal range.
+    """
+    q = 16 - X
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    e = num.bit_length() - den.bit_length()
+    num, den = (num, den << e) if e >= 0 else (num << -e, den)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    lo = (num * d - n * den) / (den * d)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    return 2.0 ** (e // 2), 2.0 ** (e - e // 2), hi, head, hi - head, lo
+
+
+def _scaled(a, X, powers: dict):
+    """a * 10**(16 - X) for positive finite a, as p + r.
+
+    p is integer-valued from 2**53 on, and p + r is within 2**-45 of the
+    exact product below 2**57.  The powers come from _power, memoised in
+    powers for each exponent in X's range.  A = a * 2**e is exact, and
+    A * hi is exact as p plus Dekker's error term, so the error is that of
+    A * lo and of the final sums.
+    """
+    low, high = int(X.min()), int(X.max())
+    for k in range(low, high + 1):
+        if k not in powers:
+            powers[k] = _power(k)
+    table = np.array([powers[k] for k in range(low, high + 1)]).T.copy()
+    up, down, hi, head, tail, lo = (column.take(X - low) for column in table)
+    A = a * up * down
+    p = A * hi
+    c = A * _SPLIT
+    Ah = c - (c - A)
+    Al = A - Ah
+    err = ((Ah * head - p) + Ah * tail + Al * head) + Al * tail
+    return p, err + A * lo
+
+
+def _outside(p, r):
+    """Where p + r is not in [1e16 - 0.04, 1e17): the exponent estimate missed."""
+    return ((p - 1e16) + r < -0.04) | ((p - 1e17) + r >= 0)
+
+
+def _encode_cells(x, tables, powers: dict) -> np.ndarray:
+    """The bytes of "%.17g" % v for every v in x, as (_LANES, len(x)) uint32
+    lanes: cell i is lanes[:, i] read as bytes with the NULs dropped.  The
+    first byte of every cell is a NUL left for write_csv's separator.
+
+    For each finite nonzero |v|, X is the decimal exponent and D the 17
+    significant digits, both after rounding: the scaled value y =
+    |v| * 10**(16 - X) lies in [1e16, 1e17), and D is y rounded half to
+    even.  X starts as floor(log10|v|); where y falls outside that decade
+    (log10 rounded across a power of ten) X moves by one and y is scaled
+    again.  y is computed to within 2**-45 (_scaled), so a remainder within
+    _TIE of 1/2, or a second miss, could round either way: those cells, and
+    NaN and infinities, take "%.17g" % itself.  A y within 0.04 below 1e16
+    rounds up to 1e16 exactly as 10 y would round to 1e17, and a D of 1e17
+    carries into the exponent, so neither decade boundary needs more.
+
+    The layout is %g's: fixed point for -4 <= X < 17, with X + 1 integer
+    digits (or "0." and -X - 1 zeros when X < 0), and else one digit, the
+    point and "e" with a signed exponent of at least two digits; trailing
+    zeros of the fraction go, and the point with them.  Zeros keep their
+    sign ("-0").
+    """
+    digits4, zeros4, lead, whole_of, head, keep_whole, keep_frac = tables
+    neg = np.signbit(x)
+    a = np.abs(x)
+    fallback = ~np.isfinite(a)
+    zero = a == 0
+    a[fallback | zero] = 1.0
+    X = np.floor(np.log10(a)).astype(np.int64)
+    p, r = _scaled(a, X, powers)
+    # |r| < 64, so only these can be outside [1e16 - 0.04, 1e17)
+    near = np.flatnonzero((p < 1e16 + 64) | (p > 1e17 - 64))
+    miss = near[_outside(p[near], r[near])] if near.size else near
+    if miss.size:
+        X[miss] += np.where(p[miss] > 5e16, 1, -1)
+        p[miss], r[miss] = _scaled(a[miss], X[miss], powers)
+        fallback[miss] |= _outside(p[miss], r[miss])
+    t = r + 0.5
+    rounded = np.floor(t)
+    fallback |= np.abs(t - rounded - 0.5) > 0.5 - _TIE
+    D = p.astype(np.int64) + rounded.astype(np.int64)
+    if D.max() == 10**17:
+        carry = D == 10**17
+        D[carry] = 10**16
+        X += carry
+
+    # the leading digit and four lanes of four digits; zeros print "0"
+    high = D // 10**8
+    low = (D - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    first = high // 10**8
+    upper = high // 10**4
+    lower = low // 10**4
+    quads = np.stack(
+        [upper - first * 10**4, high - upper * 10**4, lower, low - lower * 10**4]
+    )
+    lanes = np.empty((5, len(x)), np.uint32)
+    lanes[0] = lead.take(first - zero)
+    digits4.take(quads, out=lanes[1:])
+    tz = zeros4.take(quads)
+    z = quads == 0
+    trailing = tz[3] + z[3] * (tz[2] + z[2] * (tz[1] + z[1] * tz[0]))
+
+    row = X + _X0
+    whole = whole_of.take(row)
+    out = np.empty((_LANES, len(x)), np.uint32)
+    np.bitwise_and(lanes, keep_whole.take(whole, axis=1), out=out[:5])
+    out[:2] |= head.take(row + 2 * _X0 * neg, axis=1)
+    kept = np.maximum(17 - trailing, whole)
+    np.bitwise_and(lanes, keep_frac.take(18 * whole + kept, axis=1), out=out[5:10])
+    out[10:] = 0
+    if X.min() < -4 or X.max() > 16:
+        e = np.flatnonzero((X < -4) | (X > 16))
+        Xe = X[e]
+        text = b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(Xe.min(), Xe.max() + 1))
+        out[10:, e] = np.frombuffer(text, np.uint32).reshape(-1, 2)[Xe - Xe.min()].T
+    odd = np.flatnonzero(fallback)
+    if odd.size:
+        text = ("\0%.17g\n" * odd.size % tuple(x[odd].tolist())).split("\n")[:-1]
+        out[:, odd] = 0
+        out[:7, odd] = np.array(text, dtype="S28").view(np.uint32).reshape(-1, 7).T
+    return out
 
 
 def write_heatmap(result: ScanResult, path) -> None:

@@ -40,6 +40,14 @@ _RESONANCE_RESIDUAL = 0.05
 # Larger pulse counts do not survive float64 (coordinates, 2*N*tau) exactly.
 MAX_PULSES = 2**53
 
+# The most memory a scan or a filter profile may need, and the bytes that
+# build_timeline plus filter_numeric need per pulse: one flip time as a
+# Python float in a list and in two arrays, and the complex phase, sign and
+# difference arrays of its segment.  Peak RSS rose by about 150 bytes a
+# pulse filtering 1.5e6 pulses at 5 frequencies (numpy 2.4, Python 3.11).
+MAX_BYTES = 4 << 30
+_PULSE_BYTES = 256
+
 
 @dataclass(frozen=True)
 class Block:
@@ -125,6 +133,18 @@ class FilterResult:
 
     magnitude: float
     phase: float
+
+
+def check_timeline_size(spec: SequenceSpec) -> None:
+    """Raise ValueError if the timeline of spec, one flip per pulse, would
+    need more than MAX_BYTES to build and filter."""
+    pulses = sum(block.n_pulses for block in spec.blocks)
+    need = pulses * _PULSE_BYTES
+    if need > MAX_BYTES:
+        raise ValueError(
+            f"{pulses} pulses need about {need / 2**30:.3g} GiB as a timeline, "
+            f"over the {MAX_BYTES >> 30} GiB a filter profile may use"
+        )
 
 
 def build_timeline(spec: SequenceSpec) -> PulseTimeline:

@@ -694,7 +694,7 @@ class TestDispatchBasics:
         def build(*axes):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(scan_module, "product", build)
+        monkeypatch.setattr(scan_module, "_points", build)
         assert dispatch(["scan", path, "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}.grid: grid of 4500045 points needs about 5.05 GiB, "
@@ -1136,6 +1136,22 @@ class TestFilterCommand:
             ["filter", path, "--f-min-MHz", "0.4", "--f-max-MHz", "0.1"]
         )
         assert code == 2
+
+    def test_rejects_a_timeline_too_large_to_build(self, tmp_path, capsys):
+        # one flip per pulse: 10**9 pulses would need about 238 GiB
+        payload = tau_scan_scenario()
+        payload["sequence"][0]["n_pulses"] = 10**9
+        path = write_scenario(tmp_path, payload)
+        out_csv = tmp_path / "filter.csv"
+        argv = ["filter", path, "--f-min-MHz", "0.1", "--f-max-MHz", "0.3"]
+        assert dispatch([*argv, "--steps", "3", "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}.sequence: 1000000000 pulses need about 238 GiB as a "
+            "timeline, over the 4 GiB a filter profile may use\n"
+        )
+        assert not out_csv.exists()
 
 
 class TestLintCommand:

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -255,7 +258,7 @@ class TestRunScan:
         def build(*axes):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(scan_module, "product", build)
+        monkeypatch.setattr(scan_module, "_points", build)
         with pytest.raises(ValueError, match="grid of 45000000045 points needs about"):
             run_scan(system, spec, grid)
 
@@ -527,6 +530,107 @@ class TestWriteCsv:
         path = tmp_path_factory.mktemp("csv") / "scan.csv"
         write_csv(result, path)
         assert path.read_bytes() == one_format_csv(result)
+
+
+def assert_same_csv(data: bytes, want: bytes):
+    """Byte equality, reported as the first differing line."""
+    if data != want:
+        lines = enumerate(zip(data.split(b"\n"), want.split(b"\n")))
+        i, (got, line) = next((i, pair) for i, pair in lines if pair[0] != pair[1])
+        pytest.fail(f"line {i + 1}: wrote {got!r}, %.17g gives {line!r}")
+
+
+def probe_values(rng) -> np.ndarray:
+    """Over 10**6 floats that probe every branch of "%.17g"."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tens_up = np.nextafter(tens, np.inf)
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17]).view(np.uint64)
+    finite_max = np.finfo(float).max
+    families = [
+        # every exponent, subnormals, NaN payloads and infinities
+        rng.integers(0, 2**64, 600_000, dtype=np.uint64, endpoint=False).view(float),
+        # powers of ten and their neighbours; those from 1e17 up are not
+        # exact and scale to within an ulp of a decade boundary
+        *(s * v for s in (1, -1) for v in (tens, np.nextafter(tens, 0), tens_up)),
+        # j / 2**17 in [1, 2.53): every odd j ties at the 17th digit
+        np.arange(2**17, 2**17 + 200_000) / 2.0**17,
+        rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(float),
+        np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, finite_max, -finite_max]),
+        np.array([math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf]),
+        rng.integers(0, 2**60, 100_000).astype(float),
+        np.concatenate([2.0 ** np.arange(61) + d for d in (-1, 0, 1)]),
+        # 64 ulps either side of where %g switches between fixed and e
+        (switches[:, None] + np.arange(-64, 65)).ravel().view(float),
+        rng.uniform(-1, 1, 100_000),
+        rng.uniform(1e-22, 1e-17, 20_000),
+    ]
+    return np.concatenate(families)
+
+
+class TestEncoderExactness:
+    """write_csv's numpy encoder against one "%.17g" pass, with no mismatch."""
+
+    def test_a_million_probe_values(self, tmp_path):
+        values = probe_values(np.random.default_rng(14))
+        assert len(values) >= 10**6
+        path = tmp_path / "probe.csv"
+        # one-axis scans encode their columns block by block
+        for chunk in np.array_split(values, 4):
+            L = np.zeros(len(chunk), complex)
+            result = ScanResult(("x",), (len(chunk),), chunk[:, None], L)
+            write_csv(result, path)
+            assert_same_csv(path.read_bytes(), one_format_csv(result))
+
+    def test_axis_lines(self, tmp_path):
+        # a grid's coordinate columns and a constant column are encoded as
+        # one line of an axis each
+        values = probe_values(np.random.default_rng(15))[::2000]
+        n = len(values) // 2
+        coords = np.stack(np.meshgrid(values[:n], values[n : 2 * n], indexing="ij"), -1)
+        L = np.full(n * n, -0.0, complex)
+        result = ScanResult(("x", "y"), (n, n), coords.reshape(-1, 2), L, coords[..., 0].ravel())
+        path = tmp_path / "lines.csv"
+        write_csv(result, path)
+        assert_same_csv(path.read_bytes(), one_format_csv(result))
+
+    @pytest.mark.parametrize("engine", ["exact", "analytic", "both"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            *sorted((REPO / "scenarios").glob("*.json")),
+            *sorted((REPO / "perfbench" / "scenarios").glob("*-half.json")),
+        ],
+        ids=lambda path: path.stem,
+    )
+    def test_shipped_scans(self, tmp_path, scenario, engine):
+        parsed = parse_scenario(scenario)
+        grid = dataclasses.replace(parsed.grid, engine=engine)
+        result = run_scan(parsed.system, parsed.sequence, grid)
+        path = tmp_path / "scan.csv"
+        write_csv(result, path)
+        assert_same_csv(path.read_bytes(), one_format_csv(result))
+
+    def test_scan_output_imports_no_module(self, tmp_path):
+        # numpy functions can import their submodules on first use (np.unique
+        # without return_* imports numpy.ma): a cold start would pay for it
+        scenario = REPO / "scenarios" / "correlated-ladder-cell.json"
+        code = (
+            "import sys\n"
+            "from ddcorr.cli import parse_scenario\n"
+            "from ddcorr.scan import run_scan, write_csv, write_heatmap\n"
+            f"scenario = parse_scenario({str(scenario)!r})\n"
+            "before = set(sys.modules)\n"
+            "result = run_scan(scenario.system, scenario.sequence, scenario.grid)\n"
+            f"write_csv(result, {str(tmp_path / 'scan.csv')!r})\n"
+            f"write_heatmap(result, {str(tmp_path / 'scan.pgm')!r})\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
 
 class TestWriteHeatmap:

@@ -10,6 +10,7 @@ from ddcorr.sequence import (
     PulseTimeline,
     SequenceSpec,
     build_timeline,
+    check_timeline_size,
     filter_cpmg_closed,
     filter_multiblock,
     filter_numeric,
@@ -105,6 +106,14 @@ class TestBuildTimeline:
             PulseTimeline(flip_times=np.array([1.0, 1.0]), total_time=3.0)
         with pytest.raises(ValueError):
             PulseTimeline(flip_times=np.array([1.0, 4.0]), total_time=3.0)
+
+
+class TestTimelineSize:
+    def test_pulse_budget_is_four_gib_at_256_bytes_a_pulse(self):
+        # 2**24 pulses over two blocks fit; one more does not; none is built
+        check_timeline_size(SequenceSpec([Block(1.0, 2**23), Block(0.5, 2**23)]))
+        with pytest.raises(ValueError, match="^16777217 pulses need about 4 GiB as a timeline"):
+            check_timeline_size(SequenceSpec([Block(1.0, 2**23), Block(0.5, 2**23 + 1)]))
 
 
 class TestModulation:
