@@ -474,10 +474,12 @@ def _cmd_plan(args) -> int:
         if scenario.plan_inputs is None:
             raise ScenarioError(f"{args.scenario}: no 'plan' section")
         inputs = dict(scenario.plan_inputs)
+    if (args.alpha0 is None) != (args.alpha1 is None):
+        raise ScenarioError("--alpha0 and --alpha1 must be given together")
     if args.fidelity is not None:
         inputs["fidelity"] = _finite(args.fidelity, "--F")
         flags["fidelity"] = "--F"
-    elif args.alpha0 is not None and args.alpha1 is not None:
+    elif args.alpha0 is not None:
         alphas = _finite(args.alpha0, "--alpha0"), _finite(args.alpha1, "--alpha1")
         with _at("--alpha0/--alpha1"):
             inputs["fidelity"] = readout_fidelity(*alphas)

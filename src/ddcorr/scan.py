@@ -191,13 +191,8 @@ class ScanResult:
     def __len__(self) -> int:
         return len(self.L)
 
-    def __getitem__(self, i: int) -> ScanRecord:
-        L = complex(self.L[i])
-        analytic = None if self.analytic_L is None else float(self.analytic_L[i])
-        return ScanRecord(tuple(self.coords[i].tolist()), self.labels, L.real, L.imag, analytic)
-
     def __iter__(self):
-        """The rows of __getitem__, in grid order.
+        """The rows as ScanRecords, in grid order.
 
         Returns a map iterator that builds each ScanRecord in C
         (tuple.__new__ over zipped columns), from columns converted to

@@ -10,24 +10,22 @@ measures how strongly the sequence's modulation function f (the +-1 square
 wave toggling at each flip) picks up noise at omega; a block is resonant with
 a transition when 2*tau = pi*(2c - 1)/omega, where F reaches 2N.
 
-All filter integrals here are evaluated from exact per-segment antiderivatives
-of e^{i omega t}, never by quadrature.  Filter phases are measured with t = 0
-at the start of the whole timeline.
+Filter integrals are exact, never quadrature: one closed form per CPMG
+block, O(1) in N, and, as their reference, filter_numeric's per-segment
+antiderivatives of e^{i omega t} over a compiled timeline.  Filter phases
+are measured with t = 0 at the start of the whole timeline.
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin_model import all_transitions
-
-# |cos(omega*t/(2N))| below this, the closed-form CPMG filter is evaluated
-# through the generic segment sum instead (removable 0/0 point).
-_CLOSED_FORM_SINGULAR_TOL = 1e-6
 
 # Fraction of the on-resonance value 2N at which an off-target transition
 # counts as contaminating a block.
@@ -205,51 +203,51 @@ def filter_numeric(timeline: PulseTimeline, omega: float) -> FilterResult:
     return FilterResult(float(abs(z)), float(np.angle(z)) if z != 0 else 0.0)
 
 
+def _block_integral(n_pulses: int, tau: float, omega: float) -> complex:
+    """omega * integral f(t) e^{i omega t} dt over one CPMG block, from its start.
+
+    Cell p of length 2*tau adds (-u^2)^p times cell 0's i(1 - u)^2, with
+    u = e^{i omega tau}: a geometric sum e^{i(N-1)h} sin(Nh)/sin(h), where
+    h = omega*tau + pi/2 mod pi and the kernel is exactly N at h == 0.
+    """
+    u = cmath.exp(1j * omega * tau)
+    h = math.remainder(omega * tau + math.pi / 2.0, math.pi)
+    kernel = n_pulses if h == 0 else math.sin(n_pulses * h) / math.sin(h)
+    return 1j * (1.0 - u) ** 2 * cmath.exp(1j * (n_pulses - 1) * h) * kernel
+
+
 def filter_cpmg_closed(n_pulses: int, tau: float, omega: float) -> float:
     """Closed-form CPMG-N filter magnitude at the block's full duration 2*N*tau.
 
-    Uses the parity-split product form; at the removable 0/0 points (where
-    cos(omega*tau) vanishes, e.g. on resonance) it falls back to the exact
-    segment sum, which has the finite limit 2N there.
+    One expression, O(1) in N and 2N at every resonance; filter_numeric of
+    the block's timeline is its reference.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    if tau <= 0 or omega <= 0:
-        raise ValueError("tau and omega must be > 0")
-    t = 2.0 * n_pulses * tau
-    half_angle = omega * t / (2.0 * n_pulses)  # = omega * tau
-    if abs(np.cos(half_angle)) < _CLOSED_FORM_SINGULAR_TOL:
-        block = build_timeline(SequenceSpec((Block(tau, n_pulses),)))
-        return filter_numeric(block, omega).magnitude
-    envelope = 4.0 * np.sin(omega * t / (4.0 * n_pulses)) ** 2
-    if n_pulses % 2:
-        comb = np.cos(omega * t / 2.0)
-    else:
-        comb = np.sin(omega * t / 2.0)
-    return float(envelope * abs(comb / np.cos(half_angle)))
+    for name, value in (("tau", tau), ("omega", omega)):
+        if not 0 < value < math.inf:  # negated so that NaN fails too
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return abs(_block_integral(n_pulses, tau, omega))
 
 
 def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
     """Coherent per-block composition of the sequence filter.
 
-    Each block contributes its own filter amplitude rotated by the phase
-    accumulated up to the block start, and sign-flipped when an odd number
-    of pulses precede it; the result equals filter_numeric of the compiled
-    timeline.
+    Each block contributes its closed-form integral, O(1) in its pulse
+    count, rotated by the phase accumulated up to the block start and
+    sign-flipped when an odd number of pulses precede it; the result equals
+    filter_numeric of the compiled timeline.
     """
-    if omega == 0:
-        raise ValueError("filter undefined at omega = 0")
+    if not (math.isfinite(omega) and omega != 0):  # negated so that NaN fails too
+        raise ValueError(f"omega must be finite and nonzero, got {omega}")
     z = 0.0 + 0.0j
     start = 0.0
     sign = 1.0
     for block in spec.blocks:
-        if block.n_pulses:
-            local_flips = (2 * np.arange(1, block.n_pulses + 1) - 1) * block.tau
-            z_block = _filter_integral(local_flips, block.duration, omega)
-            z += sign * np.exp(1j * omega * start) * z_block
+        z += sign * cmath.exp(1j * omega * start) * _block_integral(block.n_pulses, block.tau, omega)
         start += block.duration
         sign *= (-1) ** block.n_pulses
-    return FilterResult(float(abs(z)), float(np.angle(z)) if z != 0 else 0.0)
+    return FilterResult(abs(z), cmath.phase(z) if z != 0 else 0.0)
 
 
 def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:

@@ -683,6 +683,25 @@ class TestDispatchBasics:
             "over the 4 GiB a scan may use\n"
         )
 
+    def test_validate_and_lint_a_billion_pulse_block_in_constant_memory(self, tmp_path):
+        payload = {
+            "clusters": [{"preset": "star", "freqs_MHz": [0.2, 0.6], "couplings_kHz": [5.0, 5.0]}],
+            "sequence": [{"tau_us": 1.25, "n_pulses": 1_000_000_000}],
+        }
+        path = write_scenario(tmp_path, payload)
+        # a timeline of 1e9 flips cannot fit under a 1 GiB cap: the filter
+        # is the closed form, O(1) in the pulse count
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ddcorr.cli import dispatch\n"
+            f"sys.exit(dispatch(['validate', {path!r}]) or dispatch(['lint', {path!r}]))\n"
+        )
+        result = run_python(["-c", code])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert "F = 2e+09 (100% of 2N)" in result.stdout
+
     def test_scan_rejects_an_oversize_grid_before_building_it(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -935,6 +954,20 @@ class TestPlanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --deltas and --freqs-MHz must be given together\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--F", "0.03", "--alpha0", "5", "--snr", "10", "--delta-omega-kHz", "5,5"],
+            [str(REPO / "scenarios" / "spin-one-tau-map.json"), "--alpha0", "5"],
+        ],
+        ids=["flags", "scenario"],
+    )
+    def test_alpha0_and_alpha1_go_together(self, capsys, argv):
+        assert dispatch(["plan", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --alpha0 and --alpha1 must be given together\n"
 
     def test_deltas_and_freqs_replace_scenario_products(self, tmp_path, capsys):
         payload = correlated_2d_scenario()

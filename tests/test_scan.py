@@ -213,7 +213,7 @@ class TestRunScan:
             (4.0, 0.0),
             (4.0, 2.0),
         ]
-        assert records[0].labels == ("n1", "n2")
+        assert next(iter(records)).labels == ("n1", "n2")
 
     def test_analytic_engine_fills_both_fields(self):
         system, spec, deltas = fig_two_transition_system()
@@ -292,7 +292,7 @@ class TestRunScan:
         assert [r.im_L for r in serial] == [r.im_L for r in pooled]
 
     def test_rows_view_the_columns(self):
-        # the row uses callers rely on: len, indexing, iteration and min by re_L
+        # the row uses callers rely on: len, iteration and min by re_L
         system, spec, deltas = fig_two_transition_system()
         model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
         axes = (PulseAxis(0, 0, 8, 2), PulseAxis(1, 0, 6, 2))
@@ -304,9 +304,9 @@ class TestRunScan:
         assert [r.coords for r in rows] == [
             (float(a), float(b)) for a, b in product(*(axis.values() for axis in axes))
         ]
-        for i, row in enumerate(rows):
+        for i, (row, again) in enumerate(zip(rows, result)):
             assert type(row) is ScanRecord and type(row.coords) is tuple
-            assert row == result[i]
+            assert row == again
             assert row == ScanRecord(
                 tuple(result.coords[i]),
                 ("n1", "n2"),
@@ -316,7 +316,7 @@ class TestRunScan:
             )
             assert all(type(v) is float for v in (*row.coords, row.re_L, row.im_L, row.analytic_L))
         best = min(result, key=lambda r: r.re_L)
-        assert best == result[int(np.argmin(result.L.real))]
+        assert best == rows[int(np.argmin(result.L.real))]
         # every iter() starts over, independent of the ones before it
         first, second = iter(result), iter(result)
         assert first is not second
@@ -329,9 +329,9 @@ class TestRunScan:
         assert exact.analytic_L is None
         rows = list(exact)
         assert len(rows) == 20
-        for i, row in enumerate(rows):
+        for i, (row, again) in enumerate(zip(rows, exact)):
             assert type(row) is ScanRecord and type(row.coords) is tuple
-            assert row == exact[i]
+            assert row == again
             assert row == ScanRecord(
                 tuple(exact.coords[i]), ("n1", "n2"), exact.L[i].real, exact.L[i].imag
             )

@@ -208,15 +208,13 @@ class TestFilterClosedForm:
         tau = 0.9
         for x in np.linspace(0.05, 4.0 * np.pi, 160):
             omega = x / tau
-            if abs(np.cos(omega * tau)) < 1e-6:
-                continue
             closed = filter_cpmg_closed(n_pulses, tau, omega)
             numeric = filter_numeric(
                 build_timeline(SequenceSpec([Block(tau, n_pulses)])), omega
             )
             assert closed == pytest.approx(numeric.magnitude, abs=1e-9)
 
-    def test_singular_point_falls_back(self):
+    def test_resonance_matches_numeric_without_a_second_path(self):
         tau = 0.9
         omega = (np.pi / 2.0) / tau
         closed = filter_cpmg_closed(4, tau, omega)
@@ -224,6 +222,21 @@ class TestFilterClosedForm:
             build_timeline(SequenceSpec([Block(tau, 4)])), omega
         )
         assert closed == pytest.approx(numeric.magnitude, abs=1e-9)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("n_pulses", [1, 63, 10**9, 2**53])
+    def test_resonance_reaches_2n_at_any_pulse_count(self, order, n_pulses):
+        om = TWO_PI * 0.2
+        closed = filter_cpmg_closed(n_pulses, resonant_tau(om, order), om)
+        assert closed == pytest.approx(2 * n_pulses, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "tau,omega,name",
+        [(np.nan, 1.0, "tau"), (np.inf, 1.0, "tau"), (1.0, np.nan, "omega"), (1.0, np.inf, "omega")],
+    )
+    def test_rejects_non_finite_tau_or_omega(self, tau, omega, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
+            filter_cpmg_closed(5, tau, omega)
 
 
 class TestFilterMultiblock:
@@ -243,6 +256,11 @@ class TestFilterMultiblock:
         za = block_wise.magnitude * np.exp(1j * block_wise.phase)
         zb = whole.magnitude * np.exp(1j * whole.phase)
         assert abs(za - zb) < 1e-10
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_non_finite_or_zero_omega(self, omega):
+        with pytest.raises(ValueError, match="^omega must be finite and nonzero, got "):
+            filter_multiblock(SequenceSpec([Block(1.1, 5)]), omega)
 
     def test_single_block_reduces_to_numeric(self):
         spec = SequenceSpec([Block(1.1, 5)])
