@@ -4,141 +4,9 @@ Simulates the coherence of a two-level sensor spin running 1D/2D/3D CPMG
 sequences against d-level target clusters, evaluates the matching
 closed-form dip expressions and filter functions, classifies transition
 correlations from measured dip minima, and budgets measurement time.
+
+The API lives in the submodules (analytic, cli, exact, planner, scan,
+sequence, spin_model); the package itself defines only __version__.
 """
 
-from .analytic import (
-    TOPOLOGIES,
-    AnalyticModel,
-    Topology,
-    dip_1d,
-    dip_trace_2d,
-    dip_trace_3d,
-    magnus_axis,
-    magnus_coherence,
-    magnus_generator,
-    magnus_rotation,
-    minima,
-    pulse_period,
-)
-from .cli import Scenario, ScenarioError, dispatch, parse_scenario
-from .exact import (
-    coherence_cluster,
-    coherence_system,
-    conditional_propagator,
-)
-from .planner import (
-    BudgetOverflow,
-    PlanReport,
-    ReadoutModel,
-    dip_time,
-    plan,
-    point_time,
-    readout_fidelity,
-    shots_for_snr,
-    sweep_time,
-)
-from .scan import (
-    GridSpec,
-    PulseAxis,
-    ScanRecord,
-    ScanResult,
-    TauAxis,
-    check_grid_size,
-    classify_correlation,
-    find_dips,
-    run_scan,
-    write_csv,
-    write_heatmap,
-)
-from .sequence import (
-    Block,
-    FilterResult,
-    PulseTimeline,
-    SequenceSpec,
-    build_timeline,
-    filter_cpmg_closed,
-    filter_multiblock,
-    filter_numeric,
-    lint_resonance_overlap,
-    modulation,
-    resonant_tau,
-)
-from .spin_model import (
-    SystemModel,
-    TargetCluster,
-    TransitionSpec,
-    all_transitions,
-    ladder_preset,
-    new_cluster,
-    ring_preset,
-    spin_one_preset,
-    star_preset,
-    transition,
-    validate_weak_coupling,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticModel",
-    "Block",
-    "BudgetOverflow",
-    "FilterResult",
-    "GridSpec",
-    "PlanReport",
-    "PulseAxis",
-    "PulseTimeline",
-    "ReadoutModel",
-    "ScanRecord",
-    "ScanResult",
-    "Scenario",
-    "ScenarioError",
-    "SequenceSpec",
-    "SystemModel",
-    "TOPOLOGIES",
-    "TargetCluster",
-    "TauAxis",
-    "Topology",
-    "TransitionSpec",
-    "all_transitions",
-    "build_timeline",
-    "check_grid_size",
-    "classify_correlation",
-    "coherence_cluster",
-    "coherence_system",
-    "conditional_propagator",
-    "dip_1d",
-    "dip_time",
-    "dip_trace_2d",
-    "dip_trace_3d",
-    "dispatch",
-    "filter_cpmg_closed",
-    "filter_multiblock",
-    "filter_numeric",
-    "find_dips",
-    "ladder_preset",
-    "lint_resonance_overlap",
-    "magnus_axis",
-    "magnus_coherence",
-    "magnus_generator",
-    "magnus_rotation",
-    "minima",
-    "modulation",
-    "new_cluster",
-    "parse_scenario",
-    "plan",
-    "point_time",
-    "pulse_period",
-    "readout_fidelity",
-    "resonant_tau",
-    "ring_preset",
-    "run_scan",
-    "shots_for_snr",
-    "spin_one_preset",
-    "star_preset",
-    "sweep_time",
-    "transition",
-    "validate_weak_coupling",
-    "write_csv",
-    "write_heatmap",
-]

@@ -598,8 +598,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="write the scan as CSV")
     p.add_argument("--heatmap", help="write a 16-bit PGM heatmap (2-axis grids)")
     p.add_argument("--engine", choices=["exact", "analytic", "both"], help="override the scenario's engine")
-    # accepted for compatibility and never read: scans run in one process
-    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("analytic", help="evaluate one closed-form dip")

@@ -51,7 +51,6 @@ from .sequence import MAX_BYTES, MAX_PULSES, SequenceSpec, build_timeline  # noq
 from .spin_model import SystemModel
 
 _ENGINES = ("exact", "analytic", "both")
-_DIP_THRESHOLD = 0.9
 # Verdict margin around the midpoint of the two quantized minima.
 _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
@@ -309,19 +308,6 @@ def _part(blocks, axes, first: int) -> tuple[np.ndarray, np.ndarray]:
     for k, axis in enumerate(axes):
         (taus if isinstance(axis, TauAxis) else counts)[:, axis.block - first] = values[:, k]
     return taus, counts
-
-
-def find_dips(result: ScanResult, threshold: float = _DIP_THRESHOLD):
-    """Strict local minima of Re L below threshold along a 1-axis scan.
-
-    Returns (coordinate, value) pairs in axis order.
-    """
-    if len(result.shape) != 1:
-        raise ValueError(f"find_dips needs a 1-axis scan, got {len(result.shape)} axes")
-    values = result.L.real
-    inner = values[1:-1]
-    dips = np.flatnonzero((inner < values[:-2]) & (inner < values[2:]) & (inner < threshold)) + 1
-    return [(float(result.coords[i, 0]), float(values[i])) for i in dips]
 
 
 def classify_correlation(measured_min: float, d: int) -> str:

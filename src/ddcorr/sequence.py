@@ -59,11 +59,13 @@ class Block:
             raise ValueError(f"block tau must be finite, got {self.tau}")
         if self.tau <= 0:
             raise ValueError(f"block tau must be > 0, got {self.tau}")
-        if self.n_pulses != int(self.n_pulses) or self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be a nonnegative integer, got {self.n_pulses}")
-        if self.n_pulses > MAX_PULSES:
-            raise ValueError(f"n_pulses must be at most 2**53, got {self.n_pulses}")
-        object.__setattr__(self, "n_pulses", int(self.n_pulses))
+        n = self.n_pulses
+        # abs(n) < inf holds for every int, however large, and fails for NaN
+        if not abs(n) < math.inf or n != int(n) or n < 0:
+            raise ValueError(f"n_pulses must be a nonnegative integer, got {n}")
+        if n > MAX_PULSES:
+            raise ValueError(f"n_pulses must be at most 2**53, got {n}")
+        object.__setattr__(self, "n_pulses", int(n))
 
     @property
     def duration(self) -> float:

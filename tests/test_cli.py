@@ -1060,18 +1060,10 @@ class TestScanCommand:
         header = out_csv.read_text().splitlines()[1]
         assert header == "n1,n2,re_L,im_L,analytic_L"
 
-    def test_worker_count_is_cosmetic(self, tmp_path, capsys):
+    def test_workers_flag_is_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path, tau_scan_scenario())
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert dispatch(["scan", path, "--out", str(a), "--workers", "1"]) == 0
-        assert dispatch(["scan", path, "--out", str(b), "--workers", "2"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_workers_must_be_an_integer(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, tau_scan_scenario())
-        assert dispatch(["scan", path, "--workers", "abc"]) == 1
-        assert "--workers: invalid int value: 'abc'" in capsys.readouterr().err
+        assert dispatch(["scan", path, "--workers", "2"]) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_workers_environment_is_not_read(self, tmp_path, capsys, monkeypatch):
         path = write_scenario(tmp_path, tau_scan_scenario())

@@ -24,7 +24,6 @@ from ddcorr.scan import (
     TauAxis,
     check_grid_size,
     classify_correlation,
-    find_dips,
     run_scan,
     write_csv,
     write_heatmap,
@@ -344,37 +343,17 @@ class TestRunScan:
         system = SystemModel((cluster,))
         spec = SequenceSpec([Block(1.0, 20)])
         grid = GridSpec((TauAxis(0, 1.0, 2.0, 101),))
-        records = run_scan(system, spec, grid)
-        dips = find_dips(records, threshold=0.9)
+        result = run_scan(system, spec, grid)
+        values = result.L.real
+        inner = values[1:-1]
+        # strict interior minima of Re L below 0.9
+        minima = (inner < values[:-2]) & (inner < values[2:]) & (inner < 0.9)
+        dips = result.coords[1:-1, 0][minima]
         tau_a = resonant_tau(TWO_PI * 0.20)
         tau_b = resonant_tau(TWO_PI * 0.14)
         step = 0.01
-        hits = [
-            min(abs(coord - target) for coord, _ in dips)
-            for target in (tau_a, tau_b)
-        ]
+        hits = [min(abs(dips - target)) for target in (tau_a, tau_b)]
         assert all(h <= step + 1e-12 for h in hits)
-
-
-class TestFindDips:
-    def test_finds_interior_minima(self):
-        dips = find_dips(scan_1d([1.0, 0.2, 0.8, 0.1, 0.9]))
-        assert dips == [(1.0, 0.2), (3.0, 0.1)]
-
-    def test_threshold_filters(self):
-        result = scan_1d([1.0, 0.2, 0.8, 0.1, 0.9])
-        assert find_dips(result, threshold=0.15) == [(3.0, 0.1)]
-
-    def test_endpoints_never_count(self):
-        assert find_dips(scan_1d([0.0, 0.5, 0.1])) == []
-
-    def test_plateau_is_not_a_dip(self):
-        assert find_dips(scan_1d([1.0, 0.3, 0.3, 1.0])) == []
-
-    def test_rejects_multi_axis_scan(self):
-        result = scan_result(("n1", "n2"), (1, 3), [[0, 0], [0, 2], [0, 4]], [1.0, 0.2, 0.9])
-        with pytest.raises(ValueError, match="1-axis scan"):
-            find_dips(result)
 
 
 class TestClassifyCorrelation:

@@ -58,12 +58,13 @@ class TestBlockAndSpec:
             Block(tau, 2)
 
     def test_block_rejects_negative_pulses(self):
-        with pytest.raises(ValueError):
-            Block(1.0, -1)
+        for n in (-1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=r"^n_pulses must be a nonnegative integer, got "):
+                Block(1.0, n)
 
     def test_block_pulses_stop_at_2_pow_53(self):
         assert Block(1.0, 2**53).n_pulses == 2**53
-        for n in (2**53 + 1, 2**62, 10**30, 1e30):
+        for n in (2**53 + 1, 2**62, 10**30, 1e30, 10**400):
             with pytest.raises(ValueError, match=r"^n_pulses must be at most 2\*\*53, got "):
                 Block(1.0, n)
 
