@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import check_blocks, compose_coherence, fold_blocks
-from .spin_model import SystemModel, TargetCluster, transition
+from .exact import check_blocks, factor_coherence, fold_blocks
+from .spin_model import SystemModel, TargetCluster
 
 # Topology name -> (driven transitions, least dimension, m of the quantized
 # minimum (d - m)/d).  The *-independent topologies drive one transition per
@@ -133,26 +133,6 @@ class PulsePeriod(NamedTuple):
     even: int
 
 
-def magnus_rotation(
-    cluster: TargetCluster, m: int, n: int, pulse_count: float
-) -> np.ndarray:
-    """First-order effective propagator of a resonant CPMG block.
-
-    Identity except the 2x2 block on levels (m, n), which rotates by
-    pulse_count * delta with the coupling phase kappa; level order inside
-    the block follows the omega > 0 normalization of transition().
-    """
-    spec = transition(cluster, m, n)
-    theta = pulse_count * spec.delta
-    u = np.eye(cluster.dim, dtype=complex)
-    c, s = math.cos(theta), math.sin(theta)
-    u[spec.m, spec.m] = c
-    u[spec.n, spec.n] = c
-    u[spec.m, spec.n] = -1j * np.exp(1j * spec.kappa) * s
-    u[spec.n, spec.m] = -1j * np.exp(-1j * spec.kappa) * s
-    return u
-
-
 def _segment_integral(w, dt):
     """integral_0^dt e^{i w x} dx = dt e^{i w dt/2} sinc, elementwise; dt at w = 0."""
     return dt * np.exp(0.5j * w * dt) * np.sinc(w * dt / (2.0 * np.pi))
@@ -196,9 +176,9 @@ def magnus_generator(
 
     Both terms come from exact per-segment antiderivatives, never
     quadrature.  On resonance, omega1 restricted to the driven transition
-    exponentiates to magnus_rotation(cluster, m, n, n_pulses).  This is the
-    literal per-count reference; magnus_axis gives the same terms for a
-    whole pulse axis at once.
+    exponentiates to reference.magnus_rotation(cluster, m, n, n_pulses).
+    This is the literal per-count reference; magnus_axis gives the same
+    terms for a whole pulse axis at once.
     """
     tau, n_pulses = check_blocks(tau, n_pulses)
     tau, n_pulses = float(tau), int(n_pulses)
@@ -308,12 +288,14 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
     exponentiated magnus_generator terms for each sensor branch, entered on
     the block's coupling sign.  V^+- are unitary, so |L| <= 1.  Each
     block's generators come from one magnus_axis pass over its distinct
-    counts and are composed by exact.compose_coherence, as the exact
-    engine's blocks are.
+    counts and are composed by exact.factor_coherence with an empty left
+    part, as the exact engine's blocks are.
     """
     taus = np.asarray(taus, dtype=float)
     counts = np.reshape(counts, (-1, taus.size))
-    return compose_coherence(system, np.broadcast_to(taus, counts.shape), counts, _magnus_stacks)
+    empty = np.empty((1, 0))
+    right = (np.broadcast_to(taus, counts.shape), counts)
+    return factor_coherence(system, (empty, empty), right, _magnus_stacks)[0]
 
 
 def _check_dip(d, deltas, counts) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -390,34 +372,6 @@ class AnalyticModel:
         if name == "3d-linked-ladder":
             return (d - 4 + c[0] + c[2] + cross) / d
         return (d - 3 + c[0] * c[2] + cross) / d
-
-
-def dip_trace_2d(cluster: TargetCluster, first, second, n1: float, n2: float) -> complex:
-    """Trace oracle (1/d) Tr[U_2(2 N_2) U_1(2 N_1)] for two transitions.
-
-    first/second are (m, n) level pairs.  Valid for any integer parity:
-    flipping both rotation angles' signs (the odd-count variant) only
-    conjugates the trace, so the real part is parity-blind.
-    """
-    u1 = magnus_rotation(cluster, *first, 2 * n1)
-    u2 = magnus_rotation(cluster, *second, 2 * n2)
-    return complex(np.trace(u2 @ u1) / cluster.dim)
-
-
-def dip_trace_3d(
-    cluster: TargetCluster, transitions, n1: float, n2: float, n3: float
-) -> complex:
-    """Trace oracle (1/d) Tr[U_3(2 N_3) U_2(N_2) U_1(2 N_1) U_2(N_2)].
-
-    The second transition's rotation is split into two half-angle factors
-    bracketing the first; the order matters whenever the transitions share
-    levels, so the split is kept literal.
-    """
-    t1, t2, t3 = transitions
-    u1 = magnus_rotation(cluster, *t1, 2 * n1)
-    u2 = magnus_rotation(cluster, *t2, n2)
-    u3 = magnus_rotation(cluster, *t3, 2 * n3)
-    return complex(np.trace(u3 @ u2 @ u1 @ u2) / cluster.dim)
 
 
 def pulse_period(delta: float) -> PulsePeriod:

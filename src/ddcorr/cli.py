@@ -43,6 +43,7 @@ from .sequence import (
     resonant_tau,
 )
 from .spin_model import (
+    MAX_BYTES,
     TWO_PI,
     SystemModel,
     TargetCluster,
@@ -59,6 +60,12 @@ from .spin_model import (
 _UNITS = ("_MHz", "_kHz", "_us")
 # Re L values this close to the scan minimum tie for the summary point.
 _TIE_TOL = 1e-12
+# Bytes a filter profile keeps per frequency step, of the MAX_BYTES it may
+# use: the frequency, its row of three floats and its CSV line, with the
+# joined and encoded file text.  Peak RSS rose by about 215 bytes a step
+# printing 4e5-8e5 steps, and by about 415 writing them with --out (numpy
+# 2.4, Python 3.11, x86-64).
+_STEP_BYTES = 512
 
 
 class ScenarioError(ValueError):
@@ -377,7 +384,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             if axis.block >= len(blocks):
                 _fail(f"{name}.grid.axes[{i}]", f"block {axis.block} not in the sequence")
         with _at(f"{name}.grid"):
-            check_grid_size(system, grid)
+            check_grid_size(system, sequence, grid)
     return Scenario(
         system=system,
         sequence=sequence,
@@ -526,13 +533,19 @@ def _cmd_filter(args) -> int:
     scenario = parse_scenario(args.scenario)
     with _at(f"{args.scenario}.sequence"):
         check_timeline_size(scenario.sequence)
-    timeline = build_timeline(scenario.sequence)
     f_lo = _finite(args.f_min_mhz, "--f-min-MHz")
     f_hi = _finite(args.f_max_mhz, "--f-max-MHz")
     if not 0 < f_lo < f_hi:
         raise ScenarioError(f"need 0 < f-min < f-max, got {f_lo}, {f_hi}")
     if args.steps < 1:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
+    need = args.steps * _STEP_BYTES
+    if need > MAX_BYTES:
+        raise ScenarioError(
+            f"--steps: {args.steps} steps need about {need / 2**30:.3g} GiB, "
+            f"over the {MAX_BYTES >> 30} GiB a filter profile may use"
+        )
+    timeline = build_timeline(scenario.sequence)
     rows = []
     for f in np.linspace(f_lo, f_hi, args.steps):
         result = filter_numeric(timeline, TWO_PI * f)

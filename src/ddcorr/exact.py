@@ -32,7 +32,6 @@ factor_coherence composes every distinct left and right part once and
 gets the coherence of all their pairs from one matrix product of the
 flattened X and Y per cluster, so a scan grid split across the cut costs
 N_left + N_right compositions instead of N_left * N_right.
-compose_coherence is its case with an empty left part.
 conditional_propagator keeps the literal segment-by-segment product as the
 reference; coherence_cluster and coherence_system evaluate it.
 """
@@ -186,13 +185,6 @@ def factor_coherence(system: SystemModel, left, right, block_stack) -> np.ndarra
         pairs[odd] = x[odd].reshape(-1, d * d) @ y.conj().T
         total *= pairs / d
     return total
-
-
-def compose_coherence(system: SystemModel, taus, counts, block_stack) -> np.ndarray:
-    """Coherence of P block sequences: the product over clusters of
-    (1/d) Tr[(U^-)^dagger U^+], from factor_coherence with an empty left part."""
-    empty = np.empty((1, 0))
-    return factor_coherence(system, (empty, empty), (taus, counts), block_stack)[0]
 
 
 def coherence_cluster(cluster: TargetCluster, timeline: PulseTimeline) -> complex:

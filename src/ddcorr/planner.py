@@ -13,8 +13,9 @@ both transitions, giving the per-shot evolution time
 
 and a per-point wall time T = K * (t_dip + t_ir), with t_ir the
 initialization + readout overhead per shot.  Sweeping a full unit cell
-N_1c x N_2c in steps of dN costs ceil(N_1c/dN) * ceil(N_2c/dN) points, each
-charged the dip-point time T, about the cell's mean per-point evolution.
+N_1c x N_2c in pulse-count steps of 2, the step of a scan's pulse axes,
+costs ceil(N_1c/2) * ceil(N_2c/2) points, each charged the dip-point time
+T, about the cell's mean per-point evolution.
 Inputs that give a count or time too large for a float raise BudgetOverflow.
 """
 
@@ -139,11 +140,10 @@ def sweep_time(
     deltas,
     omegas,
     t_ir_us: float = DEFAULT_T_IR_US,
-    step: int = 2,
 ) -> tuple[int, float]:
     """(points, seconds) to record a full unit cell of two transitions.
 
-    Every point of the grid N_i = 0, step, ..., < N_ic is charged the
+    Every point of the grid N_i = 0, 2, ..., < N_ic is charged the
     dip-point time, about the mean evolution over the cell.
     """
     deltas = tuple(float(x) for x in deltas)
@@ -152,11 +152,11 @@ def sweep_time(
         raise ValueError("need matching nonempty deltas and omegas")
     if min(deltas) <= 0 or min(omegas) <= 0:
         raise ValueError("all deltas and omegas must be > 0")
-    if shots <= 0 or step < 1:
-        raise ValueError("need shots > 0 and step >= 1")
+    if shots <= 0:
+        raise ValueError("need shots > 0")
     if len(deltas) != 2:
         raise ValueError("the sweep prices points at the 2D dip time")
-    sides = [math.pi / delta / step for delta in deltas]
+    sides = [math.pi / delta / 2 for delta in deltas]
     if not all(map(math.isfinite, sides)):
         raise BudgetOverflow(f"deltas {deltas[0]:g} and {deltas[1]:g} give an infinite unit cell")
     points = math.prod(map(math.ceil, sides))
@@ -180,7 +180,6 @@ def plan(
     deltas=None,
     omegas=None,
     t_ir_us: float = DEFAULT_T_IR_US,
-    step: int = 2,
 ) -> PlanReport:
     """Assemble the full budget report.
 
@@ -209,7 +208,7 @@ def plan(
     sweep_points = sweep_s = None
     if deltas is not None and omegas is not None:
         with _overflow_of("fidelity", "snr", "deltas", "omegas", "t_ir_us"):
-            sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us, step)
+            sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us)
     return PlanReport(
         fidelity=readout.fidelity,
         snr=snr,

@@ -15,7 +15,7 @@ with one matrix product per cluster (exact.factor_coherence): a 2-axis
 grid on two blocks costs N1 + N2 block products plus a GEMM instead of a
 product chain at every point.  A scan is one ScanResult of columns in
 lexicographic grid order.  check_grid_size rejects a grid too large to
-scan in memory, from its point count and the cut's row count.
+scan in memory, from its point count and the cut's rows and blocks.
 
 write_csv prints every cell as "%.17g" would, byte for byte, without a
 % operation per value: a numpy encoder computes the 17 significant digits
@@ -47,25 +47,30 @@ import numpy as np
 # perfbench --trace 1 wraps them by name
 from .analytic import _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
-from .sequence import MAX_BYTES, MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
-from .spin_model import SystemModel
+from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
+from .spin_model import MAX_BYTES, SystemModel
 
 _ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
 _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
-# cells and lines) and per composed row and unit of each cluster's d^2 (the
+# cells and lines), per composed row and unit of each cluster's d^2 (the
 # complex d x d block stacks and branches of one left or right row of the
-# cut); the most a scan may need is sequence.MAX_BYTES.  Per point, peak
-# RSS of run_scan plus write_csv rose by 67-92 bytes on 447 x 447 pulse
-# grids at d = 3 (engines exact, analytic and both), of which write_csv's
-# own peak is 37-46 (tracemalloc; its contiguous column copies, as it
-# writes in blocks of a fixed size).  Per row, at most ~330 was measured as
-# peak RSS on d = 2..12, on tau axes and on pulse axes of step 2 and 16,
-# whatever their largest count (block folds keep O(d^2) per count).
-# numpy 2.4, Python 3.11, x86-64.
+# cut) and per block of a composed row (its tau and count, and the checked
+# counts and entry parities of compose_branches); the most a scan may need
+# is spin_model.MAX_BYTES.  Per point, peak RSS of run_scan plus write_csv
+# rose by 67-92 bytes on 447 x 447 pulse grids at d = 3 (engines exact,
+# analytic and both), of which write_csv's own peak is 37-46 (tracemalloc;
+# its contiguous column copies, as it writes in blocks of a fixed size).
+# Per row, at most ~330 was measured as peak RSS on d = 2..12, on tau axes
+# and on pulse axes of step 2 and 16, whatever their largest count (block
+# folds keep O(d^2) per count).  Per block of a row, peak RSS and the
+# tracemalloc peak of run_scan rose by 36-40 bytes on a 2001-count pulse
+# axis over 100-800 blocks at d = 3 (engines exact and analytic).  numpy
+# 2.4, Python 3.11, x86-64.
 _POINT_BYTES = 1024
 _MATRIX_BYTES = 512
+_ENTRY_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -209,17 +214,23 @@ class ScanResult:
         return map(partial(tuple.__new__, ScanRecord), columns)
 
 
-def check_grid_size(system: SystemModel, grid: GridSpec) -> None:
-    """Raise ValueError if scanning grid would need more than MAX_BYTES.
+def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec) -> None:
+    """Raise ValueError if scanning grid on base_spec would need over MAX_BYTES.
 
-    The estimate charges every point _POINT_BYTES and every row that the
-    cut composes _MATRIX_BYTES per unit of each cluster's d^2.  It reads
-    only the axis lengths, their blocks and the cluster dimensions, so an
-    oversize grid is rejected before any of its points is built.
+    The estimate charges every point _POINT_BYTES, every row that the cut
+    composes _MATRIX_BYTES per unit of each cluster's d^2, and every block
+    of such a row _ENTRY_BYTES.  It reads only the axis lengths, their
+    blocks, the block count and the cluster dimensions, so an oversize grid
+    is rejected before any of its points is built.
     """
     points = math.prod(len(axis) for axis in grid.axes)
-    _, rows = _cut(grid)
-    need = points * _POINT_BYTES + rows * _MATRIX_BYTES * sum(c.dim**2 for c in system.clusters)
+    cut, left, right = _cut(grid)
+    entries = left * cut + right * (len(base_spec.blocks) - cut)
+    need = (
+        points * _POINT_BYTES
+        + (left + right) * _MATRIX_BYTES * sum(c.dim**2 for c in system.clusters)
+        + entries * _ENTRY_BYTES
+    )
     if need > MAX_BYTES:
         raise ValueError(
             f"grid of {points} points needs about {need / 2**30:.3g} GiB, "
@@ -249,14 +260,14 @@ def run_scan(
     Both engines go through exact.factor_coherence, cut at _cut: the axes on
     blocks before the cut vary its left rows, the others its right rows.
     """
-    check_grid_size(system, grid)
     for axis in grid.axes:
         if axis.block >= len(base_spec.blocks):
             raise ValueError(f"axis block {axis.block} not in the base sequence")
+    check_grid_size(system, base_spec, grid)
 
     blocks = base_spec.blocks
     shape = tuple(map(len, grid.axes))
-    cut, _ = _cut(grid)
+    cut, _, _ = _cut(grid)
     # grid axes of the left part (blocks before the cut), then of the right
     order = sorted(range(len(shape)), key=lambda k: grid.axes[k].block >= cut)
     left = _part(blocks[:cut], [a for a in grid.axes if a.block < cut], 0)
@@ -280,9 +291,9 @@ def _points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _cut(grid: GridSpec) -> tuple[int, int]:
+def _cut(grid: GridSpec) -> tuple[int, int, int]:
     """The block boundary c that leaves the fewest rows to compose, and
-    that row count N_left + N_right.
+    its row counts N_left and N_right.
 
     Axes on blocks before c vary the left part and the others the right
     part, which then have N_left and N_right distinct rows (one for a part
@@ -293,10 +304,10 @@ def _cut(grid: GridSpec) -> tuple[int, int]:
 
     def rows(c):
         left = math.prod(len(a) for a in grid.axes if a.block < c)
-        return left + math.prod(len(a) for a in grid.axes if a.block >= c)
+        return left, math.prod(len(a) for a in grid.axes if a.block >= c)
 
-    count, cut = min((rows(c), c) for c in {0, *(a.block + 1 for a in grid.axes)})
-    return cut, count
+    _, cut = min((sum(rows(c)), c) for c in {0, *(a.block + 1 for a in grid.axes)})
+    return cut, *rows(cut)
 
 
 def _part(blocks, axes, first: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,14 +18,13 @@ are measured with t = 0 at the start of the whole timeline.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import all_transitions
+from .spin_model import MAX_BYTES, all_transitions
 
 # Fraction of the on-resonance value 2N at which an off-target transition
 # counts as contaminating a block.
@@ -38,12 +37,11 @@ _RESONANCE_RESIDUAL = 0.05
 # Larger pulse counts do not survive float64 (coordinates, 2*N*tau) exactly.
 MAX_PULSES = 2**53
 
-# The most memory a scan or a filter profile may need, and the bytes that
-# build_timeline plus filter_numeric need per pulse: one flip time as a
-# Python float in a list and in two arrays, and the complex phase, sign and
-# difference arrays of its segment.  Peak RSS rose by about 150 bytes a
-# pulse filtering 1.5e6 pulses at 5 frequencies (numpy 2.4, Python 3.11).
-MAX_BYTES = 4 << 30
+# The bytes that build_timeline plus filter_numeric need per pulse, of the
+# MAX_BYTES a filter profile may use: one flip time as a Python float in a
+# list and in two arrays, and the complex phase, sign and difference arrays
+# of its segment.  Peak RSS rose by about 150 bytes a pulse filtering 1.5e6
+# pulses at 5 frequencies (numpy 2.4, Python 3.11).
 _PULSE_BYTES = 256
 
 
@@ -174,14 +172,6 @@ def resonant_tau(omega: float, order: int = 1) -> float:
     if order < 1 or order != int(order):
         raise ValueError(f"order must be a positive integer, got {order}")
     return np.pi * (2 * order - 1) / (2.0 * omega)
-
-
-def modulation(timeline: PulseTimeline, t: float) -> int:
-    """Modulation function f(t): +1 before the first flip, toggling at each flip."""
-    if not 0 <= t <= timeline.total_time:
-        raise ValueError(f"t = {t} outside [0, {timeline.total_time}]")
-    flipped = bisect.bisect_right(timeline.flip_times.tolist(), t)
-    return -1 if flipped % 2 else 1
 
 
 def _filter_integral(flip_times, total_time: float, omega: float) -> complex:

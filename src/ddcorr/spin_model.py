@@ -29,6 +29,15 @@ DELTA_ERROR = 1.0
 
 _HERMITICITY_TOL = 1e-12
 
+# The most memory a cluster, a scan or a filter profile may need, and the
+# bytes a cluster of d levels needs per d^2 as new_cluster builds it: the
+# complex coupling matrix, TargetCluster's frozen copy, and the conjugate
+# and difference of its Hermiticity check.  The tracemalloc peak of
+# parsing a custom cluster was 64.0 bytes per d^2 at d = 1000-3000 (numpy
+# 2.4, Python 3.11, x86-64).
+MAX_BYTES = 4 << 30
+_LEVEL_PAIR_BYTES = 64
+
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
@@ -134,12 +143,19 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
 
     Raises:
         ValueError: on duplicate (m, n) pairs (in either order), out-of-range
-            indices, negative amplitudes, or fewer than 2 levels.
+            indices, negative amplitudes, fewer than 2 levels, or more levels
+            than MAX_BYTES holds d x d matrices of.
     """
     energies = np.asarray(energies, dtype=float)
     d = energies.shape[0]
     if d < 2:
         raise ValueError(f"cluster needs at least 2 levels, got {d}")
+    need = d * d * _LEVEL_PAIR_BYTES
+    if need > MAX_BYTES:
+        raise ValueError(
+            f"{d} levels need about {need / 2**30:.3g} GiB as d x d matrices, "
+            f"over the {MAX_BYTES >> 30} GiB a cluster may use"
+        )
     beta = np.zeros((d, d), dtype=complex)
     seen = set()
     for m, n, amp, phase in couplings:

@@ -10,15 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from ddcorr.analytic import (
-    AnalyticModel,
-    Topology,
-    dip_1d,
-    dip_trace_2d,
-    dip_trace_3d,
-)
+from ddcorr.analytic import AnalyticModel, Topology, dip_1d
 from ddcorr.exact import coherence_cluster
 from ddcorr.planner import plan, shots_for_snr
+from ddcorr.reference import dip_trace_2d, dip_trace_3d
 from ddcorr.scan import (
     GridSpec,
     PulseAxis,

@@ -12,15 +12,13 @@ from ddcorr.analytic import (
     AnalyticModel,
     Topology,
     dip_1d,
-    dip_trace_2d,
-    dip_trace_3d,
     magnus_coherence,
     magnus_generator,
-    magnus_rotation,
     minima,
     pulse_period,
 )
 from ddcorr.exact import coherence_system, conditional_propagator
+from ddcorr.reference import dip_trace_2d, dip_trace_3d, magnus_rotation
 from ddcorr.sequence import Block, SequenceSpec, build_timeline, resonant_tau
 from ddcorr.spin_model import (
     SystemModel,
@@ -572,7 +570,7 @@ class TestMinima:
         forms over real pulse counts, and are hit at half-period driving."""
         delta = 0.02
         period = np.pi / delta
-        grid = np.linspace(0.0, period, 241)
+        grid = np.linspace(0.0, period, 241).tolist()
         for topo, d in [
             (Topology("2d-uncorrelated"), 4),
             (Topology("2d-uncorrelated"), 6),
@@ -580,20 +578,17 @@ class TestMinima:
             (Topology("2d-correlated"), 4),
         ]:
             floor = minima(topo, d)
-            best = min(
-                AnalyticModel(topo, (delta, delta), d).evaluate((n1, n2))
-                for n1 in grid
-                for n2 in grid
-            )
+            model = AnalyticModel(topo, (delta, delta), d)
+            best = min(model.evaluate((n1, n2)) for n1 in grid for n2 in grid)
             assert best >= floor - 1e-9
             half = period / 2.0
-            at_half = AnalyticModel(topo, (delta, delta), d).evaluate((half, half))
+            at_half = model.evaluate((half, half))
             assert at_half == pytest.approx(floor, abs=1e-9)
 
     def test_3d_minima_are_attained_and_global(self):
         delta = 0.02
         period = np.pi / delta
-        grid = np.linspace(0.0, period, 49)
+        grid = np.linspace(0.0, period, 49).tolist()
         for topo, d in [
             (Topology("3d-ring"), 3),
             (Topology("3d-star"), 4),
@@ -602,8 +597,9 @@ class TestMinima:
             (Topology("3d-uncorrelated"), 6),
         ]:
             floor = minima(topo, d)
+            model = AnalyticModel(topo, (delta,) * 3, d)
             best = min(
-                AnalyticModel(topo, (delta,) * 3, d).evaluate((n1, n2, n3))
+                model.evaluate((n1, n2, n3))
                 for n1 in grid
                 for n2 in grid
                 for n3 in grid

@@ -93,6 +93,17 @@ def run_python(argv):
     )
 
 
+def run_capped(argv):
+    """dispatch(argv) in a fresh interpreter whose address space is capped at 1 GiB."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ddcorr.cli import dispatch\n"
+        f"sys.exit(dispatch({argv!r}))\n"
+    )
+    return run_python(["-c", code])
+
+
 def write_scenario(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -669,13 +680,7 @@ class TestDispatchBasics:
         path = write_scenario(tmp_path, payload)
         # a list of the axis's 500000001 counts cannot fit under a 1 GiB cap,
         # so the grid is sized from len() and rejected without listing it
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from ddcorr.cli import dispatch\n"
-            f"sys.exit(dispatch(['validate', {path!r}]))\n"
-        )
-        result = run_python(["-c", code])
+        result = run_capped(["validate", path])
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == (
@@ -702,6 +707,40 @@ class TestDispatchBasics:
         assert result.stderr == ""
         assert "F = 2e+09 (100% of 2N)" in result.stdout
 
+    def test_validate_rejects_a_cluster_too_large_to_build(self, tmp_path):
+        # its (60000, 60000) complex coupling matrix alone would take 53.6 GiB
+        cluster = {
+            "energies_MHz": [0.001 * i for i in range(60000)],
+            "couplings": [{"m": 1, "n": 0, "amp_kHz": 5.0}],
+        }
+        payload = {"clusters": [cluster], "sequence": [{"tau_us": 1.25, "n_pulses": 2}]}
+        path = write_scenario(tmp_path, payload)
+        result = run_capped(["validate", path])
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path}.clusters[0]: 60000 levels need about 215 GiB as d x d "
+            "matrices, over the 4 GiB a cluster may use\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "scan"])
+    def test_rejects_a_grid_whose_rows_carry_too_many_blocks(self, tmp_path, command):
+        # 4001 rows of 30000 blocks: their int64 pulse counts alone would
+        # take 916 MiB, where the points and rows need 0.04 GiB
+        payload = {
+            "clusters": [SPIN_ONE],
+            "sequence": [{"tau_us": 1.25, "n_pulses": 2}] * 30000,
+            "grid": {"axes": [{"kind": "pulse", "block": 0, "start": 0, "stop": 8000}]},
+        }
+        path = write_scenario(tmp_path, payload)
+        result = run_capped([command, path])
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path}.grid: grid of 4001 points needs about 5.39 GiB, "
+            "over the 4 GiB a scan may use\n"
+        )
+
     def test_scan_rejects_an_oversize_grid_before_building_it(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -716,7 +755,7 @@ class TestDispatchBasics:
         monkeypatch.setattr(scan_module, "_points", build)
         assert dispatch(["scan", path, "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}.grid: grid of 4500045 points needs about 5.05 GiB, "
+            f"error: {path}.grid: grid of 4500045 points needs about 5.06 GiB, "
             "over the 4 GiB a scan may use\n"
         )
         assert not (tmp_path / "out.csv").exists()
@@ -1161,6 +1200,18 @@ class TestFilterCommand:
             ["filter", path, "--f-min-MHz", "0.4", "--f-max-MHz", "0.1"]
         )
         assert code == 2
+
+    def test_rejects_a_step_count_too_large_to_hold(self, tmp_path):
+        # the 10**9 frequencies alone would take 7.45 GiB
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        argv = ["filter", path, "--f-min-MHz", "0.05", "--f-max-MHz", "0.4"]
+        result = run_capped([*argv, "--steps", "1000000000"])
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: --steps: 1000000000 steps need about 477 GiB, "
+            "over the 4 GiB a filter profile may use\n"
+        )
 
     def test_rejects_a_timeline_too_large_to_build(self, tmp_path, capsys):
         # one flip per pulse: 10**9 pulses would need about 238 GiB

@@ -42,8 +42,8 @@ from ddcorr.exact import (
     block_stacks,
     coherence_system,
     compose_branches,
-    compose_coherence,
     conditional_propagator,
+    factor_coherence,
 )
 from ddcorr.scan import GridSpec, PulseAxis, TauAxis, run_scan
 from ddcorr.sequence import Block, SequenceSpec, build_timeline
@@ -54,6 +54,8 @@ EXACT_TOL = 1e-12
 FRAME_TOL = 1e-14
 AXIS_TOL = 1e-13
 CUT_TOL = 1e-13
+# the left part of a sequence cut before its first block
+NO_LEFT = (np.empty((1, 0)), np.empty((1, 0)))
 
 
 def random_cluster(rng, dim):
@@ -153,7 +155,7 @@ def test_lab_frame_magnus_matches_start_time_frame(scan):
 
 
 def engines(system, taus, counts):
-    yield compose_coherence(system, taus, counts, block_stacks)
+    yield factor_coherence(system, NO_LEFT, (taus, counts), block_stacks)[0]
     yield magnus_coherence(system, taus[0], counts)
 
 
@@ -289,7 +291,7 @@ BAD_BLOCKS = [
         lambda c, tau, n: block_stacks(c, [tau], [0, n]),
         lambda c, tau, n: magnus_axis(c, tau, [0, n]),
         lambda c, tau, n: magnus_generator(c, tau, n),
-        lambda c, tau, n: compose_coherence(SystemModel((c,)), [[tau]], [[n]], block_stacks),
+        lambda c, tau, n: factor_coherence(SystemModel((c,)), NO_LEFT, ([[tau]], [[n]]), block_stacks),
         lambda c, tau, n: magnus_coherence(SystemModel((c,)), [tau], [[n]]),
     ],
     ids=[

@@ -262,22 +262,34 @@ class TestRunScan:
             run_scan(system, spec, grid)
 
     def test_grid_size_limit(self):
-        # one d = 4 cluster: 1024 bytes a point and 512 * 16 a composed row;
-        # a 1-axis grid cuts at 0, so its rows are its points plus the one
-        # empty left part, and 4 GiB holds (4 GiB - 8192) // 9216 points
-        system, _, _ = fig_two_transition_system()
-        fits = (4 * 2**30 - 8192) // 9216
-        check_grid_size(system, GridSpec((PulseAxis(0, 0, fits - 1, 1),)))
+        # one d = 4 cluster on two blocks: 1024 bytes a point, 512 * 16 a
+        # composed row and 48 a block of such a row; a 1-axis grid cuts at 0,
+        # so its rows are its points, of two blocks each, plus the one empty
+        # left part, and 4 GiB holds (4 GiB - 8192) // 9312 points
+        system, spec, _ = fig_two_transition_system()
+        fits = (4 * 2**30 - 8192) // 9312
+        check_grid_size(system, spec, GridSpec((PulseAxis(0, 0, fits - 1, 1),)))
         with pytest.raises(ValueError, match=f"grid of {fits + 1} points"):
-            check_grid_size(system, GridSpec((PulseAxis(0, 0, fits, 1),)))
+            check_grid_size(system, spec, GridSpec((PulseAxis(0, 0, fits, 1),)))
         # two clusters, two axes on two blocks: 1000 + 1000 rows for 10^6
         # points fit, 3000 + 2000 rows for 6 * 10^6 points do not
         pair = SystemModel(system.clusters * 2)
-        check_grid_size(pair, GridSpec((PulseAxis(0, 0, 999, 1), PulseAxis(1, 0, 999, 1))))
+        check_grid_size(
+            pair, spec, GridSpec((PulseAxis(0, 0, 999, 1), PulseAxis(1, 0, 999, 1)))
+        )
         with pytest.raises(ValueError, match="grid of 6000000 points needs about 5.8 GiB"):
             check_grid_size(
-                pair, GridSpec((PulseAxis(0, 0, 2999, 1), PulseAxis(1, 0, 1999, 1)))
+                pair, spec, GridSpec((PulseAxis(0, 0, 2999, 1), PulseAxis(1, 0, 1999, 1)))
             )
+
+    def test_grid_size_charges_every_block_of_a_row(self):
+        # 4001 rows of 30000 blocks: 48 bytes a block makes 5.4 GiB, where
+        # the points and rows alone need 0.04 GiB
+        system = SystemModel((spin_one_preset(0.2, 0.14, 5.0),))
+        grid = GridSpec((PulseAxis(0, 0, 8000),))
+        check_grid_size(system, SequenceSpec([Block(1.25, 2)] * 2), grid)
+        with pytest.raises(ValueError, match="grid of 4001 points needs about 5.39 GiB"):
+            check_grid_size(system, SequenceSpec([Block(1.25, 2)] * 30000), grid)
 
     def test_worker_count_does_not_change_results(self):
         cluster = spin_one_preset(0.20, 0.14, 5.0 * np.sqrt(2.0))
@@ -610,6 +622,24 @@ class TestEncoderExactness:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"
+
+    def test_scan_never_loads_the_reference_module(self, tmp_path):
+        # the first-order oracles serve the tests; the CLI does not compile them
+        scenario = REPO / "scenarios" / "correlated-ladder-cell.json"
+        argv = ["scan", str(scenario), "--engine", "both", "--out", str(tmp_path / "scan.csv")]
+        code = (
+            "import sys\n"
+            "from ddcorr.cli import dispatch\n"
+            f"code = dispatch({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('ddcorr.')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        modules = ["analytic", "cli", "exact", "planner", "scan", "sequence", "spin_model"]
+        assert run.stdout.endswith(f"0 {['ddcorr.' + m for m in modules]}\n")
 
 
 class TestWriteHeatmap:

@@ -15,9 +15,9 @@ from ddcorr.sequence import (
     filter_multiblock,
     filter_numeric,
     lint_resonance_overlap,
-    modulation,
     resonant_tau,
 )
+from ddcorr.reference import modulation
 from ddcorr.spin_model import spin_one_preset, star_preset
 
 TWO_PI = 2.0 * np.pi

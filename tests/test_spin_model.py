@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ddcorr.spin_model import (
     DELTA_ERROR,
     DELTA_WARN,
+    MAX_BYTES,
     SystemModel,
     TargetCluster,
     all_transitions,
@@ -51,6 +52,15 @@ class TestNewCluster:
             new_cluster(
                 "bad", [0.0, 1.0], [(1, 0, 0.05, 0.0), (0, 1, 0.03, 0.0)]
             )
+
+    def test_rejects_more_levels_than_its_matrices_fit(self):
+        # 64 bytes per d^2: 8192 levels fill MAX_BYTES, 8193 overflow it
+        assert 8192**2 * 64 == MAX_BYTES
+        with pytest.raises(ValueError, match="^8193 levels need about 4 GiB as d x d matrices"):
+            new_cluster("big", np.arange(8193.0), [])
+        # the presets build through new_cluster
+        with pytest.raises(ValueError, match="^8193 levels need about"):
+            ladder_preset([0.1] * 8192, [None] * 8192)
 
     def test_arrays_are_read_only(self):
         c = new_cluster("demo", [0.0, 1.0], [(1, 0, 0.05, 0.0)])
