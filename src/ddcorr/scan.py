@@ -15,7 +15,8 @@ with one matrix product per cluster (exact.factor_coherence): a 2-axis
 grid on two blocks costs N1 + N2 block products plus a GEMM instead of a
 product chain at every point.  A scan is one ScanResult of columns in
 lexicographic grid order.  check_grid_size rejects a grid too large to
-scan in memory, from its point count and the cut's rows and blocks.
+scan in memory, from its point count, the cut's rows and blocks and,
+under the Magnus engine, its longest tau axis and largest cluster.
 
 write_csv prints every cell as "%.17g" would, byte for byte, without a
 % operation per value: a numpy encoder computes the 17 significant digits
@@ -56,21 +57,26 @@ _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
 # cells and lines), per composed row and unit of each cluster's d^2 (the
 # complex d x d block stacks and branches of one left or right row of the
-# cut) and per block of a composed row (its tau and count, and the checked
-# counts and entry parities of compose_branches); the most a scan may need
-# is spin_model.MAX_BYTES.  Per point, peak RSS of run_scan plus write_csv
-# rose by 67-92 bytes on 447 x 447 pulse grids at d = 3 (engines exact,
-# analytic and both), of which write_csv's own peak is 37-46 (tracemalloc;
-# its contiguous column copies, as it writes in blocks of a fixed size).
-# Per row, at most ~330 was measured as peak RSS on d = 2..12, on tau axes
-# and on pulse axes of step 2 and 16, whatever their largest count (block
-# folds keep O(d^2) per count).  Per block of a row, peak RSS and the
-# tracemalloc peak of run_scan rose by 36-40 bytes on a 2001-count pulse
-# axis over 100-800 blocks at d = 3 (engines exact and analytic).  numpy
-# 2.4, Python 3.11, x86-64.
-_POINT_BYTES = 1024
+# cut), per block of a composed row (its tau and count, and the checked
+# counts and entry parities of compose_branches) and, under the Magnus
+# engine, per d^3 of the largest cluster for each tau that one block folds
+# at once (analytic.magnus_axis's (T, d, d, d) within-segment terms); the
+# most a scan may need is spin_model.MAX_BYTES.  Peak RSS of run_scan plus
+# write_csv, in fresh processes: per point, 68-107 bytes on 447 x 447 and
+# 1000 x 1000 pulse grids at d = 3 and 84-124 on 59^3 and 100^3 grids at
+# d = 4 (engines exact, analytic and both).  Per row, at most ~330 on d =
+# 2..12, on tau axes and on pulse axes of step 2 and 16, whatever their
+# largest count (block folds keep O(d^2) per count); a Magnus tau-axis row
+# took up to 753 per d^2 at d = 2, which the d^3 term covers.  Per block,
+# 36-40 bytes on a 2001-count pulse axis over 100-800 blocks at d = 3.  Per
+# d^3 and tau, 65-81 bytes on ladders of 0.2 MHz rungs at d = 12..200, and
+# 1250-1257 where every level gap is below _SERIES_TOL / tau, so that the
+# nested integral takes its Taylor series, whose (n, 36) terms dominate.
+# numpy 2.4, Python 3.11, x86-64.
+_POINT_BYTES = 128
 _MATRIX_BYTES = 512
 _ENTRY_BYTES = 48
+_TWIST_BYTES = 1280
 
 
 @dataclass(frozen=True)
@@ -219,9 +225,12 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
 
     The estimate charges every point _POINT_BYTES, every row that the cut
     composes _MATRIX_BYTES per unit of each cluster's d^2, and every block
-    of such a row _ENTRY_BYTES.  It reads only the axis lengths, their
-    blocks, the block count and the cluster dimensions, so an oversize grid
-    is rejected before any of its points is built.
+    of such a row _ENTRY_BYTES.  Engines analytic and both also hold
+    _TWIST_BYTES per d^3 of the largest cluster for every tau of the
+    longest tau axis (or one tau).  It reads only the axis lengths, their
+    kinds and blocks, the block count, the cluster dimensions and the
+    engine, so an oversize grid is rejected before any of its points is
+    built.
     """
     points = math.prod(len(axis) for axis in grid.axes)
     cut, left, right = _cut(grid)
@@ -231,6 +240,10 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
         + (left + right) * _MATRIX_BYTES * sum(c.dim**2 for c in system.clusters)
         + entries * _ENTRY_BYTES
     )
+    if grid.engine != "exact":
+        # clusters and blocks are built one after another
+        taus = max((len(a) for a in grid.axes if isinstance(a, TauAxis)), default=1)
+        need += taus * _TWIST_BYTES * max(c.dim for c in system.clusters) ** 3
     if need > MAX_BYTES:
         raise ValueError(
             f"grid of {points} points needs about {need / 2**30:.3g} GiB, "

@@ -329,16 +329,11 @@ def transition(cluster: TargetCluster, m: int, n: int) -> TransitionSpec:
 
 
 def all_transitions(cluster: TargetCluster) -> list[TransitionSpec]:
-    """All non-dark, non-degenerate transitions of a cluster."""
-    out = []
-    for m in range(cluster.dim):
-        for n in range(m):
-            if cluster.coupling[m, n] == 0:
-                continue
-            if cluster.energies[m] == cluster.energies[n]:
-                continue
-            out.append(transition(cluster, m, n))
-    return out
+    """All non-dark, non-degenerate transitions of a cluster, in row-major
+    order of the level pairs m > n."""
+    energies = cluster.energies
+    bright = np.tril(cluster.coupling != 0, -1) & (energies[:, None] != energies[None, :])
+    return [transition(cluster, m, n) for m, n in np.argwhere(bright).tolist()]
 
 
 def validate_weak_coupling(cluster: TargetCluster) -> list[str]:

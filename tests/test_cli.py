@@ -684,7 +684,7 @@ class TestDispatchBasics:
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: {path}.grid: grid of 22500000045 points needs about 2.53e+04 GiB, "
+            f"error: {path}.grid: grid of 22500000045 points needs about 6.52e+03 GiB, "
             "over the 4 GiB a scan may use\n"
         )
 
@@ -737,15 +737,54 @@ class TestDispatchBasics:
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: {path}.grid: grid of 4001 points needs about 5.39 GiB, "
+            f"error: {path}.grid: grid of 4001 points needs about 5.38 GiB, "
             "over the 4 GiB a scan may use\n"
         )
+
+    @staticmethod
+    def four_hundred_levels(engine):
+        ladder = {"preset": "ladder", "rung_freqs_MHz": [0.2] * 399, "rung_couplings_kHz": [5.0] * 399}
+        axis = {"kind": "pulse", "block": 0, "start": 0, "stop": 4, "step": 2}
+        return {
+            "clusters": [ladder],
+            "sequence": [{"tau_us": 1.25, "n_pulses": 2}],
+            "grid": {"engine": engine, "axes": [axis]},
+        }
+
+    @pytest.mark.parametrize("command", ["validate", "scan"])
+    def test_rejects_a_magnus_grid_whose_working_set_cannot_fit(self, tmp_path, command):
+        # the Magnus engine holds (d, d, d) arrays for a block's one tau:
+        # 1280 bytes per d^3 make 76.6 GiB at d = 400, where the points and
+        # rows need 0.3 GiB
+        path = write_scenario(tmp_path, self.four_hundred_levels("analytic"))
+        result = run_capped([command, path])
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path}.grid: grid of 3 points needs about 76.6 GiB, "
+            "over the 4 GiB a scan may use\n"
+        )
+
+    def test_exact_grid_of_many_levels_scans_but_not_under_the_magnus_engine(self, tmp_path):
+        path = write_scenario(tmp_path, self.four_hundred_levels("exact"))
+        out = tmp_path / "out.csv"
+        result = run_capped(["scan", path, "--out", str(out)])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("3 points; ")
+        out.unlink()
+        result = run_capped(["scan", path, "--engine", "analytic", "--out", str(out)])
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: grid of 3 points needs about 76.6 GiB, over the 4 GiB a scan may use\n"
+        )
+        assert not out.exists()
 
     def test_scan_rejects_an_oversize_grid_before_building_it(
         self, tmp_path, capsys, monkeypatch
     ):
         payload = correlated_2d_scenario()
-        payload["grid"]["axes"][0]["stop"] = 200_000
+        payload["grid"]["axes"][0]["stop"] = 1_000_000
         payload["grid"]["axes"][1]["stop"] = 88
         path = write_scenario(tmp_path, payload)
 
@@ -755,7 +794,7 @@ class TestDispatchBasics:
         monkeypatch.setattr(scan_module, "_points", build)
         assert dispatch(["scan", path, "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}.grid: grid of 4500045 points needs about 5.06 GiB, "
+            f"error: {path}.grid: grid of 22500045 points needs about 6.52 GiB, "
             "over the 4 GiB a scan may use\n"
         )
         assert not (tmp_path / "out.csv").exists()

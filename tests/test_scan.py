@@ -262,25 +262,39 @@ class TestRunScan:
             run_scan(system, spec, grid)
 
     def test_grid_size_limit(self):
-        # one d = 4 cluster on two blocks: 1024 bytes a point, 512 * 16 a
+        # one d = 4 cluster on two blocks: 128 bytes a point, 512 * 16 a
         # composed row and 48 a block of such a row; a 1-axis grid cuts at 0,
         # so its rows are its points, of two blocks each, plus the one empty
-        # left part, and 4 GiB holds (4 GiB - 8192) // 9312 points
+        # left part, and 4 GiB holds (4 GiB - 8192) // 8416 points
         system, spec, _ = fig_two_transition_system()
-        fits = (4 * 2**30 - 8192) // 9312
+        fits = (4 * 2**30 - 8192) // 8416
         check_grid_size(system, spec, GridSpec((PulseAxis(0, 0, fits - 1, 1),)))
         with pytest.raises(ValueError, match=f"grid of {fits + 1} points"):
             check_grid_size(system, spec, GridSpec((PulseAxis(0, 0, fits, 1),)))
         # two clusters, two axes on two blocks: 1000 + 1000 rows for 10^6
-        # points fit, 3000 + 2000 rows for 6 * 10^6 points do not
+        # points fit, 6000 + 6000 rows for 3.6 * 10^7 points do not
         pair = SystemModel(system.clusters * 2)
         check_grid_size(
             pair, spec, GridSpec((PulseAxis(0, 0, 999, 1), PulseAxis(1, 0, 999, 1)))
         )
-        with pytest.raises(ValueError, match="grid of 6000000 points needs about 5.8 GiB"):
+        with pytest.raises(ValueError, match="grid of 36000000 points needs about 4.48 GiB"):
             check_grid_size(
-                pair, spec, GridSpec((PulseAxis(0, 0, 2999, 1), PulseAxis(1, 0, 1999, 1)))
+                pair, spec, GridSpec((PulseAxis(0, 0, 5999, 1), PulseAxis(1, 0, 5999, 1)))
             )
+
+    def test_grid_size_charges_the_magnus_working_set(self):
+        # the analytic engine also holds 1280 bytes per d^3 for each tau one
+        # block folds at once: at d = 12 a point of a tau axis costs
+        # 128 + 512 * 144 + 48 + 1280 * 1728 = 2285744 bytes, plus the one
+        # empty left part's 512 * 144
+        system = SystemModel((ladder_preset([0.2] * 11, [5.0] * 11),))
+        spec = SequenceSpec([Block(1.25, 2)])
+        fits = (4 * 2**30 - 73728) // 2285744
+        for engine in ("analytic", "both"):
+            check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, fits),), engine))
+            with pytest.raises(ValueError, match=f"grid of {fits + 1} points"):
+                check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, fits + 1),), engine))
+        check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, fits + 1),), "exact"))
 
     def test_grid_size_charges_every_block_of_a_row(self):
         # 4001 rows of 30000 blocks: 48 bytes a block makes 5.4 GiB, where
@@ -288,7 +302,7 @@ class TestRunScan:
         system = SystemModel((spin_one_preset(0.2, 0.14, 5.0),))
         grid = GridSpec((PulseAxis(0, 0, 8000),))
         check_grid_size(system, SequenceSpec([Block(1.25, 2)] * 2), grid)
-        with pytest.raises(ValueError, match="grid of 4001 points needs about 5.39 GiB"):
+        with pytest.raises(ValueError, match="grid of 4001 points needs about 5.38 GiB"):
             check_grid_size(system, SequenceSpec([Block(1.25, 2)] * 30000), grid)
 
     def test_worker_count_does_not_change_results(self):

@@ -184,6 +184,27 @@ class TestTransition:
         pairs = {(t.m, t.n) for t in all_transitions(c)}
         assert pairs == {(1, 0), (2, 1)}
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_all_transitions_matches_the_pair_loop(self, seed):
+        # random clusters with dark pairs and degenerate levels
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        energies = rng.choice([0.0, 0.5, 1.3, 2.0, 2.7], size=d)
+        couplings = [
+            (m, n, rng.uniform(0.01, 0.1), rng.uniform(0, TWO_PI))
+            for m in range(d)
+            for n in range(m)
+            if rng.uniform() < 0.5
+        ]
+        c = new_cluster("r", energies, couplings)
+        want = [
+            transition(c, m, n)
+            for m in range(d)
+            for n in range(m)
+            if c.coupling[m, n] != 0 and c.energies[m] != c.energies[n]
+        ]
+        assert all_transitions(c) == want
+
 
 class TestValidateWeakCoupling:
     def test_clean_cluster_passes(self):
