@@ -27,7 +27,7 @@ carries each block's Magnus expansion to second order over every coupling
 of the cluster: the off-resonant first-order terms of the other
 transitions, and the commutator term that shifts a level shared by two
 driven transitions.  magnus_axis gives the same generators for every
-(tau, N) of a block by one fold of the terms of a tau and a 2 tau segment
+pulse count of one tau by folding the terms of a tau and a 2 tau segment
 with the second-order BCH rule for concatenated runs (exact.fold_blocks),
 with magnus_generator kept as the literal per-count reference.
 magnus_coherence composes the axis generators into the coherence of whole
@@ -145,6 +145,7 @@ def _nested_integral(a, b, dt):
     conditioned; where both are small (including a, b, a + b -> 0) the
     double Taylor series replaces it.
     """
+    a, b = np.broadcast_arrays(a, b)
     e_ab = _segment_integral(a + b, dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(
@@ -153,8 +154,8 @@ def _nested_integral(a, b, dt):
             (np.exp(1j * a * dt) * _segment_integral(b, dt) - e_ab) / (1j * a),
         )
     small = np.maximum(np.abs(a), np.abs(b)) * dt < _SERIES_TOL
-    a, b, dt = (np.broadcast_to(v, small.shape)[small][:, None] for v in (a, b, dt))
-    x, y = 1j * dt * a, 1j * dt * b
+    x = 1j * dt * a[small][:, None]
+    y = 1j * dt * b[small][:, None]
     out[small] = dt**2 * (x**_SERIES_J * y**_SERIES_K) @ _SERIES_COEF
     return out
 
@@ -229,27 +230,25 @@ def _concat(later, earlier):
     return out
 
 
-def magnus_axis(cluster: TargetCluster, taus, counts) -> tuple[np.ndarray, np.ndarray]:
-    """magnus_generator(cluster, tau, N) for every tau in taus and N in counts.
+def magnus_axis(cluster: TargetCluster, tau: float, counts) -> tuple[np.ndarray, np.ndarray]:
+    """magnus_generator(cluster, tau, N) for every N in counts, in one fold.
 
-    Returns (omega1, omega2), each (len(taus), len(counts), d, d), from one
-    exact.fold_blocks pass with _concat, tau as a leading batch axis.  A tau
-    segment of sign s has the terms (s S, P, e^{i w tau}), with S the filter
-    integral and P the within-segment term of magnus_generator
-    (anti-Hermitian, so its own Q); a 2 tau segment is two tau segments of
-    one sign.  Counts may be unsorted and repeated; zero counts give zeros.
+    Returns (omega1, omega2), each (len(counts), d, d), by exact.fold_blocks
+    with _concat.  A tau segment of sign s has the terms (s S, P, e^{i w
+    tau}), with S the filter integral and P the within-segment term of
+    magnus_generator (anti-Hermitian, so its own Q); a 2 tau segment is two
+    tau segments of one sign.  Counts may be unsorted and repeated; zero
+    counts give zeros.
     """
-    taus, counts = check_blocks(taus, counts)
+    tau, counts = check_blocks(tau, counts)
     w = cluster.energies[:, None] - cluster.energies[None, :]
     beta = cluster.coupling
-    dt = taus[:, None, None]
-    # I(w_kn, w_mk) = conj I(w_nk, w_km), the (w_mk, w_kn) integral at [n, k, m]
-    nested = _nested_integral(w[:, :, None], w, dt[..., None])
-    twist = nested - np.swapaxes(nested, -1, -3).conj()
-    within = -np.einsum("mkn,tmkn->tmn", beta[:, :, None] * beta[None, :, :], twist) / 8.0
-    first = -0.5j * beta * _segment_integral(w, dt)
-    edge = [np.stack([s * first, within, np.exp(1j * w * dt)]) for s in (1, -1)]
-    one = np.array([0, 0, 1], dtype=complex)[:, None, None, None] * np.ones(w.shape)
+    w_mk, w_kn = w[:, :, None], w[None, :, :]
+    twist = _nested_integral(w_mk, w_kn, tau) - _nested_integral(w_kn, w_mk, tau)
+    within = -np.einsum("mkn,mkn->mn", beta[:, :, None] * beta[None, :, :], twist) / 8.0
+    first = -0.5j * beta * _segment_integral(w, tau)
+    edge = [np.stack([s * first, within, np.exp(1j * w * tau)]) for s in (1, -1)]
+    one = np.array([0, 0, 1], dtype=complex)[:, None, None] * np.ones(w.shape)
     inner = [_concat(x, x) for x in edge]
     omega1, q, _ = fold_blocks(edge, inner, counts, _concat, one)
     return omega1, 0.5 * (q - np.swapaxes(q, -1, -2).conj())
@@ -268,10 +267,11 @@ def _magnus_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
     A block of N pulses entered on coupling sign s is e^{-i H0 T}
     exp(s omega1 + omega2), T = 2 N tau: the interaction-frame generator of
     magnus_generator, moved to the lab frame, which makes it independent of
-    the block's start time.  The generators of every (tau, N) come from one
-    magnus_axis pass.
+    the block's start time.  The generators of every count come from one
+    magnus_axis pass per tau.
     """
-    first, second = magnus_axis(cluster, taus, counts)
+    terms = np.array([magnus_axis(cluster, tau, counts) for tau in taus])
+    first, second = np.moveaxis(terms, 1, 0)
     free = np.exp(-2j * np.multiply.outer(np.outer(taus, counts), cluster.energies))
     return np.stack([free[..., None] * _expm_skew(s * first + second) for s in (1, -1)])
 

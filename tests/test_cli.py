@@ -754,14 +754,14 @@ class TestDispatchBasics:
     @pytest.mark.parametrize("command", ["validate", "scan"])
     def test_rejects_a_magnus_grid_whose_working_set_cannot_fit(self, tmp_path, command):
         # the Magnus engine holds (d, d, d) arrays for a block's one tau:
-        # 1280 bytes per d^3 make 76.6 GiB at d = 400, where the points and
-        # rows need 0.3 GiB
+        # 128 bytes per level triple make 7.63 GiB at d = 400, where the
+        # points and rows need 0.3 GiB
         path = write_scenario(tmp_path, self.four_hundred_levels("analytic"))
         result = run_capped([command, path])
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: {path}.grid: grid of 3 points needs about 76.6 GiB, "
+            f"error: {path}.grid: grid of 3 points needs about 7.93 GiB, "
             "over the 4 GiB a scan may use\n"
         )
 
@@ -776,7 +776,7 @@ class TestDispatchBasics:
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == (
-            "error: grid of 3 points needs about 76.6 GiB, over the 4 GiB a scan may use\n"
+            "error: grid of 3 points needs about 7.93 GiB, over the 4 GiB a scan may use\n"
         )
         assert not out.exists()
 

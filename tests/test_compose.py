@@ -8,13 +8,11 @@ reproduce the interaction-frame composition that moves each block's
 generator to its start time, and both engines must keep the invariants of
 a coherence: L = 1 without pulses, |L| <= 1, and conjugation when the
 sensor branches swap (the coupling changes sign).  The Magnus generators
-of a block's taus and pulse counts (magnus_axis) must equal the per-count
-reference magnus_generator, and its batch over taus must equal its
-single-tau blocks bit for bit; every block builder must reject a tau or a
-count no CPMG block can have.  Blocks are folded by squaring, so on a
-sparse axis with counts of 1e4 both engines must still match the
-per-count references, and the Magnus blocks of counts to 2e5 must fit in
-1 MiB.
+of a whole pulse axis (magnus_axis) must equal the per-count reference
+magnus_generator, and every block builder must reject a tau or a count no
+CPMG block can have.  Blocks are folded by squaring, so on a sparse axis
+with counts of 1e4 both engines must still match the per-count
+references, and the Magnus blocks of counts to 2e5 must fit in 1 MiB.
 
 run_scan contracts a grid from its left and right parts at one block cut
 (factor_coherence).  On random 1-3 axis grids (two axes on one block, axes
@@ -178,9 +176,8 @@ def test_coherence_invariants(scan):
 
 @st.composite
 def pulse_axes(draw):
-    """(cluster, taus, counts): d <= 6 with exactly and nearly degenerate
-    level pairs, 1-4 taus, and unsorted counts with duplicates, 0, 1 and an
-    odd count."""
+    """(cluster, tau, counts): d <= 6 with exactly and nearly degenerate level
+    pairs, and unsorted counts with duplicates, 0, 1 and an odd count."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(2, 6))
     energies = rng.uniform(0.0, 4.0, size=dim)
@@ -198,37 +195,25 @@ def pulse_axes(draw):
         if rng.uniform() < 0.7
     ]
     cluster = new_cluster("r", energies, couplings or [(1, 0, 0.02, 0.3)])
-    taus = 10.0 ** rng.uniform(-1, 0.5, size=draw(st.integers(1, 4)))
+    tau = 10.0 ** rng.uniform(-1, 0.5)
     drawn = draw(st.lists(st.integers(0, 60), min_size=1, max_size=10))
     odd = 2 * draw(st.integers(0, 30)) + 1
     counts = rng.permutation([*drawn, drawn[0], 0, 1, odd])
     if np.all(np.diff(counts) >= 0):
         counts = counts[::-1]
-    return cluster, taus, counts
+    return cluster, tau, counts
 
 
 @given(pulse_axes())
 @settings(max_examples=40, deadline=None)
 def test_magnus_axis_matches_per_count_generator(axis):
-    cluster, taus, counts = axis
-    first, second = magnus_axis(cluster, taus, counts)
-    d = cluster.dim
-    assert first.shape == second.shape == (taus.size, counts.size, d, d)
-    for (t, tau), (k, n) in product(enumerate(taus), enumerate(counts)):
-        reference = magnus_generator(cluster, tau, int(n))
-        for got, want in zip((first[t, k], second[t, k]), reference):
+    cluster, tau, counts = axis
+    first, second = magnus_axis(cluster, tau, counts)
+    assert first.shape == second.shape == (counts.size, cluster.dim, cluster.dim)
+    for k, n in enumerate(counts):
+        for got, want in zip((first[k], second[k]), magnus_generator(cluster, tau, int(n))):
             scale = max(np.abs(want).max(), 1.0)
             np.testing.assert_allclose(got, want, rtol=0, atol=AXIS_TOL * scale)
-
-
-@given(pulse_axes())
-@settings(max_examples=30, deadline=None)
-def test_magnus_stacks_of_a_tau_axis_equal_its_single_tau_stacks(axis):
-    """One batched fold over the taus changes no bit of any block, the
-    Taylor-series branch of degenerate level pairs included."""
-    cluster, taus, counts = axis
-    each = [_magnus_stacks(cluster, [tau], counts) for tau in taus]
-    np.testing.assert_array_equal(_magnus_stacks(cluster, taus, counts), np.concatenate(each, axis=1))
 
 
 def extended(cluster):
@@ -260,7 +245,7 @@ def test_sparse_axis_matches_per_count_references(seed):
     tau = round(rng.uniform(0.3, 2.0) * 2**20) / 2**20
     counts = rng.permutation([0, 1, 9999, 10000, 10001, 12345])
     stacks = block_stacks(cluster, [tau], counts)
-    first, second = magnus_axis(cluster, [tau], counts)
+    first, second = magnus_axis(cluster, tau, counts)
     spread = max(1.0, np.ptp(cluster.energies) * tau)
     for k, n in enumerate(counts):
         timeline = build_timeline(SequenceSpec([Block(tau, int(n))]))
@@ -270,7 +255,7 @@ def test_sparse_axis_matches_per_count_references(seed):
                 stacks[entry, 0, k], want, rtol=0, atol=max(1e-12, 1e-14 * n)
             )
         reference = magnus_generator(extended(cluster), tau, int(n))
-        for got, want in zip((first[0, k], second[0, k]), reference):
+        for got, want in zip((first[k], second[k]), reference):
             scale = max(float(np.abs(want).max()), 1.0)
             atol = AXIS_TOL * scale * max(1.0, n / 1000) * spread
             np.testing.assert_allclose(got, want.astype(complex), rtol=0, atol=atol)
@@ -304,7 +289,7 @@ BAD_BLOCKS = [
     "build",
     [
         lambda c, tau, n: block_stacks(c, [tau], [0, n]),
-        lambda c, tau, n: magnus_axis(c, [tau], [0, n]),
+        lambda c, tau, n: magnus_axis(c, tau, [0, n]),
         lambda c, tau, n: magnus_generator(c, tau, n),
         lambda c, tau, n: factor_coherence(SystemModel((c,)), NO_LEFT, ([[tau]], [[n]]), block_stacks),
         lambda c, tau, n: magnus_coherence(SystemModel((c,)), [tau], [[n]]),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddcorr import scan as scan_module
-from ddcorr.analytic import AnalyticModel, Topology, dip_1d
+from ddcorr.analytic import _SERIES_TOL, AnalyticModel, Topology, dip_1d
 from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
     GridSpec,
@@ -32,6 +32,7 @@ from ddcorr.sequence import Block, SequenceSpec, resonant_tau
 from ddcorr.spin_model import (
     SystemModel,
     ladder_preset,
+    new_cluster,
     spin_one_preset,
     transition,
 )
@@ -283,18 +284,56 @@ class TestRunScan:
             )
 
     def test_grid_size_charges_the_magnus_working_set(self):
-        # the analytic engine also holds 1280 bytes per d^3 for each tau one
-        # block folds at once: at d = 12 a point of a tau axis costs
-        # 128 + 512 * 144 + 48 + 1280 * 1728 = 2285744 bytes, plus the one
-        # empty left part's 512 * 144
-        system = SystemModel((ladder_preset([0.2] * 11, [5.0] * 11),))
+        # the analytic engine also holds 128 bytes per level triple of one
+        # cluster at one tau: a 3-point pulse axis on one block of a generic
+        # d-level cluster needs 3 * 128 + 4 * 512 * d^2 + 3 * 48 + 128 * d^3
+        # (plus 1152 for each of the d triples m = k = n), which fits 4 GiB up
+        # to d = 317, however long a tau axis is
         spec = SequenceSpec([Block(1.25, 2)])
-        fits = (4 * 2**30 - 73728) // 2285744
-        for engine in ("analytic", "both"):
-            check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, fits),), engine))
-            with pytest.raises(ValueError, match=f"grid of {fits + 1} points"):
-                check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, fits + 1),), engine))
-        check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, fits + 1),), "exact"))
+        pulses = GridSpec((PulseAxis(0, 0, 4),))
+        for d, fits in ((317, True), (318, False)):
+            system = SystemModel((ladder_preset([0.2] * (d - 1), [5.0] * (d - 1)),))
+            need = 3 * 128 + 4 * 512 * d**2 + 3 * 48 + 128 * d**3 + 1152 * d
+            assert fits == (need <= 4 * 2**30)
+            check_grid_size(system, spec, pulses)
+            for engine in ("analytic", "both"):
+                grid = dataclasses.replace(pulses, engine=engine)
+                if fits:
+                    check_grid_size(system, spec, grid)
+                else:
+                    with pytest.raises(ValueError, match=f"needs about {need / 2**30:.3g} GiB"):
+                        check_grid_size(system, spec, grid)
+        system = SystemModel((ladder_preset([0.2] * 29, [5.0] * 29),))
+        check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, 5000),), "analytic"))
+
+    def test_grid_size_charges_the_magnus_series_at_the_shortest_tau(self):
+        # 150 levels 0.03 rad/us apart: at tau = 0.5 every gap but 0 is over
+        # _SERIES_TOL / tau, at tau = 0.002 every gap is under it, and 1280
+        # bytes per triple make 4.02 GiB (4.07 with the rows); a block's tau
+        # counts where no axis sweeps it
+        system = SystemModel((new_cluster("g", 0.03 * np.arange(150), [(1, 0, 0.02, 0.0)]),))
+        spec = SequenceSpec([Block(0.5, 2), Block(0.5, 2)])
+        check_grid_size(system, spec, GridSpec((TauAxis(1, 0.5, 1.0, 3),), "analytic"))
+        short = GridSpec((TauAxis(1, 0.002, 1.0, 3),), "analytic")
+        with pytest.raises(ValueError, match="grid of 3 points needs about 4.07 GiB"):
+            check_grid_size(system, spec, short)
+        check_grid_size(system, spec, dataclasses.replace(short, engine="exact"))
+        spec = SequenceSpec([Block(0.002, 2), Block(0.5, 2)])
+        with pytest.raises(ValueError, match="grid of 3 points needs about 4.07 GiB"):
+            check_grid_size(system, spec, GridSpec((TauAxis(1, 0.5, 1.0, 3),), "analytic"))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_magnus_bytes_count_the_triples_of_small_gaps(self, seed):
+        # against the (m, k, n) mask of _nested_integral's series branch, on
+        # clusters of nearly degenerate groups of levels
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 16))
+        energies = rng.integers(0, 4, size=d) + rng.uniform(0.0, 6e-3, size=d)
+        cluster = new_cluster("r", energies, [(1, 0, 0.02, 0.0)])
+        tau = rng.uniform(0.5, 3.0)
+        w = cluster.energies[:, None] - cluster.energies[None, :]
+        small = np.maximum(np.abs(w[:, :, None]), np.abs(w[None])) * tau < _SERIES_TOL
+        assert scan_module._magnus_bytes(cluster, tau) == 128 * d**3 + 1152 * int(small.sum())
 
     def test_grid_size_charges_every_block_of_a_row(self):
         # 4001 rows of 30000 blocks: 48 bytes a block makes 5.4 GiB, where
