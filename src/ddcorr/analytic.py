@@ -67,16 +67,15 @@ TOPOLOGIES = tuple(_TOPOLOGIES)
 # 1e-20 relative), instead of difference quotients that divide by a or b.
 _SERIES_TOL = 1e-2
 _SERIES_ORDER = 7
-# Terms x^j y^k / (j! (k+1)! (j+k+2)) of that series, j + k <= _SERIES_ORDER.
-_SERIES_J, _SERIES_K = np.array(
-    [(j, k) for j in range(_SERIES_ORDER + 1) for k in range(_SERIES_ORDER + 1 - j)]
-).T
-_SERIES_COEF = np.array(
+# _SERIES_COEF[j][k] = 1 / (j! (k+1)! (j+k+2)) is the coefficient of x^j y^k
+# (x = i a dt, y = i b dt) in that series over dt^2, j + k <= _SERIES_ORDER.
+_SERIES_COEF = [
     [
         1.0 / (math.factorial(j) * math.factorial(k + 1) * (j + k + 2))
-        for j, k in zip(_SERIES_J, _SERIES_K)
+        for k in range(_SERIES_ORDER + 1 - j)
     ]
-)
+    for j in range(_SERIES_ORDER + 1)
+]
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,17 @@ def _nested_integral(a, b, dt):
             (np.exp(1j * a * dt) * _segment_integral(b, dt) - e_ab) / (1j * a),
         )
     small = np.maximum(np.abs(a), np.abs(b)) * dt < _SERIES_TOL
-    x = 1j * dt * a[small][:, None]
-    y = 1j * dt * b[small][:, None]
-    out[small] = dt**2 * (x**_SERIES_J * y**_SERIES_K) @ _SERIES_COEF
+    x = 1j * dt * a[small]
+    y = 1j * dt * b[small]
+    # Horner's rule in y inside each power of x, then in x, so the series
+    # holds a few (n,) arrays whatever its order
+    series = 0.0
+    for row in reversed(_SERIES_COEF):
+        inner = 0.0
+        for coef in reversed(row):
+            inner = inner * y + coef
+        series = series * x + inner
+    out[small] = dt**2 * series
     return out
 
 
@@ -237,14 +244,18 @@ def magnus_axis(cluster: TargetCluster, tau: float, counts) -> tuple[np.ndarray,
     with _concat.  A tau segment of sign s has the terms (s S, P, e^{i w
     tau}), with S the filter integral and P the within-segment term of
     magnus_generator (anti-Hermitian, so its own Q); a 2 tau segment is two
-    tau segments of one sign.  Counts may be unsorted and repeated; zero
-    counts give zeros.
+    tau segments of one sign.  P takes one _nested_integral over the d^3
+    level triples, whose few (d^3,) arrays bound the working set whatever
+    the level gaps.  Counts may be unsorted and repeated; zero counts give
+    zeros.
     """
     tau, counts = check_blocks(tau, counts)
     w = cluster.energies[:, None] - cluster.energies[None, :]
     beta = cluster.coupling
-    w_mk, w_kn = w[:, :, None], w[None, :, :]
-    twist = _nested_integral(w_mk, w_kn, tau) - _nested_integral(w_kn, w_mk, tau)
+    # w is antisymmetric and conj(nested(a, b)) = nested(-a, -b), so the
+    # [m, k, n] twin nested(w_kn, w_mk) is nested's [n, k, m] conjugate
+    nested = _nested_integral(w[:, :, None], w[None, :, :], tau)
+    twist = nested - np.swapaxes(nested, 0, 2).conj()
     within = -np.einsum("mkn,mkn->mn", beta[:, :, None] * beta[None, :, :], twist) / 8.0
     first = -0.5j * beta * _segment_integral(w, tau)
     edge = [np.stack([s * first, within, np.exp(1j * w * tau)]) for s in (1, -1)]

@@ -454,6 +454,10 @@ def _cmd_analytic(args) -> int:
         if not args.dims:
             raise ScenarioError(f"{name} requires --dims")
         dims = tuple(_parse_numbers(args.dims, "--dims", int))
+        if args.d is not None and args.d != math.prod(dims):
+            raise ScenarioError(f"--d: {args.d} is not the product of --dims {args.dims}")
+    elif args.dims is not None:
+        raise ScenarioError(f"--dims: {name} is one molecule; give its dimension with --d")
     topology = Topology(name, dims)
     d = math.prod(dims) if dims else args.d
     if d is None:

@@ -46,7 +46,7 @@ import numpy as np
 
 # magnus_coherence, coherence_system and build_timeline are unused here, but
 # perfbench --trace 1 wraps them by name
-from .analytic import _SERIES_TOL, _magnus_stacks, magnus_coherence  # noqa: F401
+from .analytic import _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import MAX_BYTES, SystemModel
@@ -59,27 +59,24 @@ _AMBIGUOUS_BAND = 0.1
 # complex d x d block stacks and branches of one left or right row of the
 # cut), per block of a composed row (its tau and count, and the checked
 # counts and entry parities of compose_branches) and, under the Magnus
-# engine, per (m, k, n) level triple of one cluster (analytic.magnus_axis's
-# d x d x d within-segment terms of one tau) plus per triple whose two
-# level gaps are both under _SERIES_TOL / tau (the (n, 36) terms of
-# _nested_integral's Taylor series); the most a scan may need is
+# engine, per (m, k, n) level triple of the largest cluster
+# (analytic.magnus_axis's d x d x d within-segment terms of one tau, the
+# same for every triple); the most a scan may need is
 # spin_model.MAX_BYTES.  Peak RSS of run_scan plus write_csv, in fresh
 # processes: per point, 68-107 bytes on 447 x 447 and 1000 x 1000 pulse
 # grids at d = 3 and 84-124 on 59^3 and 100^3 grids at d = 4 (engines
 # exact, analytic and both).  Per row, at most ~330 on d = 2..12, on tau
 # axes and on pulse axes of step 2 and 16, whatever their largest count
 # (block folds keep O(d^2) per count).  Per block, 36-40 bytes on a
-# 2001-count pulse axis over 100-800 blocks at d = 3.  Per triple, 113-130
-# bytes (peak RSS and tracemalloc of one tau's blocks) at d = 100 and 200
-# with no small gap, and 1140-1160 in all at d = 100 where 92% of the
-# triples take the series; with these two rates the charge came to 0.99-1.63
-# times the peak on clusters of 100 and 200 levels in near-degenerate groups
-# of 1 to d.  numpy 2.4, Python 3.11, x86-64.
+# 2001-count pulse axis over 100-800 blocks at d = 3.  Per triple, 97-122
+# bytes (peak RSS of one tau's blocks, analytic._magnus_stacks) on ladders
+# of 0.2 MHz and of 1e-7 MHz rungs (every triple in _nested_integral's
+# Taylor series) at d = 60, 100, 150 and 200, and of near-degenerate groups
+# of 4 and 20 levels at d = 100 and 200.  numpy 2.4, Python 3.11, x86-64.
 _POINT_BYTES = 128
 _MATRIX_BYTES = 512
 _ENTRY_BYTES = 48
 _TRIPLE_BYTES = 128
-_SERIES_BYTES = 1152
 
 
 @dataclass(frozen=True)
@@ -229,11 +226,10 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     The estimate charges every point _POINT_BYTES, every row that the cut
     composes _MATRIX_BYTES per unit of each cluster's d^2, and every block
     of such a row _ENTRY_BYTES.  Engines analytic and both also hold, for
-    one cluster and one tau at a time, _TRIPLE_BYTES per level triple and
-    _SERIES_BYTES per triple of small gaps at the grid's shortest tau
-    (_magnus_bytes).  It reads only the axis lengths, their blocks and tau
-    ranges, the block count and taus, the cluster levels and the engine, so
-    an oversize grid is rejected before any of its points is built.
+    one cluster and one tau at a time, _TRIPLE_BYTES per level triple of the
+    largest cluster.  It reads only the axis lengths, their blocks, the
+    block count, the cluster sizes and the engine, so an oversize grid is
+    rejected before any of its points is built.
     """
     points = math.prod(len(axis) for axis in grid.axes)
     cut, left, right = _cut(grid)
@@ -244,34 +240,12 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
         + entries * _ENTRY_BYTES
     )
     if grid.engine != "exact":
-        # clusters and taus are built one after another, and the shortest
-        # tau puts the most level gaps under _SERIES_TOL / tau
-        swept = {a.block: a.lo for a in grid.axes if isinstance(a, TauAxis)}
-        tau = min(swept.get(i, b.tau) for i, b in enumerate(base_spec.blocks))
-        need += max(_magnus_bytes(c, tau) for c in system.clusters)
+        need += _TRIPLE_BYTES * max(c.dim for c in system.clusters) ** 3
     if need > MAX_BYTES:
         raise ValueError(
             f"grid of {points} points needs about {need / 2**30:.3g} GiB, "
             f"over the {MAX_BYTES >> 30} GiB a scan may use"
         )
-
-
-def _magnus_bytes(cluster, tau: float) -> int:
-    """Bytes of analytic.magnus_axis's within-segment terms at one tau.
-
-    Every level triple (m, k, n) costs _TRIPLE_BYTES; those whose gaps
-    E_m - E_k and E_k - E_n are both under _SERIES_TOL / tau, so that
-    _nested_integral takes its Taylor series, cost _SERIES_BYTES more.  For
-    each level k with c_k levels that close (itself included) there are c_k^2
-    such triples, counted on the sorted energies.
-    """
-    energies = np.sort(cluster.energies)
-    reach = _SERIES_TOL / tau
-    close = np.searchsorted(energies, energies + reach) - np.searchsorted(
-        energies, energies - reach, "right"
-    )
-    series = int(np.sum(close**2))
-    return _TRIPLE_BYTES * cluster.dim**3 + _SERIES_BYTES * series
 
 
 def run_scan(

@@ -861,6 +861,52 @@ class TestAnalyticCommand:
         assert dispatch(["analytic", *argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("--topology", "1d", "--d", "3", "--dims", "5", "--delta", "0.025", "--n", "63"),
+                "--dims: 1d is one molecule; give its dimension with --d",
+            ),
+            (
+                (
+                    "--topology", "2d-correlated",
+                    "--d", "3",
+                    "--dims", "3",
+                    "--delta", "0.025,0.036",
+                    "--n", "63,44",
+                ),
+                "--dims: 2d-correlated is one molecule; give its dimension with --d",
+            ),
+            (
+                (
+                    "--topology", "2d-independent",
+                    "--dims", "2,2",
+                    "--d", "7",
+                    "--delta", "0.02,0.02",
+                    "--n", "78.54,78.54",
+                ),
+                "--d: 7 is not the product of --dims 2,2",
+            ),
+        ],
+        ids=["1d-dims", "correlated-dims", "independent-d"],
+    )
+    def test_contradictory_size_flags_fail(self, capsys, argv, message):
+        assert dispatch(["analytic", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_independent_d_equal_to_the_product_is_accepted(self, capsys):
+        code, out = self.run(
+            capsys,
+            "--topology", "2d-independent",
+            "--dims", "2,2",
+            "--d", "4",
+            "--delta", "0.02,0.02",
+            "--n", "78.54,78.54",
+        )
+        assert code == 0
+        assert float(out) == pytest.approx(1.0, abs=1e-3)
+
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_every_topology_is_accepted(self, capsys, name):
         count = int(name[0])

@@ -21,6 +21,7 @@ occur) every engine must equal the coherence of each enumerated row, and a
 grid on two blocks must compose N1 + N2 rows, not N1 * N2.
 """
 
+import math
 import tracemalloc
 from itertools import product
 from types import SimpleNamespace
@@ -32,8 +33,11 @@ from hypothesis import example, given, settings, strategies as st
 from ddcorr import exact
 
 from ddcorr.analytic import (
+    _SERIES_ORDER,
+    _SERIES_TOL,
     _expm_skew,
     _magnus_stacks,
+    _nested_integral,
     magnus_axis,
     magnus_coherence,
     magnus_generator,
@@ -45,9 +49,9 @@ from ddcorr.exact import (
     conditional_propagator,
     factor_coherence,
 )
-from ddcorr.scan import GridSpec, PulseAxis, TauAxis, run_scan
+from ddcorr.scan import _TRIPLE_BYTES, GridSpec, PulseAxis, TauAxis, run_scan
 from ddcorr.sequence import Block, SequenceSpec, build_timeline
-from ddcorr.spin_model import SystemModel, TargetCluster, new_cluster
+from ddcorr.spin_model import SystemModel, TargetCluster, ladder_preset, new_cluster
 
 TWO_PI = 2.0 * np.pi
 EXACT_TOL = 1e-12
@@ -271,6 +275,68 @@ def test_magnus_blocks_memory_does_not_grow_with_the_largest_count():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def near_degenerate_cluster(rng, dim):
+    """Levels in groups a few 1e-3 rad/us wide, so that many level triples
+    take _nested_integral's Taylor series."""
+    energies = rng.integers(0, 4, size=dim) + rng.uniform(0.0, 6e-3, size=dim)
+    return new_cluster("g", energies, [(1, 0, 0.02, 0.3)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nested_twin_is_the_swapped_conjugate(seed):
+    """magnus_axis takes nested(w_kn, w_mk) as nested(w_mk, w_kn)'s [n, k, m]
+    conjugate; the two agree to the last bit (a zero may change sign)."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 12))
+    for cluster in (random_cluster(rng, dim), near_degenerate_cluster(rng, dim)):
+        tau = 10.0 ** rng.uniform(-1, 0.5)
+        w = cluster.energies[:, None] - cluster.energies[None, :]
+        nested = _nested_integral(w[:, :, None], w[None, :, :], tau)
+        twin = _nested_integral(w[None, :, :], w[:, :, None], tau)
+        assert np.array_equal(twin, np.swapaxes(nested, 0, 2).conj())
+
+
+def power_table_series(a, b, dt):
+    """The nested integral's Taylor series as an (n, terms) power table."""
+    j, k = np.array(
+        [(j, k) for j in range(_SERIES_ORDER + 1) for k in range(_SERIES_ORDER + 1 - j)]
+    ).T
+    coef = np.array(
+        [1.0 / (math.factorial(p) * math.factorial(q + 1) * (p + q + 2)) for p, q in zip(j, k)]
+    )
+    x = 1j * dt * a[:, None]
+    y = 1j * dt * b[:, None]
+    return dt**2 * (x**j * y**k) @ coef
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_series_horner_matches_the_power_table(seed):
+    rng = np.random.default_rng(seed)
+    dt = 10.0 ** rng.uniform(-2, 1)
+    reach = _SERIES_TOL / dt
+    a = rng.uniform(-reach, reach, size=2000)
+    b = rng.uniform(-reach, reach, size=2000)
+    # exact zeros and the cancelling sum a + b = 0 are inside the branch too
+    a[:3], b[:3] = (0.0, 0.0, a[2]), (0.0, b[1], -a[2])
+    got = _nested_integral(a, b, dt)
+    want = power_table_series(a, b, dt)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_magnus_blocks_memory_is_one_rate_per_triple():
+    """A fully near-degenerate cluster, whose every triple takes the series,
+    stays within the grid bound's per-triple charge."""
+    d = 60
+    cluster = ladder_preset([1e-7] * (d - 1), [5.0] * (d - 1))
+    tracemalloc.start()
+    try:
+        _magnus_stacks(cluster, [1.25], [0, 2, 4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _TRIPLE_BYTES * d**3
 
 
 BAD_BLOCKS = [

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddcorr import scan as scan_module
-from ddcorr.analytic import _SERIES_TOL, AnalyticModel, Topology, dip_1d
+from ddcorr.analytic import AnalyticModel, Topology, dip_1d
 from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
     GridSpec,
@@ -285,15 +285,14 @@ class TestRunScan:
 
     def test_grid_size_charges_the_magnus_working_set(self):
         # the analytic engine also holds 128 bytes per level triple of one
-        # cluster at one tau: a 3-point pulse axis on one block of a generic
-        # d-level cluster needs 3 * 128 + 4 * 512 * d^2 + 3 * 48 + 128 * d^3
-        # (plus 1152 for each of the d triples m = k = n), which fits 4 GiB up
-        # to d = 317, however long a tau axis is
+        # cluster at one tau: a 3-point pulse axis on one block of a d-level
+        # cluster needs 3 * 128 + 4 * 512 * d^2 + 3 * 48 + 128 * d^3, which
+        # fits 4 GiB up to d = 317, however long a tau axis is
         spec = SequenceSpec([Block(1.25, 2)])
         pulses = GridSpec((PulseAxis(0, 0, 4),))
         for d, fits in ((317, True), (318, False)):
             system = SystemModel((ladder_preset([0.2] * (d - 1), [5.0] * (d - 1)),))
-            need = 3 * 128 + 4 * 512 * d**2 + 3 * 48 + 128 * d**3 + 1152 * d
+            need = 3 * 128 + 4 * 512 * d**2 + 3 * 48 + 128 * d**3
             assert fits == (need <= 4 * 2**30)
             check_grid_size(system, spec, pulses)
             for engine in ("analytic", "both"):
@@ -305,35 +304,11 @@ class TestRunScan:
                         check_grid_size(system, spec, grid)
         system = SystemModel((ladder_preset([0.2] * 29, [5.0] * 29),))
         check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 2.0, 5000),), "analytic"))
-
-    def test_grid_size_charges_the_magnus_series_at_the_shortest_tau(self):
-        # 150 levels 0.03 rad/us apart: at tau = 0.5 every gap but 0 is over
-        # _SERIES_TOL / tau, at tau = 0.002 every gap is under it, and 1280
-        # bytes per triple make 4.02 GiB (4.07 with the rows); a block's tau
-        # counts where no axis sweeps it
+        # 150 levels 0.03 rad/us apart, every gap under the nested integral's
+        # series threshold at tau = 0.002: the same charge as a generic cluster
         system = SystemModel((new_cluster("g", 0.03 * np.arange(150), [(1, 0, 0.02, 0.0)]),))
         spec = SequenceSpec([Block(0.5, 2), Block(0.5, 2)])
-        check_grid_size(system, spec, GridSpec((TauAxis(1, 0.5, 1.0, 3),), "analytic"))
-        short = GridSpec((TauAxis(1, 0.002, 1.0, 3),), "analytic")
-        with pytest.raises(ValueError, match="grid of 3 points needs about 4.07 GiB"):
-            check_grid_size(system, spec, short)
-        check_grid_size(system, spec, dataclasses.replace(short, engine="exact"))
-        spec = SequenceSpec([Block(0.002, 2), Block(0.5, 2)])
-        with pytest.raises(ValueError, match="grid of 3 points needs about 4.07 GiB"):
-            check_grid_size(system, spec, GridSpec((TauAxis(1, 0.5, 1.0, 3),), "analytic"))
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_magnus_bytes_count_the_triples_of_small_gaps(self, seed):
-        # against the (m, k, n) mask of _nested_integral's series branch, on
-        # clusters of nearly degenerate groups of levels
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 16))
-        energies = rng.integers(0, 4, size=d) + rng.uniform(0.0, 6e-3, size=d)
-        cluster = new_cluster("r", energies, [(1, 0, 0.02, 0.0)])
-        tau = rng.uniform(0.5, 3.0)
-        w = cluster.energies[:, None] - cluster.energies[None, :]
-        small = np.maximum(np.abs(w[:, :, None]), np.abs(w[None])) * tau < _SERIES_TOL
-        assert scan_module._magnus_bytes(cluster, tau) == 128 * d**3 + 1152 * int(small.sum())
+        check_grid_size(system, spec, GridSpec((TauAxis(1, 0.002, 1.0, 3),), "analytic"))
 
     def test_grid_size_charges_every_block_of_a_row(self):
         # 4001 rows of 30000 blocks: 48 bytes a block makes 5.4 GiB, where
