@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TOPOLOGIES, AnalyticModel, Topology
-from .planner import DEFAULT_T_IR_US, BudgetOverflow, ReadoutModel, plan, readout_fidelity
+from .planner import DEFAULT_T_IR_US, BudgetOverflow, check_fidelity, plan, readout_fidelity
 from .scan import (
     GridSpec,
     PulseAxis,
@@ -89,13 +89,16 @@ def _fail(path: str, message: str):
 
 @contextlib.contextmanager
 def _at(path: str):
-    """Report a model constructor's ValueError or TypeError at a field path.
+    """Report a model constructor's ValueError, TypeError or OverflowError
+    (an integer beyond float range) at a field path.
 
-    Readers stay outside: their ScenarioError already carries its path.
+    A ScenarioError passes through: it already carries its path.
     """
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(path, str(exc))
 
 
@@ -106,9 +109,13 @@ def _finite(value, path: str) -> float:
     # Python's json also parses NaN and Infinity
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # JSON integers have no size limit
+        _fail(path, "expected a finite number, got an integer beyond float range")
+    if not math.isfinite(number):
         _fail(path, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _finite_or_null(value, path: str):
@@ -335,7 +342,7 @@ def _parse_plan(obj, clusters, path: str) -> dict:
             fidelity = readout_fidelity(alpha0, alpha1)
         labels["fidelity"] = path
     with _at(f"{path}.fidelity"):
-        ReadoutModel(fidelity)
+        check_fidelity(fidelity)
     inputs = {"fidelity": fidelity, "snr": snr, "t_ir_us": t_ir_us}
     if entries is not None:
         specs = [
@@ -352,7 +359,8 @@ def _parse_plan(obj, clusters, path: str) -> dict:
         _fail(path, "give 'transitions' or 'delta_omega_kHz'")
     # the section alone must give a finite budget; the plan command checks
     # the flags that override it
-    _plan(inputs, labels)
+    with _at(path):
+        _plan(inputs, labels)
     return inputs
 
 
@@ -549,7 +557,8 @@ def _cmd_filter(args) -> int:
             f"--steps: {args.steps} steps need about {need / 2**30:.3g} GiB, "
             f"over the {MAX_BYTES >> 30} GiB a filter profile may use"
         )
-    timeline = build_timeline(scenario.sequence)
+    with _at(f"{args.scenario}.sequence"):
+        timeline = build_timeline(scenario.sequence)
     rows = []
     for f in np.linspace(f_lo, f_hi, args.steps):
         result = filter_numeric(timeline, TWO_PI * f)

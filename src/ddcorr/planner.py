@@ -40,15 +40,11 @@ class BudgetOverflow(ValueError):
         self.inputs = inputs
 
 
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Readout quality as a fidelity in (0, 1] (see readout_fidelity)."""
-
-    fidelity: float
-
-    def __post_init__(self):
-        if not 0 < self.fidelity <= 1:
-            raise ValueError(f"fidelity must be in (0, 1], got {self.fidelity}")
+def check_fidelity(fidelity: float) -> float:
+    """fidelity, if it is a readout fidelity in (0, 1] (see readout_fidelity)."""
+    if not 0 < fidelity <= 1:
+        raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
+    return fidelity
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,8 @@ def shots_for_snr(fidelity: float, snr: float) -> int:
     if fidelity <= 0 or snr <= 0:
         raise ValueError("fidelity and snr must be > 0")
     try:
-        return math.ceil((snr / fidelity) ** 2)
+        # at least one shot, though (snr / fidelity)^2 may round to 0
+        return max(1, math.ceil((snr / fidelity) ** 2))
     except OverflowError:
         raise BudgetOverflow(f"snr {snr:g} at F = {fidelity:g} needs too many shots") from None
 
@@ -197,9 +194,9 @@ def plan(
         raise ValueError("give delta_omegas, or deltas and omegas")
     if len(pairs) != 2:
         raise ValueError("dip time is defined for exactly two transitions")
-    readout = ReadoutModel(fidelity)
+    check_fidelity(fidelity)
     with _overflow_of("fidelity", "snr"):
-        shots = shots_for_snr(readout.fidelity, snr)
+        shots = shots_for_snr(fidelity, snr)
     # the dip time depends on each product delta_i * omega_i alone
     with _overflow_of(*targets):
         t_dip = dip_time(*pairs[0], *pairs[1])
@@ -210,7 +207,7 @@ def plan(
         with _overflow_of("fidelity", "snr", "deltas", "omegas", "t_ir_us"):
             sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us)
     return PlanReport(
-        fidelity=readout.fidelity,
+        fidelity=fidelity,
         snr=snr,
         shots=shots,
         dip_time_us=t_dip,

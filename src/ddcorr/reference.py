@@ -4,18 +4,21 @@ magnus_rotation is the first-order propagator of a resonant CPMG block;
 dip_trace_2d and dip_trace_3d take normalized traces of its products,
 which the closed-form dips of analytic.AnalyticModel must equal.
 modulation is the square-wave modulation function f(t) of a compiled
-timeline, against which the tests integrate the filter functions.  No
-other ddcorr module imports this one, so the CLI never compiles it.
+timeline, against which the tests integrate the filter functions, and
+filter_multiblock composes a sequence's filter from its blocks' closed
+forms.  No other ddcorr module imports this one, so the CLI never
+compiles it.
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 
 import numpy as np
 
-from .sequence import PulseTimeline
+from .sequence import FilterResult, PulseTimeline, SequenceSpec, _block_integral
 from .spin_model import TargetCluster, transition
 
 
@@ -73,3 +76,23 @@ def modulation(timeline: PulseTimeline, t: float) -> int:
         raise ValueError(f"t = {t} outside [0, {timeline.total_time}]")
     flipped = bisect.bisect_right(timeline.flip_times.tolist(), t)
     return -1 if flipped % 2 else 1
+
+
+def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
+    """Coherent per-block composition of the sequence filter.
+
+    Each block contributes its closed-form integral, O(1) in its pulse
+    count, rotated by the phase accumulated up to the block start and
+    sign-flipped when an odd number of pulses precede it; the result equals
+    filter_numeric of the compiled timeline.
+    """
+    if not (math.isfinite(omega) and omega != 0):  # negated so that NaN fails too
+        raise ValueError(f"omega must be finite and nonzero, got {omega}")
+    z = 0.0 + 0.0j
+    start = 0.0
+    sign = 1.0
+    for block in spec.blocks:
+        z += sign * cmath.exp(1j * omega * start) * _block_integral(block.n_pulses, block.tau, omega)
+        start += block.duration
+        sign *= (-1) ** block.n_pulses
+    return FilterResult(abs(z), cmath.phase(z) if z != 0 else 0.0)

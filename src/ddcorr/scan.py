@@ -231,8 +231,8 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     block count, the cluster sizes and the engine, so an oversize grid is
     rejected before any of its points is built.
     """
-    points = math.prod(len(axis) for axis in grid.axes)
     cut, left, right = _cut(grid)
+    points = left * right
     entries = left * cut + right * (len(base_spec.blocks) - cut)
     need = (
         points * _POINT_BYTES
@@ -313,8 +313,9 @@ def _cut(grid: GridSpec) -> tuple[int, int, int]:
     """
 
     def rows(c):
-        left = math.prod(len(a) for a in grid.axes if a.block < c)
-        return left, math.prod(len(a) for a in grid.axes if a.block >= c)
+        # __len__() counts in Python ints, where len() stops at sys.maxsize
+        left = math.prod(a.__len__() for a in grid.axes if a.block < c)
+        return left, math.prod(a.__len__() for a in grid.axes if a.block >= c)
 
     _, cut = min((sum(rows(c)), c) for c in {0, *(a.block + 1 for a in grid.axes)})
     return cut, *rows(cut)

@@ -84,20 +84,6 @@ class SequenceSpec:
         if not blocks:
             raise ValueError("sequence needs at least one block")
 
-    @property
-    def total_time(self) -> float:
-        return sum(b.duration for b in self.blocks)
-
-    def with_block(self, index: int, *, tau=None, n_pulses=None) -> "SequenceSpec":
-        """Copy with one block's tau and/or pulse count replaced."""
-        blocks = list(self.blocks)
-        old = blocks[index]
-        blocks[index] = Block(
-            old.tau if tau is None else tau,
-            old.n_pulses if n_pulses is None else n_pulses,
-        )
-        return SequenceSpec(tuple(blocks))
-
 
 @dataclass(frozen=True, eq=False)
 class PulseTimeline:
@@ -220,26 +206,6 @@ def filter_cpmg_closed(n_pulses: int, tau: float, omega: float) -> float:
         if not 0 < value < math.inf:  # negated so that NaN fails too
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     return abs(_block_integral(n_pulses, tau, omega))
-
-
-def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
-    """Coherent per-block composition of the sequence filter.
-
-    Each block contributes its closed-form integral, O(1) in its pulse
-    count, rotated by the phase accumulated up to the block start and
-    sign-flipped when an odd number of pulses precede it; the result equals
-    filter_numeric of the compiled timeline.
-    """
-    if not (math.isfinite(omega) and omega != 0):  # negated so that NaN fails too
-        raise ValueError(f"omega must be finite and nonzero, got {omega}")
-    z = 0.0 + 0.0j
-    start = 0.0
-    sign = 1.0
-    for block in spec.blocks:
-        z += sign * cmath.exp(1j * omega * start) * _block_integral(block.n_pulses, block.tau, omega)
-        start += block.duration
-        sign *= (-1) ** block.n_pulses
-    return FilterResult(abs(z), cmath.phase(z) if z != 0 else 0.0)
 
 
 def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:

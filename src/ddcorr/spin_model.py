@@ -143,8 +143,9 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
 
     Raises:
         ValueError: on duplicate (m, n) pairs (in either order), out-of-range
-            indices, negative amplitudes, fewer than 2 levels, or more levels
-            than MAX_BYTES holds d x d matrices of.
+            indices, negative amplitudes, fewer than 2 levels, more levels
+            than MAX_BYTES holds d x d matrices of, or a transition whose
+            contrast is beyond float range.
     """
     energies = np.asarray(energies, dtype=float)
     d = energies.shape[0]
@@ -172,7 +173,9 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
         seen.add(key)
         beta[m, n] = amp * np.exp(1j * phase)
         beta[n, m] = np.conj(beta[m, n])
-    return TargetCluster(label, energies, beta)
+    cluster = TargetCluster(label, energies, beta)
+    all_transitions(cluster)  # raises for a contrast beyond float range
+    return cluster
 
 
 def spin_one_preset(f_a: float, f_b: float, lam: float) -> TargetCluster:
@@ -300,8 +303,9 @@ def transition(cluster: TargetCluster, m: int, n: int) -> TransitionSpec:
     """Extract the (m, n) transition, oriented so its frequency is positive.
 
     Raises:
-        ValueError: for m == n, degenerate levels (omega == 0), or a dark
-            transition (zero coupling element).
+        ValueError: for m == n, degenerate levels (omega == 0), a dark
+            transition (zero coupling element), or a contrast beyond float
+            range.
     """
     if m == n:
         raise ValueError(f"({m},{m}) is not a transition")
@@ -317,14 +321,19 @@ def transition(cluster: TargetCluster, m: int, n: int) -> TransitionSpec:
     beta = cluster.coupling[m, n]
     if beta == 0:
         raise ValueError(f"transition ({m},{n}) is dark (zero coupling)")
-    beta_mag = abs(beta)
+    beta_mag, omega = float(abs(beta)), float(omega)
+    delta = beta_mag / omega  # Python floats overflow to inf with no numpy warning
+    if np.isinf(delta):
+        raise ValueError(
+            f"transition ({m},{n}) has contrast {beta_mag:g} / {omega:g}, beyond float range"
+        )
     return TransitionSpec(
         m=m,
         n=n,
-        omega=float(omega),
-        beta_mag=float(beta_mag),
+        omega=omega,
+        beta_mag=beta_mag,
         kappa=float(np.angle(beta)),
-        delta=float(beta_mag / omega),
+        delta=delta,
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from ddcorr.analytic import AnalyticModel, Topology, dip_1d
 from ddcorr.exact import coherence_cluster
 from ddcorr.planner import plan, shots_for_snr
-from ddcorr.reference import dip_trace_2d, dip_trace_3d
+from ddcorr.reference import dip_trace_2d, dip_trace_3d, filter_multiblock
 from ddcorr.scan import (
     GridSpec,
     PulseAxis,
@@ -27,7 +27,6 @@ from ddcorr.sequence import (
     SequenceSpec,
     build_timeline,
     filter_cpmg_closed,
-    filter_multiblock,
     filter_numeric,
     resonant_tau,
 )

@@ -21,6 +21,7 @@ occur) every engine must equal the coherence of each enumerated row, and a
 grid on two blocks must compose N1 + N2 rows, not N1 * N2.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from itertools import product
@@ -95,11 +96,7 @@ def scans(draw):
         TauAxis(draw(st.integers(0, n_blocks - 1)), lo, lo + rng.uniform(0.1, 1.0), 3),
         PulseAxis(draw(st.integers(0, n_blocks - 1)), start, start + step * 3, step),
     ))
-    tau_axis, pulse_axis = grid.axes
-    rows = [
-        spec.with_block(tau_axis.block, tau=tau).with_block(pulse_axis.block, n_pulses=n)
-        for tau, n in product(tau_axis.values(), pulse_axis.values())
-    ]
+    rows = grid_rows(spec, grid.axes)
     taus = np.array([[b.tau for b in row.blocks] for row in rows])
     counts = np.array([[b.n_pulses for b in row.blocks] for row in rows])
     return system, spec, grid, rows, taus, counts
@@ -407,11 +404,11 @@ def grid_rows(spec, axes):
     """The grid's sequences in lexicographic axis order."""
     rows = []
     for point in product(*(axis.values() for axis in axes)):
-        row = spec
+        blocks = list(spec.blocks)
         for axis, value in zip(axes, point):
             key = "tau" if isinstance(axis, TauAxis) else "n_pulses"
-            row = row.with_block(axis.block, **{key: value})
-        rows.append(row)
+            blocks[axis.block] = dataclasses.replace(blocks[axis.block], **{key: value})
+        rows.append(SequenceSpec(tuple(blocks)))
     return rows
 
 

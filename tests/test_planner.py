@@ -10,7 +10,7 @@ from ddcorr.planner import (
     DEFAULT_T_IR_US,
     BudgetOverflow,
     PlanReport,
-    ReadoutModel,
+    check_fidelity,
     dip_time,
     plan,
     point_time,
@@ -60,10 +60,10 @@ class TestReadoutFidelity:
 
     def test_model_wraps_fidelity(self):
         with pytest.raises(ValueError):
-            ReadoutModel(0.0)
+            check_fidelity(0.0)
         with pytest.raises(ValueError):
-            ReadoutModel(1.5)
-        assert ReadoutModel(1.0).fidelity == 1.0
+            check_fidelity(1.5)
+        assert check_fidelity(1.0) == 1.0
 
 
 class TestShots:
@@ -81,6 +81,10 @@ class TestShots:
 
     def test_worked_example(self):
         assert shots_for_snr(0.03, 10.0) == 111112
+
+    def test_at_least_one_shot(self):
+        # (1e-200)^2 rounds to 0
+        assert shots_for_snr(1.0, 1e-200) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,11 @@ from ddcorr.sequence import (
     build_timeline,
     check_timeline_size,
     filter_cpmg_closed,
-    filter_multiblock,
     filter_numeric,
     lint_resonance_overlap,
     resonant_tau,
 )
-from ddcorr.reference import modulation
+from ddcorr.reference import filter_multiblock, modulation
 from ddcorr.spin_model import spin_one_preset, star_preset
 
 TWO_PI = 2.0 * np.pi
@@ -68,19 +67,9 @@ class TestBlockAndSpec:
             with pytest.raises(ValueError, match=r"^n_pulses must be at most 2\*\*53, got "):
                 Block(1.0, n)
 
-    def test_spec_total_time(self):
-        spec = SequenceSpec([Block(1.25, 4), Block(0.5, 3)])
-        assert spec.total_time == pytest.approx(10.0 + 3.0)
-
     def test_spec_accepts_raw_pairs(self):
         spec = SequenceSpec([(1.25, 4)])
         assert spec.blocks[0] == Block(1.25, 4)
-
-    def test_with_block_replaces_one_entry(self):
-        spec = SequenceSpec([Block(1.25, 4), Block(0.5, 3)])
-        out = spec.with_block(1, tau=0.7)
-        assert out.blocks[1] == Block(0.7, 3)
-        assert out.blocks[0] == spec.blocks[0]
 
 
 class TestBuildTimeline:
