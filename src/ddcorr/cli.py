@@ -43,10 +43,10 @@ from .sequence import (
     resonant_tau,
 )
 from .spin_model import (
-    MAX_BYTES,
     TWO_PI,
     SystemModel,
     TargetCluster,
+    check_bytes,
     ladder_preset,
     new_cluster,
     ring_preset,
@@ -60,11 +60,11 @@ from .spin_model import (
 _UNITS = ("_MHz", "_kHz", "_us")
 # Re L values this close to the scan minimum tie for the summary point.
 _TIE_TOL = 1e-12
-# Bytes a filter profile keeps per frequency step, of the MAX_BYTES it may
-# use: the frequency, its row of three floats and its CSV line, with the
-# joined and encoded file text.  Peak RSS rose by about 215 bytes a step
-# printing 4e5-8e5 steps, and by about 415 writing them with --out (numpy
-# 2.4, Python 3.11, x86-64).
+# Bytes a filter profile keeps per frequency step, of the 4 GiB it may use
+# (spin_model.check_bytes): the frequency, its row of three floats and its
+# CSV line, with the joined and encoded file text.  Peak RSS rose by about
+# 215 bytes a step printing 4e5-8e5 steps, and by about 415 writing them
+# with --out (numpy 2.4, Python 3.11, x86-64).
 _STEP_BYTES = 512
 
 
@@ -439,7 +439,8 @@ def _cmd_scan(args) -> int:
         raise ScenarioError(f"{args.scenario}: no 'grid' section to scan")
     if args.engine:
         grid = dataclasses.replace(grid, engine=args.engine)
-    result = run_scan(scenario.system, scenario.sequence, grid)
+    with _at(f"{args.scenario}.grid"):
+        result = run_scan(scenario.system, scenario.sequence, grid)
     if args.out:
         write_csv(result, args.out)
     if args.heatmap:
@@ -551,12 +552,8 @@ def _cmd_filter(args) -> int:
         raise ScenarioError(f"need 0 < f-min < f-max, got {f_lo}, {f_hi}")
     if args.steps < 1:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
-    need = args.steps * _STEP_BYTES
-    if need > MAX_BYTES:
-        raise ScenarioError(
-            f"--steps: {args.steps} steps need about {need / 2**30:.3g} GiB, "
-            f"over the {MAX_BYTES >> 30} GiB a filter profile may use"
-        )
+    with _at("--steps"):
+        check_bytes(args.steps * _STEP_BYTES, f"{args.steps} steps need", "a filter profile")
     with _at(f"{args.scenario}.sequence"):
         timeline = build_timeline(scenario.sequence)
     rows = []

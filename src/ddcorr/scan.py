@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -49,7 +49,7 @@ import numpy as np
 from .analytic import _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
-from .spin_model import MAX_BYTES, SystemModel
+from .spin_model import SystemModel, check_bytes
 
 _ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
@@ -61,8 +61,8 @@ _AMBIGUOUS_BAND = 0.1
 # counts and entry parities of compose_branches) and, under the Magnus
 # engine, per (m, k, n) level triple of the largest cluster
 # (analytic.magnus_axis's d x d x d within-segment terms of one tau, the
-# same for every triple); the most a scan may need is
-# spin_model.MAX_BYTES.  Peak RSS of run_scan plus write_csv, in fresh
+# same for every triple), of the 4 GiB a scan may use
+# (spin_model.check_bytes).  Peak RSS of run_scan plus write_csv, in fresh
 # processes: per point, 68-107 bytes on 447 x 447 and 1000 x 1000 pulse
 # grids at d = 3 and 84-124 on 59^3 and 100^3 grids at d = 4 (engines
 # exact, analytic and both).  Per row, at most ~330 on d = 2..12, on tau
@@ -221,7 +221,7 @@ class ScanResult:
 
 
 def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec) -> None:
-    """Raise ValueError if scanning grid on base_spec would need over MAX_BYTES.
+    """Raise ValueError if scanning grid on base_spec would need over 4 GiB.
 
     The estimate charges every point _POINT_BYTES, every row that the cut
     composes _MATRIX_BYTES per unit of each cluster's d^2, and every block
@@ -241,11 +241,7 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     )
     if grid.engine != "exact":
         need += _TRIPLE_BYTES * max(c.dim for c in system.clusters) ** 3
-    if need > MAX_BYTES:
-        raise ValueError(
-            f"grid of {points} points needs about {need / 2**30:.3g} GiB, "
-            f"over the {MAX_BYTES >> 30} GiB a scan may use"
-        )
+    check_bytes(need, f"grid of {points} points needs", "a scan")
 
 
 def run_scan(
@@ -372,7 +368,6 @@ def write_csv(result: ScanResult, path) -> None:
         for c in (*result.coords.T, result.L.real, result.L.imag, *extra)
     ]
     shape, points = result.shape, len(result)
-    tables, powers = _csv_tables(), {}
     # source[c] is the first column with c's bits; the distinct ones either
     # repeat one line of a grid axis (lines, as (stride, length)) or vary
     source, lines, varying = [], {}, []
@@ -389,7 +384,7 @@ def write_csv(result: ScanResult, path) -> None:
     values = [columns[c][: n * stride : stride] for c, (stride, n) in lines.items()]
     if values:
         cut = np.cumsum([len(v) for v in values])[:-1]
-        split = np.split(_encode_blocks(np.concatenate(values), tables, powers), cut, axis=1)
+        split = np.split(_encode_blocks(np.concatenate(values)), cut, axis=1)
         lines = {c: (*lines[c], _nonzero_lanes(lanes)) for c, lanes in zip(lines, split)}
     step = _CSV_CELLS // max(1, len(varying))
     with open(path, "wb") as fh:
@@ -398,7 +393,7 @@ def write_csv(result: ScanResult, path) -> None:
             end = min(first + step, points)
             if varying:
                 x = np.concatenate([columns[c][first:end] for c in varying])
-                encoded = _encode_cells(x, tables, powers).reshape(_LANES, len(varying), -1)
+                encoded = _encode_cells(x).reshape(_LANES, len(varying), -1)
             for start in range(first, end, _CSV_ROWS):
                 rows = np.arange(start, min(start + _CSV_ROWS, end))
                 span = slice(start - first, start - first + len(rows))
@@ -445,20 +440,19 @@ def _grid_axis(bits, shape):
     return None
 
 
-def _encode_blocks(x, tables, powers: dict) -> np.ndarray:
+def _encode_blocks(x) -> np.ndarray:
     """_encode_cells of x, _CSV_CELLS cells at a time."""
     blocks = range(0, len(x), _CSV_CELLS)
-    return np.concatenate(
-        [_encode_cells(x[b : b + _CSV_CELLS], tables, powers) for b in blocks], axis=1
-    )
+    return np.concatenate([_encode_cells(x[b : b + _CSV_CELLS]) for b in blocks], axis=1)
 
 
 def _nonzero_lanes(lanes):
     return lanes[lanes.any(axis=1)]
 
 
+@cache
 def _csv_tables():
-    """The encoder's small tables, built per write_csv call.
+    """The encoder's small tables, built once per process and read-only.
 
     digits4[k] and zeros4[k]: the uint32 lane of the 4 ASCII digits of
     k < 10**4 and the count of its trailing zero digits.  lead[d]: the first
@@ -490,7 +484,7 @@ def _csv_tables():
     def lanes(mask):
         return (mask * np.uint8(255)).view(np.uint32).reshape(-1, 5).T
 
-    return (
+    tables = (
         ascii4.view(np.uint32).ravel(),
         zeros4.ravel(),
         lead,
@@ -499,8 +493,12 @@ def _csv_tables():
         lanes((j >= 0) & (j < k)),
         lanes((j >= w) & (j < k) | (j == -1) & (k > w) & (w > 0)),
     )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
+@cache
 def _power(X: int) -> tuple[float, ...]:
     """(up, down, hi, head, tail, lo) for decimal exponent X: up * down =
     2**e, and hi + lo equals 10**(16 - X) / 2**e to a relative 2**-105,
@@ -523,20 +521,17 @@ def _power(X: int) -> tuple[float, ...]:
     return 2.0 ** (e // 2), 2.0 ** (e - e // 2), hi, head, hi - head, lo
 
 
-def _scaled(a, X, powers: dict):
+def _scaled(a, X):
     """a * 10**(16 - X) for positive finite a, as p + r.
 
     p is integer-valued from 2**53 on, and p + r is within 2**-45 of the
-    exact product below 2**57.  The powers come from _power, memoised in
-    powers for each exponent in X's range.  A = a * 2**e is exact, and
-    A * hi is exact as p plus Dekker's error term, so the error is that of
-    A * lo and of the final sums.
+    exact product below 2**57.  The powers come from _power, memoised for
+    the process.  A = a * 2**e is exact, and A * hi is exact as p plus
+    Dekker's error term, so the error is that of A * lo and of the final
+    sums.
     """
     low, high = int(X.min()), int(X.max())
-    for k in range(low, high + 1):
-        if k not in powers:
-            powers[k] = _power(k)
-    table = np.array([powers[k] for k in range(low, high + 1)]).T.copy()
+    table = np.array([_power(k) for k in range(low, high + 1)]).T.copy()
     up, down, hi, head, tail, lo = (column.take(X - low) for column in table)
     A = a * up * down
     p = A * hi
@@ -552,7 +547,7 @@ def _outside(p, r):
     return ((p - 1e16) + r < -0.04) | ((p - 1e17) + r >= 0)
 
 
-def _encode_cells(x, tables, powers: dict) -> np.ndarray:
+def _encode_cells(x) -> np.ndarray:
     """The bytes of "%.17g" % v for every v in x, as (_LANES, len(x)) uint32
     lanes: cell i is lanes[:, i] read as bytes with the NULs dropped.  The
     first byte of every cell is a NUL left for write_csv's separator.
@@ -574,20 +569,20 @@ def _encode_cells(x, tables, powers: dict) -> np.ndarray:
     zeros of the fraction go, and the point with them.  Zeros keep their
     sign ("-0").
     """
-    digits4, zeros4, lead, whole_of, head, keep_whole, keep_frac = tables
+    digits4, zeros4, lead, whole_of, head, keep_whole, keep_frac = _csv_tables()
     neg = np.signbit(x)
     a = np.abs(x)
     fallback = ~np.isfinite(a)
     zero = a == 0
     a[fallback | zero] = 1.0
     X = np.floor(np.log10(a)).astype(np.int64)
-    p, r = _scaled(a, X, powers)
+    p, r = _scaled(a, X)
     # |r| < 64, so only these can be outside [1e16 - 0.04, 1e17)
     near = np.flatnonzero((p < 1e16 + 64) | (p > 1e17 - 64))
     miss = near[_outside(p[near], r[near])] if near.size else near
     if miss.size:
         X[miss] += np.where(p[miss] > 5e16, 1, -1)
-        p[miss], r[miss] = _scaled(a[miss], X[miss], powers)
+        p[miss], r[miss] = _scaled(a[miss], X[miss])
         fallback[miss] |= _outside(p[miss], r[miss])
     t = r + 0.5
     rounded = np.floor(t)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import MAX_BYTES, all_transitions
+from .spin_model import all_transitions, check_bytes
 
 # Fraction of the on-resonance value 2N at which an off-target transition
 # counts as contaminating a block.
@@ -38,10 +38,10 @@ _RESONANCE_RESIDUAL = 0.05
 MAX_PULSES = 2**53
 
 # The bytes that build_timeline plus filter_numeric need per pulse, of the
-# MAX_BYTES a filter profile may use: one flip time as a Python float in a
-# list and in two arrays, and the complex phase, sign and difference arrays
-# of its segment.  Peak RSS rose by about 150 bytes a pulse filtering 1.5e6
-# pulses at 5 frequencies (numpy 2.4, Python 3.11).
+# 4 GiB a filter profile may use (spin_model.check_bytes): one flip time as
+# a Python float in a list and in two arrays, and the complex phase, sign
+# and difference arrays of its segment.  Peak RSS rose by about 150 bytes a
+# pulse filtering 1.5e6 pulses at 5 frequencies (numpy 2.4, Python 3.11).
 _PULSE_BYTES = 256
 
 
@@ -121,14 +121,9 @@ class FilterResult:
 
 def check_timeline_size(spec: SequenceSpec) -> None:
     """Raise ValueError if the timeline of spec, one flip per pulse, would
-    need more than MAX_BYTES to build and filter."""
+    need more than 4 GiB to build and filter."""
     pulses = sum(block.n_pulses for block in spec.blocks)
-    need = pulses * _PULSE_BYTES
-    if need > MAX_BYTES:
-        raise ValueError(
-            f"{pulses} pulses need about {need / 2**30:.3g} GiB as a timeline, "
-            f"over the {MAX_BYTES >> 30} GiB a filter profile may use"
-        )
+    check_bytes(pulses * _PULSE_BYTES, f"{pulses} pulses need", "a filter profile", "a timeline")
 
 
 def build_timeline(spec: SequenceSpec) -> PulseTimeline:

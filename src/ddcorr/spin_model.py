@@ -39,6 +39,17 @@ MAX_BYTES = 4 << 30
 _LEVEL_PAIR_BYTES = 64
 
 
+def check_bytes(need: int, subject: str, user: str, held: str = "") -> None:
+    """Raise ValueError if need bytes exceed MAX_BYTES, worded as
+    "<subject> about X GiB[ as <held>], over the 4 GiB <user> may use"."""
+    if need > MAX_BYTES:
+        held = f" as {held}" if held else ""
+        raise ValueError(
+            f"{subject} about {need / 2**30:.3g} GiB{held}, "
+            f"over the {MAX_BYTES >> 30} GiB {user} may use"
+        )
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
@@ -151,12 +162,7 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
     d = energies.shape[0]
     if d < 2:
         raise ValueError(f"cluster needs at least 2 levels, got {d}")
-    need = d * d * _LEVEL_PAIR_BYTES
-    if need > MAX_BYTES:
-        raise ValueError(
-            f"{d} levels need about {need / 2**30:.3g} GiB as d x d matrices, "
-            f"over the {MAX_BYTES >> 30} GiB a cluster may use"
-        )
+    check_bytes(d * d * _LEVEL_PAIR_BYTES, f"{d} levels need", "a cluster", "d x d matrices")
     beta = np.zeros((d, d), dtype=complex)
     seen = set()
     for m, n, amp, phase in couplings:

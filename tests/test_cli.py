@@ -776,7 +776,8 @@ class TestDispatchBasics:
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == (
-            "error: grid of 3 points needs about 7.93 GiB, over the 4 GiB a scan may use\n"
+            f"error: {path}.grid: grid of 3 points needs about 7.93 GiB, "
+            "over the 4 GiB a scan may use\n"
         )
         assert not out.exists()
 
@@ -844,22 +845,35 @@ class TestAnalyticCommand:
         assert float(out) == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ("--topology", "2d-correlated", "--delta", "0.025,0.036", "--n", "63,44"),
-            ("--topology", "1d", "--delta", "0.025", "--n", "63"),
             (
-                "--topology", "2d-independent",
-                "--dims", "2",
-                "--delta", "0.025,0.036",
-                "--n", "63,44",
+                ("--topology", "2d-correlated", "--delta", "0.025,0.036", "--n", "63,44"),
+                "--d is required for this topology",
+            ),
+            (
+                ("--topology", "1d", "--delta", "0.025", "--n", "63"),
+                "--d is required for this topology",
+            ),
+            (
+                (
+                    "--topology", "2d-independent",
+                    "--dims", "2",
+                    "--delta", "0.025,0.036",
+                    "--n", "63,44",
+                ),
+                "2d-independent needs 2 dimensions >= 2, got (2,)",
+            ),
+            (
+                ("--topology", "2d-independent", "--delta", "0.1,0.1", "--n", "2,2"),
+                "2d-independent requires --dims",
             ),
         ],
-        ids=["no-d", "1d-no-d", "dims-count"],
+        ids=["no-d", "1d-no-d", "dims-count", "no-dims"],
     )
-    def test_missing_dimension_fails(self, capsys, argv):
+    def test_missing_dimension_fails(self, capsys, argv, message):
         assert dispatch(["analytic", *argv]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -1149,6 +1163,11 @@ class TestPlanCommand:
         assert dispatch(["plan", "--F", "0.03", "--snr", "10"]) == 2
         assert dispatch(["plan", "--snr", "10", "--delta-omega-kHz", "5,5"]) == 2
 
+    def test_scenario_without_plan_section(self, capsys):
+        path = str(REPO / "scenarios" / "ring-sandwich-slice.json")
+        assert dispatch(["plan", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no 'plan' section\n"
+
 
 class TestScanCommand:
     def test_csv_and_summary(self, tmp_path, capsys):
@@ -1210,6 +1229,17 @@ class TestScanCommand:
         path = write_scenario(tmp_path, tau_scan_scenario())
         assert dispatch(["scan", path]) == 0
         assert capsys.readouterr().out == "5 points; min Re L = -0.3 at n1 = 2\n"
+
+    def test_scan_refusal_carries_the_grid_path(self, tmp_path, capsys, monkeypatch):
+        def run_scan(*args, **kwargs):
+            raise ValueError("|L| > 1: not a physical coherence")
+
+        monkeypatch.setattr(cli_module, "run_scan", run_scan)
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        assert dispatch(["scan", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.grid: |L| > 1: not a physical coherence\n"
+        )
 
     def test_scan_without_grid_section(self, tmp_path, capsys):
         payload = tau_scan_scenario()
