@@ -12,11 +12,12 @@ rotations, which reduces to one closed form per transition topology:
   separate molecules      product of one-transition factors
 
 with c_i = cos(2 N_i delta_i), plus the three-transition variants.
-AnalyticModel(topology, deltas, d).evaluate(pulses) is the one entry point
-for all ten topologies (dip_1d is its one-transition form), and one check
-of (d, deltas, counts) guards both.  Driving each transition for
+AnalyticModel(topology, deltas, dims).evaluate(pulses) is the one entry
+point for all ten topologies (dip_1d is its one-transition form), and one
+check of (dims, deltas, counts) guards both.  Driving each transition for
 N_i = pi/(2 delta_i) pulses (a half period) pins the dip at a quantized
-minimum fixed by d and the topology alone (minima).
+minimum fixed by the dimensions and the topology alone (minima).  One
+table, _TOPOLOGIES, holds what the closed forms need of a topology.
 
 Pulse counts may be real-valued here: the closed forms are smooth in N and
 exactly periodic with period pi/delta_i, which the tests exploit.  Integer
@@ -43,23 +44,31 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import check_blocks, factor_coherence, fold_blocks
-from .spin_model import SystemModel, TargetCluster
+from .spin_model import InputError, SystemModel, TargetCluster
 
-# Topology name -> (driven transitions, least dimension, m of the quantized
-# minimum (d - m)/d).  The *-independent topologies drive one transition per
-# molecule: their least dimension is per molecule, and their minimum is a
-# corner product of one-transition factors instead.
+
+class _Shape(NamedTuple):
+    arity: int  # driven transitions
+    least: int  # least dimension, per molecule
+    m: int  # m of the quantized minimum (d - m)/d, per molecule
+    independent: bool  # one driven transition per separate molecule
+
+
+# Topology name -> its _Shape, the one place that knows them.  A topology
+# of one transition per molecule (1d and the *-independent ones) has a
+# product of one-transition factors as its closed form, and their least
+# corner product as its minimum (minima).
 _TOPOLOGIES = {
-    "1d": (1, 2, 4),
-    "2d-independent": (2, 2, None),
-    "2d-uncorrelated": (2, 4, 8),
-    "2d-correlated": (2, 3, 4),
-    "3d-independent": (3, 2, None),
-    "3d-uncorrelated": (3, 6, 12),
-    "3d-ring": (3, 3, 4),
-    "3d-star": (3, 4, 4),
-    "3d-linked-ladder": (3, 4, 8),
-    "3d-unlinked-ladder": (3, 5, 8),
+    "1d": _Shape(1, 2, 4, False),
+    "2d-independent": _Shape(2, 2, 4, True),
+    "2d-uncorrelated": _Shape(2, 4, 8, False),
+    "2d-correlated": _Shape(2, 3, 4, False),
+    "3d-independent": _Shape(3, 2, 4, True),
+    "3d-uncorrelated": _Shape(3, 6, 12, False),
+    "3d-ring": _Shape(3, 3, 4, False),
+    "3d-star": _Shape(3, 4, 4, False),
+    "3d-linked-ladder": _Shape(3, 4, 8, False),
+    "3d-unlinked-ladder": _Shape(3, 5, 8, False),
 }
 TOPOLOGIES = tuple(_TOPOLOGIES)
 # Below this max(|a|, |b|) * dt the nested segment integral uses its double
@@ -76,55 +85,6 @@ _SERIES_COEF = [
     ]
     for j in range(_SERIES_ORDER + 1)
 ]
-
-
-@dataclass(frozen=True)
-class Topology:
-    """How the driven transitions relate, named as in TOPOLOGIES.
-
-    1d: one transition.  Two transitions: independent (separate molecules),
-    uncorrelated (no shared level) or correlated (one shared level).  Three
-    transitions: independent, uncorrelated, ring (a closed triangle on
-    three levels), star (three transitions sharing a hub level),
-    linked-ladder (a chain where consecutive transitions share a level) or
-    unlinked-ladder (transitions 2 and 3 chained, transition 1 detached).
-    The independent topologies carry one dimension per molecule in dims.
-    """
-
-    name: str
-    dims: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.name not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.name!r}")
-        object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
-        least = _TOPOLOGIES[self.name][1]
-        if not self.independent:
-            if self.dims:
-                raise ValueError(f"{self.name} takes no dimension payload")
-        elif len(self.dims) != self.arity or any(d < least for d in self.dims):
-            raise ValueError(
-                f"{self.name} needs {self.arity} dimensions >= {least}, got {self.dims}"
-            )
-
-    @property
-    def arity(self) -> int:
-        """Number of driven transitions."""
-        return _TOPOLOGIES[self.name][0]
-
-    @property
-    def independent(self) -> bool:
-        """One transition per separate molecule."""
-        return self.name.endswith("-independent")
-
-    def check_dim(self, d: int) -> None:
-        """Raise ValueError unless the topology fits joint dimension d."""
-        least = _TOPOLOGIES[self.name][1]
-        if self.independent and d != math.prod(self.dims):
-            factors = " * ".join(map(str, self.dims))
-            raise ValueError(f"joint dimension {d} != {factors} for separate molecules")
-        if not self.independent and d < least:
-            raise ValueError(f"{self.name} topology needs dimension >= {least}, got {d}")
 
 
 class PulsePeriod(NamedTuple):
@@ -309,63 +269,82 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
     return factor_coherence(system, (empty, empty), right, _magnus_stacks)[0]
 
 
-def _check_dip(d, deltas, counts) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """deltas and counts as float tuples, checked for a closed form at dimension d.
-
-    Raises ValueError unless d >= 2, there is one count per delta, every
-    delta is finite and > 0 and every count is finite and >= 0.
-    """
-    deltas = tuple(float(x) for x in deltas)
-    counts = tuple(float(n) for n in counts)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if len(counts) != len(deltas):
-        raise ValueError("one pulse count per block required")
-    if not all(0 < x < math.inf for x in deltas):
-        raise ValueError(f"every delta must be finite and > 0, got {deltas}")
-    if not all(0 <= n < math.inf for n in counts):
-        raise ValueError(f"pulse counts must be finite and >= 0, got {counts}")
-    return deltas, counts
-
-
-def dip_1d(d: int, delta: float, n_pulses: float) -> float:
-    """Single-transition dip (d - 2 + 2 cos(2 N delta)) / d."""
-    (delta,), (n,) = _check_dip(d, (delta,), (n_pulses,))
-    return (d - 2 + 2 * math.cos(2 * n * delta)) / d
+def _shape(topology: str, dims) -> tuple[_Shape, tuple[int, ...]]:
+    """topology's _Shape and dims as ints, if there is one dimension per
+    molecule and each is at least the topology's least (else an InputError
+    naming "dims")."""
+    if topology not in _TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}")
+    shape, dims = _TOPOLOGIES[topology], tuple(int(x) for x in dims)
+    if shape.independent:
+        if len(dims) != shape.arity or min(dims) < shape.least:
+            message = f"{topology} needs {shape.arity} dimensions >= {shape.least}, got {dims}"
+            raise InputError(message, ("dims",))
+    elif len(dims) != 1 or dims[0] < shape.least:
+        got = ", ".join(map(str, dims))
+        message = f"{topology} topology needs dimension >= {shape.least}, got {got}"
+        raise InputError(message, ("dims",))
+    return shape, dims
 
 
 @dataclass(frozen=True)
 class AnalyticModel:
     """The closed-form dip of one topology, at real-valued pulse counts.
 
+    topology names how the driven transitions relate, as in TOPOLOGIES.
+    1d: one transition.  Two transitions: independent (separate molecules),
+    uncorrelated (no shared level) or correlated (one shared level).  Three
+    transitions: independent, uncorrelated, ring (a closed triangle on
+    three levels), star (three transitions sharing a hub level),
+    linked-ladder (a chain where consecutive transitions share a level) or
+    unlinked-ladder (transitions 2 and 3 chained, transition 1 detached).
+
     deltas[i] is the contrast of the topology's i-th driven transition (the
-    one block i targets); d is the cluster dimension (the joint dimension
-    for separate molecules).  Scans do not read it: their analytic engines
-    evaluate the second-order Magnus model of the whole system.
+    one block i targets).  dims holds one dimension per molecule: (d,) for
+    one cluster, one per transition for the independent topologies; d is
+    their product, the joint dimension.  A refused field raises an
+    InputError naming it ("deltas" or "dims"), as evaluate does for its
+    "pulses".  Scans do not read the model: their analytic engines evaluate
+    the second-order Magnus model of the whole system.
     """
 
-    topology: Topology
+    topology: str
     deltas: tuple[float, ...]
-    d: int
+    dims: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(float(x) for x in self.deltas))
-        if not isinstance(self.topology, Topology):
-            raise ValueError(f"unrecognized topology {self.topology!r}")
-        expect = self.topology.arity
-        if len(self.deltas) != expect:
-            raise ValueError(
-                f"{expect} deltas required for this topology, got {len(self.deltas)}"
-            )
-        self.topology.check_dim(self.d)
+        shape, dims = _shape(self.topology, self.dims)
+        object.__setattr__(self, "dims", dims)
+        if len(self.deltas) != shape.arity:
+            message = f"{shape.arity} deltas required for this topology, got {len(self.deltas)}"
+            raise InputError(message, ("deltas",))
+
+    @property
+    def d(self) -> int:
+        """The joint dimension, the product of dims."""
+        return math.prod(self.dims)
 
     def evaluate(self, pulses) -> float:
-        """The dip at pulse counts N_i, one per delta (the real part of the trace)."""
-        deltas, counts = _check_dip(self.d, self.deltas, pulses)
-        name, d = self.topology.name, self.d
-        if self.topology.independent or name == "1d":
-            # one one-transition factor per molecule; 1d is a single molecule
-            return math.prod(map(dip_1d, self.topology.dims or (d,), deltas, counts))
+        """The dip at pulse counts N_i, one per delta (the real part of the trace).
+
+        Raises an InputError unless there is one count per delta, every
+        delta is finite and > 0 and every count is finite and >= 0.
+        """
+        deltas, counts = self.deltas, tuple(float(n) for n in pulses)
+        if len(counts) != len(deltas):
+            raise InputError("one pulse count per block required", ("pulses",))
+        if not all(0 < x < math.inf for x in deltas):
+            raise InputError(f"every delta must be finite and > 0, got {deltas}", ("deltas",))
+        if not all(0 <= n < math.inf for n in counts):
+            raise InputError(f"pulse counts must be finite and >= 0, got {counts}", ("pulses",))
+        name, d = self.topology, self.d
+        if len(self.dims) == len(deltas):
+            # one transition per molecule (1d, *-independent): one factor each
+            return math.prod(
+                (dim - 2 + 2 * math.cos(2 * n * delta)) / dim
+                for dim, delta, n in zip(self.dims, deltas, counts)
+            )
         c = [math.cos(2 * n * delta) for delta, n in zip(deltas, counts)]
         if name == "2d-uncorrelated":
             return (d - 4 + 2 * c[0] + 2 * c[1]) / d
@@ -385,6 +364,11 @@ class AnalyticModel:
         return (d - 3 + c[0] * c[2] + cross) / d
 
 
+def dip_1d(d: int, delta: float, n_pulses: float) -> float:
+    """Single-transition dip (d - 2 + 2 cos(2 N delta)) / d, the "1d" model."""
+    return AnalyticModel("1d", (delta,), (d,)).evaluate((n_pulses,))
+
+
 def pulse_period(delta: float) -> PulsePeriod:
     """Dip period in pulse number, N_c = pi/delta, and its nearest even integer.
 
@@ -397,23 +381,16 @@ def pulse_period(delta: float) -> PulsePeriod:
     return PulsePeriod(exact, 2 * round(exact / 2))
 
 
-def _factor_extremes(dims):
-    """Corner candidates of a product of one-transition factors."""
-    lows = [(d - 4) / d for d in dims]
-    values = [1.0]
-    for low in lows:
-        values = [v * x for v in values for x in (low, 1.0)]
-    return min(values)
-
-
-def minima(topology: Topology, d: int) -> float:
-    """Quantized dip minimum for a topology at dimension d.
+def minima(topology: str, dims) -> float:
+    """Quantized dip minimum of a topology, dims as in AnalyticModel.
 
     Each value is the global minimum of the corresponding closed form over
     real pulse counts, reached at half-period driving (N_i = pi/(2 delta_i)).
+    For separate molecules it is the least corner product of the molecules'
+    minima (d_i - m)/d_i and 1.
     """
-    topology.check_dim(d)
-    m = _TOPOLOGIES[topology.name][2]
-    if m is None:
-        return _factor_extremes(topology.dims)
-    return (d - m) / d
+    shape, dims = _shape(topology, dims)
+    values = [1.0]
+    for d in dims:
+        values = [v * x for v in values for x in ((d - shape.m) / d, 1.0)]
+    return min(values)

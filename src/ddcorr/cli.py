@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import TOPOLOGIES, AnalyticModel, Topology
+from .analytic import _TOPOLOGIES, TOPOLOGIES, AnalyticModel
 from .planner import DEFAULT_T_IR_US, BudgetOverflow, check_fidelity, plan, readout_fidelity
 from .scan import (
+    ENGINES,
     GridSpec,
     PulseAxis,
     TauAxis,
@@ -44,6 +45,7 @@ from .sequence import (
 )
 from .spin_model import (
     TWO_PI,
+    InputError,
     SystemModel,
     TargetCluster,
     check_bytes,
@@ -100,6 +102,17 @@ def _at(path: str):
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         _fail(path, str(exc))
+
+
+@contextlib.contextmanager
+def _at_inputs(labels: dict, refused=InputError):
+    """Report a refused InputError (by default any) at the labels (flags or
+    field paths) of the inputs it names, joined with "/"."""
+    try:
+        yield
+    except refused as exc:
+        where = dict.fromkeys(labels[key] for key in exc.inputs if key in labels)
+        _fail("/".join(where), str(exc))
 
 
 # Readers: each takes (value, path) and returns the checked value.
@@ -272,7 +285,10 @@ def _parse_block(obj, clusters, path: str) -> Block:
 # axis kind -> (constructor, its arguments in order)
 _AXES = {
     "tau": (TauAxis, {"block": _int, "lo_us": _finite, "hi_us": _finite, "steps": _int}),
-    "pulse": (PulseAxis, {"block": _int, "start": _int, "stop": _int, "step": (_int, 2)}),
+    "pulse": (
+        PulseAxis,
+        {"block": _int, "start": _int, "stop": _int, "step": (_int, PulseAxis.step)},
+    ),
 }
 
 
@@ -306,7 +322,7 @@ def _parse_analytic(obj, clusters, path: str) -> AnalyticModel:
     name, index, entries = _fields(obj, _ANALYTIC, path)
     cluster = None
     # separate molecules name [cluster, m, n]; otherwise one cluster holds all
-    if not name.endswith("-independent"):
+    if not _TOPOLOGIES[name].independent:
         if index is None:
             _fail(path, "missing required field 'cluster'")
         cluster = _cluster_at(clusters, index, f"{path}.cluster")
@@ -314,10 +330,9 @@ def _parse_analytic(obj, clusters, path: str) -> AnalyticModel:
         _transition(clusters, entry, f"{path}.transitions[{i}]", cluster)
         for i, entry in enumerate(entries)
     ]
-    dims = () if cluster is not None else tuple(c.dim for c, _ in resolved)
-    d = cluster.dim if cluster is not None else math.prod(dims)
+    dims = (cluster.dim,) if cluster is not None else tuple(c.dim for c, _ in resolved)
     with _at(path):
-        return AnalyticModel(Topology(name, dims), tuple(t.delta for _, t in resolved), d)
+        return AnalyticModel(name, tuple(t.delta for _, t in resolved), dims)
 
 
 _PLAN = {
@@ -359,8 +374,8 @@ def _parse_plan(obj, clusters, path: str) -> dict:
         _fail(path, "give 'transitions' or 'delta_omega_kHz'")
     # the section alone must give a finite budget; the plan command checks
     # the flags that override it
-    with _at(path):
-        _plan(inputs, labels)
+    with _at(path), _at_inputs(labels, BudgetOverflow):
+        plan(**inputs)
     return inputs
 
 
@@ -458,31 +473,22 @@ def _cmd_analytic(args) -> int:
     deltas = _parse_numbers(args.delta, "--delta")
     pulses = _parse_numbers(args.n, "--n")
     name = args.topology
-    dims = ()
-    if name.endswith("-independent"):
-        if not args.dims:
-            raise ScenarioError(f"{name} requires --dims")
-        dims = tuple(_parse_numbers(args.dims, "--dims", int))
+    if _TOPOLOGIES[name].independent:
+        if args.dims is None:
+            raise ScenarioError(f"--dims is required for {name}")
+        size, dims = "--dims", tuple(_parse_numbers(args.dims, "--dims", int))
         if args.d is not None and args.d != math.prod(dims):
             raise ScenarioError(f"--d: {args.d} is not the product of --dims {args.dims}")
     elif args.dims is not None:
         raise ScenarioError(f"--dims: {name} is one molecule; give its dimension with --d")
-    topology = Topology(name, dims)
-    d = math.prod(dims) if dims else args.d
-    if d is None:
+    elif args.d is None:
         raise ScenarioError("--d is required for this topology")
-    print(_fmt(AnalyticModel(topology, deltas, d).evaluate(pulses)))
+    else:
+        size, dims = "--d", (args.d,)
+        _finite(args.d, size)  # argparse's int takes integers beyond float range
+    with _at_inputs({"deltas": "--delta", "dims": size, "pulses": "--n"}):
+        print(_fmt(AnalyticModel(name, deltas, dims).evaluate(pulses)))
     return 0
-
-
-def _plan(inputs: dict, labels: dict):
-    """plan(**inputs); a count or time too large for a float fails at the
-    labels (flags or field paths) of the inputs it depends on."""
-    try:
-        return plan(**inputs)
-    except BudgetOverflow as exc:
-        where = dict.fromkeys(labels[key] for key in exc.inputs if key in labels)
-        _fail("/".join(where), str(exc))
 
 
 def _cmd_plan(args) -> int:
@@ -510,18 +516,18 @@ def _cmd_plan(args) -> int:
     if args.t_ir_us is not None:
         inputs["t_ir_us"] = _finite(args.t_ir_us, "--t-ir-us")
         flags["t_ir_us"] = "--t-ir-us"
-    if bool(args.deltas) != bool(args.freqs_mhz):
+    if (args.deltas is None) != (args.freqs_mhz is None):
         raise ScenarioError("--deltas and --freqs-MHz must be given together")
-    if args.delta_omega_khz or args.deltas:
+    if args.delta_omega_khz is not None or args.deltas is not None:
         # target flags replace every target the scenario gave
         for key in ("delta_omegas", "deltas", "omegas"):
             inputs.pop(key, None)
-    if args.delta_omega_khz:
+    if args.delta_omega_khz is not None:
         inputs["delta_omegas"] = [
             TWO_PI * x / 1000.0 for x in _parse_numbers(args.delta_omega_khz, "--delta-omega-kHz")
         ]
         flags["delta_omegas"] = "--delta-omega-kHz"
-    if args.deltas:
+    if args.deltas is not None:
         inputs["deltas"] = _parse_numbers(args.deltas, "--deltas")
         inputs["omegas"] = [TWO_PI * f for f in _parse_numbers(args.freqs_mhz, "--freqs-MHz")]
         flags.update(deltas="--deltas", omegas="--freqs-MHz")
@@ -529,7 +535,8 @@ def _cmd_plan(args) -> int:
         raise ScenarioError("plan needs a readout fidelity (--F or --alpha0/--alpha1) and --snr")
     if "delta_omegas" not in inputs and "deltas" not in inputs:
         raise ScenarioError("plan needs --delta-omega-kHz, or --deltas with --freqs-MHz")
-    report = _plan(inputs, flags)
+    with _at_inputs(flags):
+        report = plan(**inputs)
     if args.json:
         print(json.dumps(report.to_json_dict()))
         return 0
@@ -549,7 +556,7 @@ def _cmd_filter(args) -> int:
     f_lo = _finite(args.f_min_mhz, "--f-min-MHz")
     f_hi = _finite(args.f_max_mhz, "--f-max-MHz")
     if not 0 < f_lo < f_hi:
-        raise ScenarioError(f"need 0 < f-min < f-max, got {f_lo}, {f_hi}")
+        raise ScenarioError(f"--f-min-MHz/--f-max-MHz: need 0 < f-min < f-max, got {f_lo}, {f_hi}")
     if args.steps < 1:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
     with _at("--steps"):
@@ -620,7 +627,7 @@ def _build_parser() -> _Parser:
     p.add_argument("scenario")
     p.add_argument("--out", help="write the scan as CSV")
     p.add_argument("--heatmap", help="write a 16-bit PGM heatmap (2-axis grids)")
-    p.add_argument("--engine", choices=["exact", "analytic", "both"], help="override the scenario's engine")
+    p.add_argument("--engine", choices=ENGINES, help="override the scenario's engine")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("analytic", help="evaluate one closed-form dip")

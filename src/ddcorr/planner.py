@@ -17,6 +17,7 @@ N_1c x N_2c in pulse-count steps of 2, the step of a scan's pulse axes,
 costs ceil(N_1c/2) * ceil(N_2c/2) points, each charged the dip-point time
 T, about the cell's mean per-point evolution.
 Inputs that give a count or time too large for a float raise BudgetOverflow.
+plan() raises each refusal as an InputError naming the inputs it depends on.
 """
 
 from __future__ import annotations
@@ -25,19 +26,14 @@ import contextlib
 import math
 from dataclasses import dataclass
 
+from .spin_model import InputError
+
 DEFAULT_T_IR_US = 1.0
 _US_PER_S = 1e6
 
 
-class BudgetOverflow(ValueError):
-    """A shot count, unit cell or time too large for a float.
-
-    From plan(), inputs names the plan() arguments the value depends on.
-    """
-
-    def __init__(self, message: str, inputs: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.inputs = inputs
+class BudgetOverflow(InputError):
+    """A shot count, unit cell or time too large for a float."""
 
 
 def check_fidelity(fidelity: float) -> float:
@@ -183,8 +179,8 @@ def plan(
     delta_omegas: two products delta_i * omega_i (rad/us), enough for the
     shot count and dip/point times.  Supplying deltas and omegas separately
     additionally prices the unit-cell sweep (the cell size depends on the
-    deltas alone).  A BudgetOverflow names in inputs the arguments of the
-    value that overflowed.
+    deltas alone).  Every refusal is an InputError (a BudgetOverflow for
+    a value that overflowed) naming in inputs the arguments it depends on.
     """
     if delta_omegas is not None:
         pairs, targets = [(x, 1.0) for x in delta_omegas], ("delta_omegas",)
@@ -193,18 +189,19 @@ def plan(
     else:
         raise ValueError("give delta_omegas, or deltas and omegas")
     if len(pairs) != 2:
-        raise ValueError("dip time is defined for exactly two transitions")
-    check_fidelity(fidelity)
-    with _overflow_of("fidelity", "snr"):
+        raise InputError("dip time is defined for exactly two transitions", targets)
+    with _inputs_of("fidelity"):
+        check_fidelity(fidelity)
+    with _inputs_of("fidelity", "snr"):
         shots = shots_for_snr(fidelity, snr)
     # the dip time depends on each product delta_i * omega_i alone
-    with _overflow_of(*targets):
+    with _inputs_of(*targets):
         t_dip = dip_time(*pairs[0], *pairs[1])
-    with _overflow_of("fidelity", "snr", *targets, "t_ir_us"):
+    with _inputs_of("fidelity", "snr", *targets, "t_ir_us"):
         t_point = point_time(shots, t_dip, t_ir_us)
     sweep_points = sweep_s = None
     if deltas is not None and omegas is not None:
-        with _overflow_of("fidelity", "snr", "deltas", "omegas", "t_ir_us"):
+        with _inputs_of("fidelity", "snr", "deltas", "omegas", "t_ir_us"):
             sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us)
     return PlanReport(
         fidelity=fidelity,
@@ -218,9 +215,11 @@ def plan(
 
 
 @contextlib.contextmanager
-def _overflow_of(*inputs: str):
-    """Re-raise a BudgetOverflow with inputs set to the named plan() arguments."""
+def _inputs_of(*inputs: str):
+    """Re-raise a ValueError as an InputError, a BudgetOverflow as one,
+    with inputs set to the named plan() arguments."""
     try:
         yield
-    except BudgetOverflow as exc:
-        raise BudgetOverflow(str(exc), inputs) from None
+    except ValueError as exc:
+        kind = BudgetOverflow if isinstance(exc, BudgetOverflow) else InputError
+        raise kind(str(exc), inputs) from None

@@ -46,12 +46,12 @@ import numpy as np
 
 # magnus_coherence, coherence_system and build_timeline are unused here, but
 # perfbench --trace 1 wraps them by name
-from .analytic import _magnus_stacks, magnus_coherence  # noqa: F401
+from .analytic import _TOPOLOGIES, _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import SystemModel, check_bytes
 
-_ENGINES = ("exact", "analytic", "both")
+ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
 _AMBIGUOUS_BAND = 0.1
 # Bytes a scan needs per grid point (coordinate and coherence columns, CSV
@@ -148,8 +148,8 @@ class GridSpec:
         object.__setattr__(self, "axes", tuple(self.axes))
         if not 1 <= len(self.axes) <= 3:
             raise ValueError("grid needs 1-3 axes")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         seen = set()
         for axis in self.axes:
             if not isinstance(axis, (TauAxis, PulseAxis)):
@@ -331,19 +331,21 @@ def _part(blocks, axes, first: int) -> tuple[np.ndarray, np.ndarray]:
 def classify_correlation(measured_min: float, d: int) -> str:
     """Judge whether a measured 2D dip minimum indicates a shared level.
 
-    Compares against the quantized minima (d-4)/d (correlated) and (d-8)/d
-    (uncorrelated); verdicts inside a +-0.1 band around their midpoint are
-    "ambiguous".  At d = 3 the uncorrelated hypothesis does not exist, so a
-    low minimum is ambiguous rather than uncorrelated.
+    Compares against the quantized minima of the 2d-correlated and
+    2d-uncorrelated topologies (analytic.minima); verdicts inside a +-0.1
+    band around their midpoint are "ambiguous".  Below the uncorrelated
+    topology's least dimension that hypothesis does not exist, so a low
+    minimum is ambiguous rather than uncorrelated.
     """
-    if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")
-    midpoint = (d - 6) / d
+    correlated, uncorrelated = _TOPOLOGIES["2d-correlated"], _TOPOLOGIES["2d-uncorrelated"]
+    if d < correlated.least:
+        raise ValueError(f"need d >= {correlated.least}, got {d}")
+    midpoint = (d - (correlated.m + uncorrelated.m) / 2) / d
     if abs(measured_min - midpoint) <= _AMBIGUOUS_BAND:
         return "ambiguous"
     if measured_min > midpoint:
         return "correlated"
-    return "uncorrelated" if d >= 4 else "ambiguous"
+    return "uncorrelated" if d >= uncorrelated.least else "ambiguous"
 
 
 def write_csv(result: ScanResult, path) -> None:

@@ -50,6 +50,15 @@ def check_bytes(need: int, subject: str, user: str, held: str = "") -> None:
         )
 
 
+class InputError(ValueError):
+    """A refused input; inputs names the arguments the refused value
+    depends on, for a front end to report it at the flags that gave them."""
+
+    def __init__(self, message: str, inputs: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.inputs = inputs
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)

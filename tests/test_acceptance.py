@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ddcorr.analytic import AnalyticModel, Topology, dip_1d
+from ddcorr.analytic import AnalyticModel, dip_1d
 from ddcorr.exact import coherence_cluster
 from ddcorr.planner import plan, shots_for_snr
 from ddcorr.reference import dip_trace_2d, dip_trace_3d, filter_multiblock
@@ -80,8 +80,8 @@ def fig3_panels(scale=1.0):
 
 def panel_topology(name):
     if name == "uncorrelated-ladder":
-        return Topology("2d-uncorrelated")
-    return Topology("2d-correlated")
+        return "2d-uncorrelated"
+    return "2d-correlated"
 
 
 def run_panel(name, cluster, pairs, scale=1.0, extent=(126, 88)):
@@ -95,7 +95,7 @@ def run_panel(name, cluster, pairs, scale=1.0, extent=(126, 88)):
         ),
         engine="both",
     )
-    model = AnalyticModel(panel_topology(name), deltas, cluster.dim)
+    model = AnalyticModel(panel_topology(name), deltas, (cluster.dim,))
     system = SystemModel((cluster,))
     start = time.perf_counter()
     records = run_scan(system, spec, grid, analytic_model=model)
@@ -204,12 +204,12 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
         (
             ladder_preset([0.20, 0.14, 0.30], [5.0, 5.04, None]),
             [(1, 0), (2, 1)],
-            Topology("2d-correlated"),
+            "2d-correlated",
         ),
         (
             ladder_preset([0.20, 0.30, 0.14], [5.0, None, 5.04]),
             [(1, 0), (3, 2)],
-            Topology("2d-uncorrelated"),
+            "2d-uncorrelated",
         ),
     ]
     grid = range(0, 40, 2)
@@ -218,22 +218,22 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
         for n1 in grid:
             for n2 in grid:
                 trace = dip_trace_2d(cluster, pairs[0], pairs[1], n1, n2)
-                closed = AnalyticModel(topo, deltas, cluster.dim).evaluate((n1, n2))
+                closed = AnalyticModel(topo, deltas, (cluster.dim,)).evaluate((n1, n2))
                 check(trace.real, closed)
 
     # three-transition topologies on 20 x 20 x 5 grids
     three_d = [
         (ring_preset(0.34, 0.14, [5.0, 5.04, 4.98]),
-         [(2, 0), (1, 0), (2, 1)], Topology("3d-ring")),
+         [(2, 0), (1, 0), (2, 1)], "3d-ring"),
         (star_preset([0.20, 0.14, 0.06], [5.0, 5.04, 4.98]),
-         [(1, 0), (2, 0), (3, 0)], Topology("3d-star")),
+         [(1, 0), (2, 0), (3, 0)], "3d-star"),
         (ladder_preset([0.20, 0.14, 0.30], [5.0, 5.04, 4.98]),
-         [(1, 0), (2, 1), (3, 2)], Topology("3d-linked-ladder")),
+         [(1, 0), (2, 1), (3, 2)], "3d-linked-ladder"),
         (ladder_preset([0.20, 0.30, 0.14, 0.06], [5.0, None, 5.04, 4.98]),
-         [(1, 0), (3, 2), (4, 3)], Topology("3d-unlinked-ladder")),
+         [(1, 0), (3, 2), (4, 3)], "3d-unlinked-ladder"),
         (ladder_preset([0.20, 0.35, 0.14, 0.27, 0.06],
                        [5.0, None, 5.04, None, 4.98]),
-         [(1, 0), (3, 2), (5, 4)], Topology("3d-uncorrelated")),
+         [(1, 0), (3, 2), (5, 4)], "3d-uncorrelated"),
     ]
     n3_grid = range(0, 10, 2)
     for cluster, pairs, topo in three_d:
@@ -242,15 +242,15 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
             for n2 in grid:
                 for n3 in n3_grid:
                     trace = dip_trace_3d(cluster, pairs, n1, n2, n3)
-                    closed = AnalyticModel(topo, deltas, cluster.dim).evaluate(
+                    closed = AnalyticModel(topo, deltas, (cluster.dim,)).evaluate(
                         (n1, n2, n3)
                     )
                     check(trace.real, closed)
 
     # chain-form reductions: middle transition idle, then last idle too
     reductions = [
-        (three_d[2], Topology("2d-uncorrelated")),  # linked chain
-        (three_d[3], Topology("2d-uncorrelated")),  # unlinked chain
+        (three_d[2], "2d-uncorrelated"),  # linked chain
+        (three_d[3], "2d-uncorrelated"),  # unlinked chain
     ]
     for (cluster, pairs, topo), reduced in reductions:
         deltas = tuple(transition(cluster, m, n).delta for m, n in pairs)
@@ -258,7 +258,7 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
             for n3 in grid:
                 trace = dip_trace_3d(cluster, pairs, n1, 0, n3)
                 closed = AnalyticModel(
-                    reduced, (deltas[0], deltas[2]), cluster.dim
+                    reduced, (deltas[0], deltas[2]), (cluster.dim,)
                 ).evaluate((n1, n3))
                 check(trace.real, closed)
             solo = dip_trace_3d(cluster, pairs, n1, 0, 0)

@@ -862,11 +862,11 @@ class TestAnalyticCommand:
                     "--delta", "0.025,0.036",
                     "--n", "63,44",
                 ),
-                "2d-independent needs 2 dimensions >= 2, got (2,)",
+                "--dims: 2d-independent needs 2 dimensions >= 2, got (2,)",
             ),
             (
                 ("--topology", "2d-independent", "--delta", "0.1,0.1", "--n", "2,2"),
-                "2d-independent requires --dims",
+                "--dims is required for 2d-independent",
             ),
         ],
         ids=["no-d", "1d-no-d", "dims-count", "no-dims"],
@@ -965,7 +965,7 @@ class TestAnalyticCommand:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: pulse counts must be finite and >= 0, got (-5.0,)\n"
+            "error: --n: pulse counts must be finite and >= 0, got (-5.0,)\n"
         )
 
     def test_malformed_number_list(self, capsys):
@@ -1068,7 +1068,7 @@ class TestPlanCommand:
                 ["--F", "0.03", "--t-ir-us", "nan"],
                 "--t-ir-us: expected a finite number, got nan",
             ),
-            (["--F", "1.5"], "fidelity must be in (0, 1], got 1.5"),
+            (["--F", "1.5"], "--F: fidelity must be in (0, 1], got 1.5"),
             (
                 ["--alpha0", "1e300", "--alpha1", "0.01"],
                 "--alpha0/--alpha1: photon means 1e+300 and 0.01 are too large to evaluate F",

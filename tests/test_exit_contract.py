@@ -1,14 +1,19 @@
-"""The CLI's exit contract under hostile scenario values.
+"""The CLI's exit contract under hostile scenario values and flag values.
 
-Each case sets one leaf of a shipped scenario to a hostile value and runs
-one command through cli.dispatch in-process.  The contract: the exit code
-is 0 or 2 and no exception escapes dispatch; exit 2 prints a message that
-starts with a field path or a flag; exit 0 prints no nan or inf token, to
-stdout or to a CSV.  Scans run on the scenario's grid shrunk to a few
-points, under --engine both.
+A scenario case sets one leaf of a shipped scenario to a hostile value and
+runs one command through cli.dispatch in-process.  The contract: the exit
+code is 0 or 2 and no exception escapes dispatch; exit 2 prints a message
+that starts with a field path or a flag; exit 0 prints no nan or inf
+token, to stdout or to a CSV.  Scans run on the scenario's grid shrunk to
+a few points, under --engine both.
 
-Tier-1 draws a bounded sample of (leaf, value, command).  Run this file as
-a script to sweep every case:
+A flag case sets one value flag of a valid analytic, plan or filter
+command line to a hostile string.  The contract: exit 0 with no nan or inf
+token in stdout, exit 1 with argparse's usage message, or exit 2 with a
+message that starts with a flag.
+
+Tier-1 draws a bounded sample of each kind of case.  Run this file as a
+script to sweep every case:
 
     PYTHONPATH=src python tests/test_exit_contract.py
 """
@@ -59,6 +64,54 @@ _FLAGS = {
 }
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.I)
 
+# Valid command lines of the commands that read flag values; a flag case
+# replaces the value of one of their flags.
+FLAG_LINES = {
+    "analytic": [
+        ["--topology", "2d-correlated", "--d", "4", "--delta", "0.025,0.036", "--n", "63,44"],
+        ["--topology", "3d-independent", "--dims", "2,3,2", "--delta", "0.02,0.03,0.01",
+         "--n", "5,9,13"],
+    ],
+    "plan": [
+        ["--F", "0.03", "--snr", "10", "--delta-omega-kHz", "5,5", "--t-ir-us", "1"],
+        ["--alpha0", "0.02", "--alpha1", "0.01", "--snr", "10", "--deltas", "0.025,0.036",
+         "--freqs-MHz", "0.2,0.14"],
+        [str(REPO / "scenarios/correlated-ladder-cell.json"), "--snr", "10", "--t-ir-us", "2"],
+    ],
+    "filter": [
+        [str(REPO / "scenarios/correlated-ladder-cell.json"), "--f-min-MHz", "0.05",
+         "--f-max-MHz", "0.4", "--steps", "3"],
+    ],
+}
+
+
+def _hostile_texts(valid: str) -> list[str]:
+    """Hostile strings for a flag whose valid value is valid: non-finite,
+    huge, negative, zero and subnormal numbers, empty lists, one value too
+    few and one too many, and a non-number."""
+    values = valid.split(",")
+    texts = ["NaN", "inf", "-inf", "1" + "0" * 400, "-1", "0", "5e-324", "", ","]
+    texts += [",".join(values[:-1]), ",".join(values + values[-1:]), "abc"]
+    return list(dict.fromkeys(texts))
+
+
+FLAG_CASES = [
+    (command, line, flag, text)
+    for command, lines in FLAG_LINES.items()
+    for line, argv in enumerate(lines)
+    for flag, valid in zip(argv, argv[1:])
+    if flag.startswith("--")
+    for text in _hostile_texts(valid)
+]
+
+
+def _run(argv: list) -> tuple[int, str, str]:
+    """dispatch(argv) in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
 
 def _shrunk(scenario: dict) -> dict:
     """The scenario with each grid axis cut to two or three points."""
@@ -103,17 +156,29 @@ def check_case(name: str, leaf: tuple, value, command: str) -> None:
         argv = [command, path, *_FLAGS.get(command, [])]
         if command == "scan":
             argv += ["--out", str(csv)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = dispatch(argv)
+        code, out, err = _run(argv)
         written = csv.read_text() if csv.exists() else ""
     case = f"{command} with {name} {list(leaf)} = {value!r}"
-    assert code in (0, 2), f"{case}: exit {code}\n{err.getvalue()}"
+    assert code in (0, 2), f"{case}: exit {code}\n{err}"
     if code == 2:
-        message = err.getvalue().removeprefix("error: ")
-        assert message.startswith((path, "--")), f"{case}: {err.getvalue()}"
+        message = err.removeprefix("error: ")
+        assert message.startswith((path, "--")), f"{case}: {err}"
     else:
-        assert not _NON_FINITE.search(out.getvalue() + written), f"{case}: {out.getvalue()}"
+        assert not _NON_FINITE.search(out + written), f"{case}: {out}"
+
+
+def check_flag_case(command: str, line: int, flag: str, text: str) -> None:
+    argv = list(FLAG_LINES[command][line])
+    at = argv.index(flag)
+    argv[at : at + 2] = [f"{flag}={text}"]
+    code, out, err = _run([command, *argv])
+    case = f"{command} {' '.join(argv)}"[:200]
+    if code == 0:
+        assert not _NON_FINITE.search(out), f"{case}: {out}"
+    elif code == 1:
+        assert err.startswith(f"usage: ddcorr {command}"), f"{case}: exit 1\n{err}"
+    else:
+        assert code == 2 and err.startswith("error: --"), f"{case}: exit {code}\n{err}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,17 +195,31 @@ def test_hostile_value_exits_0_or_2(leaf, value, command):
     check_case(*leaf, value, command)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(FLAG_CASES))
+@example(case=("analytic", 0, "--d", "1" + "0" * 400))
+@example(case=("analytic", 0, "--n", "-1"))
+@example(case=("plan", 0, "--snr", "-1"))
+@example(case=("filter", 0, "--f-min-MHz", "0"))
+def test_hostile_flag_exits_0_1_or_2_at_its_flag(case):
+    check_flag_case(*case)
+
+
 def sweep() -> int:
-    """Check every (leaf, value, command); print each failure, return their count."""
+    """Check every scenario and flag case; print each failure, return their count."""
+    cases = [
+        (check_case, (name, leaf, value, command))
+        for (name, leaf), value, command in itertools.product(LEAVES, HOSTILE, COMMANDS)
+    ]
+    cases += [(check_flag_case, case) for case in FLAG_CASES]
     failures = 0
-    for (name, leaf), value, command in itertools.product(LEAVES, HOSTILE, COMMANDS):
+    for check, args in cases:
         try:
-            check_case(name, leaf, value, command)
+            check(*args)
         except Exception as exc:  # report every broken case, not the first
             failures += 1
             print(f"FAIL {type(exc).__name__}: {exc}".splitlines()[0])
-    cases = len(LEAVES) * len(HOSTILE) * len(COMMANDS)
-    print(f"{cases - failures} of {cases} cases keep the exit contract")
+    print(f"{len(cases) - failures} of {len(cases)} cases keep the exit contract")
     return failures
 
 

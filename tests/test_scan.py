@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddcorr import scan as scan_module
-from ddcorr.analytic import AnalyticModel, Topology, dip_1d
+from ddcorr.analytic import AnalyticModel, dip_1d
 from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
     GridSpec,
@@ -178,28 +178,28 @@ class TestScanResult:
 
 class TestAnalyticModel:
     def test_1d_dispatch(self):
-        model = AnalyticModel(Topology("1d"), (0.025,), 3)
+        model = AnalyticModel("1d", (0.025,), (3,))
         assert model.evaluate((20,)) == pytest.approx(dip_1d(3, 0.025, 20))
 
     def test_delta_count_must_match_topology(self):
         with pytest.raises(ValueError):
-            AnalyticModel(Topology("1d"), (0.025, 0.036), 3)
+            AnalyticModel("1d", (0.025, 0.036), (3,))
         with pytest.raises(ValueError):
-            AnalyticModel(Topology("2d-correlated"), (0.025,), 3)
+            AnalyticModel("2d-correlated", (0.025,), (3,))
 
     def test_dimension_must_host_topology(self):
         with pytest.raises(ValueError, match="needs dimension >= 4, got 3"):
-            AnalyticModel(Topology("2d-uncorrelated"), (0.025, 0.036), 3)
+            AnalyticModel("2d-uncorrelated", (0.025, 0.036), (3,))
 
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
-            AnalyticModel("2d", (0.025, 0.036), 3)
+            AnalyticModel("2d", (0.025, 0.036), (3,))
 
 
 class TestRunScan:
     def test_lexicographic_order(self):
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
+        model = AnalyticModel("2d-correlated", deltas, (4,))
         grid = GridSpec(
             (PulseAxis(0, 0, 4, 2), PulseAxis(1, 0, 2, 2)),
             engine="analytic",
@@ -217,7 +217,7 @@ class TestRunScan:
 
     def test_analytic_engine_fills_both_fields(self):
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
+        model = AnalyticModel("2d-correlated", deltas, (4,))
         grid = GridSpec(
             (PulseAxis(0, 0, 8, 2), PulseAxis(1, 0, 8, 2)),
             engine="analytic",
@@ -229,7 +229,7 @@ class TestRunScan:
 
     def test_both_engine_attaches_analytic(self):
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
+        model = AnalyticModel("2d-correlated", deltas, (4,))
         grid = GridSpec(
             (PulseAxis(0, 0, 8, 2), PulseAxis(1, 0, 8, 2)), engine="both"
         )
@@ -333,7 +333,7 @@ class TestRunScan:
     def test_rows_view_the_columns(self):
         # the row uses callers rely on: len, iteration and min by re_L
         system, spec, deltas = fig_two_transition_system()
-        model = AnalyticModel(Topology("2d-correlated"), deltas, 4)
+        model = AnalyticModel("2d-correlated", deltas, (4,))
         axes = (PulseAxis(0, 0, 8, 2), PulseAxis(1, 0, 6, 2))
         result = run_scan(system, spec, GridSpec(axes, engine="both"), analytic_model=model)
         assert result.shape == (5, 4)
