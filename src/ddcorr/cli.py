@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _TOPOLOGIES, TOPOLOGIES, AnalyticModel
-from .planner import DEFAULT_T_IR_US, BudgetOverflow, check_fidelity, plan, readout_fidelity
+from .planner import DEFAULT_T_IR_US, plan, readout_fidelity
 from .scan import (
     ENGINES,
     GridSpec,
@@ -45,7 +45,6 @@ from .sequence import (
 )
 from .spin_model import (
     TWO_PI,
-    InputError,
     SystemModel,
     TargetCluster,
     check_bytes,
@@ -90,29 +89,22 @@ def _fail(path: str, message: str):
 
 
 @contextlib.contextmanager
-def _at(path: str):
+def _at(path: str, labels: dict | None = None):
     """Report a model constructor's ValueError, TypeError or OverflowError
-    (an integer beyond float range) at a field path.
+    (an integer beyond float range) at a field path or flag.
 
-    A ScenarioError passes through: it already carries its path.
+    A refusal whose inputs (the arguments it names) have labels, flags or
+    field paths, is reported at those labels joined with "/" instead.  A
+    ScenarioError passes through: it already carries its path.
     """
     try:
         yield
     except ScenarioError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        _fail(path, str(exc))
-
-
-@contextlib.contextmanager
-def _at_inputs(labels: dict, refused=InputError):
-    """Report a refused InputError (by default any) at the labels (flags or
-    field paths) of the inputs it names, joined with "/"."""
-    try:
-        yield
-    except refused as exc:
-        where = dict.fromkeys(labels[key] for key in exc.inputs if key in labels)
-        _fail("/".join(where), str(exc))
+        labels = labels or {}
+        where = dict.fromkeys(labels[key] for key in getattr(exc, "inputs", ()) if key in labels)
+        _fail("/".join(where) or path, str(exc))
 
 
 # Readers: each takes (value, path) and returns the checked value.
@@ -348,7 +340,7 @@ _PLAN = {
 
 def _parse_plan(obj, clusters, path: str) -> dict:
     fidelity, alpha0, alpha1, snr, t_ir_us, entries, products = _fields(obj, _PLAN, path)
-    # the field path of each input, for a budget that overflows
+    # the field path of each input, for a refusal that names it
     labels = {key: f"{path}.{key}" for key in ("fidelity", "snr", "t_ir_us")}
     if fidelity is None:
         if alpha0 is None or alpha1 is None:
@@ -356,8 +348,6 @@ def _parse_plan(obj, clusters, path: str) -> dict:
         with _at(path):
             fidelity = readout_fidelity(alpha0, alpha1)
         labels["fidelity"] = path
-    with _at(f"{path}.fidelity"):
-        check_fidelity(fidelity)
     inputs = {"fidelity": fidelity, "snr": snr, "t_ir_us": t_ir_us}
     if entries is not None:
         specs = [
@@ -374,7 +364,7 @@ def _parse_plan(obj, clusters, path: str) -> dict:
         _fail(path, "give 'transitions' or 'delta_omega_kHz'")
     # the section alone must give a finite budget; the plan command checks
     # the flags that override it
-    with _at(path), _at_inputs(labels, BudgetOverflow):
+    with _at(path, labels):
         plan(**inputs)
     return inputs
 
@@ -486,7 +476,7 @@ def _cmd_analytic(args) -> int:
     else:
         size, dims = "--d", (args.d,)
         _finite(args.d, size)  # argparse's int takes integers beyond float range
-    with _at_inputs({"deltas": "--delta", "dims": size, "pulses": "--n"}):
+    with _at("--topology", {"deltas": "--delta", "dims": size, "pulses": "--n"}):
         print(_fmt(AnalyticModel(name, deltas, dims).evaluate(pulses)))
     return 0
 
@@ -535,7 +525,10 @@ def _cmd_plan(args) -> int:
         raise ScenarioError("plan needs a readout fidelity (--F or --alpha0/--alpha1) and --snr")
     if "delta_omegas" not in inputs and "deltas" not in inputs:
         raise ScenarioError("plan needs --delta-omega-kHz, or --deltas with --freqs-MHz")
-    with _at_inputs(flags):
+    # a refusal that names no flag's input is the scenario's; without one,
+    # the flags gave every input
+    where = f"{args.scenario}.plan" if args.scenario else "/".join(flags.values())
+    with _at(where, flags):
         report = plan(**inputs)
     if args.json:
         print(json.dumps(report.to_json_dict()))

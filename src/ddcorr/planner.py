@@ -17,7 +17,8 @@ N_1c x N_2c in pulse-count steps of 2, the step of a scan's pulse axes,
 costs ceil(N_1c/2) * ceil(N_2c/2) points, each charged the dip-point time
 T, about the cell's mean per-point evolution.
 Inputs that give a count or time too large for a float raise BudgetOverflow.
-plan() raises each refusal as an InputError naming the inputs it depends on.
+plan() refuses each out-of-range input as an InputError naming that input,
+and each overflow as a BudgetOverflow naming the inputs of the value.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class BudgetOverflow(InputError):
 
 
 def check_fidelity(fidelity: float) -> float:
-    """fidelity, if it is a readout fidelity in (0, 1] (see readout_fidelity)."""
+    """fidelity, if it is a readout fidelity in (0, 1] (see readout_fidelity);
+    else an InputError naming "fidelity"."""
     if not 0 < fidelity <= 1:
-        raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
+        raise InputError(f"fidelity must be in (0, 1], got {fidelity}", ("fidelity",))
     return fidelity
 
 
@@ -83,6 +85,10 @@ def readout_fidelity(alpha0: float, alpha1: float) -> float:
         raise ValueError(
             f"photon means {alpha0:g} and {alpha1:g} are too large to evaluate F"
         ) from None
+    except ZeroDivisionError:  # (alpha0 - alpha1)^2 rounds to 0
+        raise ValueError(
+            f"photon means {alpha0:g} and {alpha1:g} are too close to evaluate F"
+        ) from None
 
 
 def shots_for_snr(fidelity: float, snr: float) -> int:
@@ -108,10 +114,11 @@ def dip_time(delta1: float, omega1: float, delta2: float, omega2: float) -> floa
         t_dip = math.pi**2 / (2 * delta1 * omega1) + math.pi**2 / (2 * delta2 * omega2)
     except ZeroDivisionError:  # a product of subnormals rounds to 0
         t_dip = math.inf
-    if not math.isfinite(t_dip):
+    if not 0 < t_dip < math.inf:  # 0 where both products overflow
+        size = "an infinite" if t_dip else "a zero"
         raise BudgetOverflow(
             f"delta * omega = {delta1 * omega1:g} and {delta2 * omega2:g} rad/us "
-            "give an infinite dip time"
+            f"give {size} dip time"
         )
     return t_dip
 
@@ -177,31 +184,40 @@ def plan(
     """Assemble the full budget report.
 
     delta_omegas: two products delta_i * omega_i (rad/us), enough for the
-    shot count and dip/point times.  Supplying deltas and omegas separately
+    shot count and dip/point times.  Supplying deltas and omegas instead
     additionally prices the unit-cell sweep (the cell size depends on the
-    deltas alone).  Every refusal is an InputError (a BudgetOverflow for
-    a value that overflowed) naming in inputs the arguments it depends on.
+    deltas alone).  Every input is checked first, and one out of range
+    raises an InputError naming it in inputs; past those checks only a
+    BudgetOverflow can arise, naming every input of the value that overflowed.
     """
-    if delta_omegas is not None:
-        pairs, targets = [(x, 1.0) for x in delta_omegas], ("delta_omegas",)
-    elif deltas is not None and omegas is not None:
-        pairs, targets = list(zip(deltas, omegas)), ("deltas", "omegas")
+    if delta_omegas is not None and deltas is None and omegas is None:
+        targets = {"delta_omegas": delta_omegas}
+    elif delta_omegas is None and deltas is not None and omegas is not None:
+        targets = {"deltas": deltas, "omegas": omegas}
     else:
         raise ValueError("give delta_omegas, or deltas and omegas")
-    if len(pairs) != 2:
-        raise InputError("dip time is defined for exactly two transitions", targets)
-    with _inputs_of("fidelity"):
-        check_fidelity(fidelity)
+    targets = {name: tuple(float(x) for x in values) for name, values in targets.items()}
+    check_fidelity(fidelity)
+    if not snr > 0:
+        raise InputError(f"snr must be > 0, got {snr}", ("snr",))
+    if not t_ir_us >= 0:
+        raise InputError(f"t_ir_us must be >= 0, got {t_ir_us}", ("t_ir_us",))
+    if any(len(values) != 2 for values in targets.values()):
+        raise InputError("dip time is defined for exactly two transitions", tuple(targets))
+    for name, values in targets.items():
+        if not all(x > 0 for x in values):
+            raise InputError(f"{name} must be > 0, got {values}", (name,))
+    sweep = "deltas" in targets
     with _inputs_of("fidelity", "snr"):
         shots = shots_for_snr(fidelity, snr)
     # the dip time depends on each product delta_i * omega_i alone
+    pairs = list(zip(deltas, omegas)) if sweep else [(x, 1.0) for x in delta_omegas]
     with _inputs_of(*targets):
         t_dip = dip_time(*pairs[0], *pairs[1])
+    sweep_points = sweep_s = None
     with _inputs_of("fidelity", "snr", *targets, "t_ir_us"):
         t_point = point_time(shots, t_dip, t_ir_us)
-    sweep_points = sweep_s = None
-    if deltas is not None and omegas is not None:
-        with _inputs_of("fidelity", "snr", "deltas", "omegas", "t_ir_us"):
+        if sweep:
             sweep_points, sweep_s = sweep_time(shots, deltas, omegas, t_ir_us)
     return PlanReport(
         fidelity=fidelity,
@@ -216,10 +232,8 @@ def plan(
 
 @contextlib.contextmanager
 def _inputs_of(*inputs: str):
-    """Re-raise a ValueError as an InputError, a BudgetOverflow as one,
-    with inputs set to the named plan() arguments."""
+    """Re-raise a BudgetOverflow with inputs set to the named plan() arguments."""
     try:
         yield
-    except ValueError as exc:
-        kind = BudgetOverflow if isinstance(exc, BudgetOverflow) else InputError
-        raise kind(str(exc), inputs) from None
+    except BudgetOverflow as exc:
+        raise BudgetOverflow(str(exc), inputs) from None

@@ -39,13 +39,23 @@ MAX_BYTES = 4 << 30
 _LEVEL_PAIR_BYTES = 64
 
 
+def _gib(need: int) -> str:
+    """need bytes in GiB as "%.3g" formats it, also beyond float range."""
+    try:
+        return f"{need / 2**30:.3g}"
+    except OverflowError:  # an integer estimate: format it scaled by 10^-drop
+        drop = need.bit_length() * 30103 // 100000 - 40
+        mantissa, exponent = f"{(need >> 30) // 10**drop:.3g}".split("e")
+        return f"{mantissa}e+{int(exponent) + drop}"
+
+
 def check_bytes(need: int, subject: str, user: str, held: str = "") -> None:
     """Raise ValueError if need bytes exceed MAX_BYTES, worded as
     "<subject> about X GiB[ as <held>], over the 4 GiB <user> may use"."""
     if need > MAX_BYTES:
         held = f" as {held}" if held else ""
         raise ValueError(
-            f"{subject} about {need / 2**30:.3g} GiB{held}, "
+            f"{subject} about {_gib(need)} GiB{held}, "
             f"over the {MAX_BYTES >> 30} GiB {user} may use"
         )
 

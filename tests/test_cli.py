@@ -688,6 +688,16 @@ class TestDispatchBasics:
             "over the 4 GiB a scan may use\n"
         )
 
+    def test_validate_prices_a_grid_beyond_float_range(self, tmp_path, capsys):
+        payload = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())
+        payload["grid"]["axes"][0]["steps"] = 10**400
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.grid: grid of {41 * 10**400} points needs about 9.22e+394 GiB, "
+            "over the 4 GiB a scan may use\n"
+        )
+
     def test_validate_and_lint_a_billion_pulse_block_in_constant_memory(self, tmp_path):
         payload = {
             "clusters": [{"preset": "star", "freqs_MHz": [0.2, 0.6], "couplings_kHz": [5.0, 5.0]}],
@@ -1073,8 +1083,15 @@ class TestPlanCommand:
                 ["--alpha0", "1e300", "--alpha1", "0.01"],
                 "--alpha0/--alpha1: photon means 1e+300 and 0.01 are too large to evaluate F",
             ),
+            (
+                ["--alpha0", "1e-170", "--alpha1", "0"],
+                "--alpha0/--alpha1: photon means 1e-170 and 0 are too close to evaluate F",
+            ),
         ],
-        ids=["F", "snr", "alpha0", "alpha1", "t-ir-us", "fidelity-above-one", "alpha-overflow"],
+        ids=[
+            "F", "snr", "alpha0", "alpha1", "t-ir-us", "fidelity-above-one", "alpha-overflow",
+            "alpha-underflow",
+        ],
     )
     def test_bad_readout_flags(self, capsys, argv, message):
         base = ["--snr", "10", "--delta-omega-kHz", "5,5"]
@@ -1158,6 +1175,57 @@ class TestPlanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --snr: snr 1e+200 at F = 0.03 needs too many shots\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--snr=-1", "--delta-omega-kHz", "5,5"], "--snr: snr must be > 0, got -1.0"),
+            (
+                ["--snr", "10", "--delta-omega-kHz", "5,5", "--t-ir-us=-1"],
+                "--t-ir-us: t_ir_us must be >= 0, got -1.0",
+            ),
+            (
+                ["--snr", "10", "--deltas", "0,0.036", "--freqs-MHz", "0.2,0.14"],
+                "--deltas: deltas must be > 0, got (0.0, 0.036)",
+            ),
+            (
+                ["--snr", "10", "--deltas", "0.025,0.036", "--freqs-MHz", "0.2,-0.14"],
+                "--freqs-MHz: omegas must be > 0, got (1.2566370614359172, -0.8796459430051422)",
+            ),
+            (
+                ["--snr", "10", "--deltas", "0.025,0.036", "--freqs-MHz", "0.2,0.14,0.3"],
+                "--deltas/--freqs-MHz: dip time is defined for exactly two transitions",
+            ),
+        ],
+        ids=["snr", "t-ir-us", "zero-delta", "negative-freq", "unequal-counts"],
+    )
+    def test_range_refusal_names_only_its_flag(self, capsys, argv, message):
+        assert dispatch(["plan", "--F", "0.03", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fields,where,message",
+        [
+            ({"snr": -1}, ".plan.snr", "snr must be > 0, got -1.0"),
+            ({"t_ir_us": -1}, ".plan.t_ir_us", "t_ir_us must be >= 0, got -1.0"),
+            (
+                {"alpha0": 1e-170, "alpha1": 0},
+                ".plan",
+                "photon means 1e-170 and 0 are too close to evaluate F",
+            ),
+        ],
+        ids=["snr", "t-ir-us", "alphas-too-close"],
+    )
+    def test_validate_reports_a_plan_refusal_at_its_field(
+        self, tmp_path, capsys, fields, where, message
+    ):
+        payload = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())
+        payload["plan"].update(fields)
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
 
     def test_missing_inputs(self, capsys):
         assert dispatch(["plan", "--F", "0.03", "--snr", "10"]) == 2
@@ -1325,6 +1393,16 @@ class TestFilterCommand:
         assert result.stdout == ""
         assert result.stderr == (
             "error: --steps: 1000000000 steps need about 477 GiB, "
+            "over the 4 GiB a filter profile may use\n"
+        )
+
+    def test_step_count_beyond_float_range_keeps_its_budget(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        steps = 10**400
+        argv = ["filter", path, "--f-min-MHz", "0.1", "--f-max-MHz", "0.3"]
+        assert dispatch([*argv, "--steps", str(steps)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --steps: {steps} steps need about 4.77e+393 GiB, "
             "over the 4 GiB a filter profile may use\n"
         )
 

@@ -77,6 +77,8 @@ FLAG_LINES = {
         ["--alpha0", "0.02", "--alpha1", "0.01", "--snr", "10", "--deltas", "0.025,0.036",
          "--freqs-MHz", "0.2,0.14"],
         [str(REPO / "scenarios/correlated-ladder-cell.json"), "--snr", "10", "--t-ir-us", "2"],
+        # a dark state 1: any hostile --alpha0 meets alpha1 = 0
+        ["--alpha0", "0.02", "--alpha1", "0", "--snr", "10", "--delta-omega-kHz", "5,5"],
     ],
     "filter": [
         [str(REPO / "scenarios/correlated-ladder-cell.json"), "--f-min-MHz", "0.05",
@@ -200,6 +202,7 @@ def test_hostile_value_exits_0_or_2(leaf, value, command):
 @example(case=("analytic", 0, "--d", "1" + "0" * 400))
 @example(case=("analytic", 0, "--n", "-1"))
 @example(case=("plan", 0, "--snr", "-1"))
+@example(case=("plan", 3, "--alpha0", "5e-324"))
 @example(case=("filter", 0, "--f-min-MHz", "0"))
 def test_hostile_flag_exits_0_1_or_2_at_its_flag(case):
     check_flag_case(*case)

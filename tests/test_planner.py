@@ -18,6 +18,7 @@ from ddcorr.planner import (
     shots_for_snr,
     sweep_time,
 )
+from ddcorr.spin_model import InputError
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,6 +44,11 @@ class TestReadoutFidelity:
     def test_negative_means_rejected(self):
         with pytest.raises(ValueError):
             readout_fidelity(-0.01, 0.02)
+
+    @pytest.mark.parametrize("alpha0", [1e-170, 5e-324])
+    def test_separation_whose_square_rounds_to_zero_rejected(self, alpha0):
+        with pytest.raises(ValueError, match=r"photon means .* and 0 are too close"):
+            readout_fidelity(alpha0, 0.0)
 
     @given(
         a0=st.floats(0.001, 10.0),
@@ -200,6 +206,30 @@ class TestPlan:
         with pytest.raises(ValueError, match="fidelity must be in"):
             plan(1.5, 10.0, delta_omegas=(COUPLING, COUPLING))
 
+    def test_products_or_deltas_and_omegas_not_both(self):
+        with pytest.raises(ValueError, match="give delta_omegas, or deltas and omegas"):
+            plan(0.03, 10.0, delta_omegas=(COUPLING, COUPLING), deltas=DELTAS, omegas=OMEGAS)
+
+    @pytest.mark.parametrize(
+        "kwargs,inputs",
+        [
+            ({"fidelity": 1.5, "delta_omegas": (COUPLING, COUPLING)}, ("fidelity",)),
+            ({"snr": 0.0, "delta_omegas": (COUPLING, COUPLING)}, ("snr",)),
+            ({"t_ir_us": -1.0, "delta_omegas": (COUPLING, COUPLING)}, ("t_ir_us",)),
+            ({"deltas": (0.0, 0.036), "omegas": OMEGAS}, ("deltas",)),
+            ({"deltas": DELTAS, "omegas": (OMEGAS[0], -OMEGAS[1])}, ("omegas",)),
+            ({"delta_omegas": (COUPLING,) * 3}, ("delta_omegas",)),
+            ({"deltas": DELTAS, "omegas": (*OMEGAS, 1.0)}, ("deltas", "omegas")),
+        ],
+        ids=["fidelity", "snr", "t-ir", "zero-delta", "negative-omega", "three-products",
+             "unequal-counts"],
+    )
+    def test_range_refusal_names_its_input(self, kwargs, inputs):
+        with pytest.raises(InputError) as info:
+            plan(**{"fidelity": 0.03, "snr": 10.0, **kwargs})
+        assert not isinstance(info.value, BudgetOverflow)
+        assert info.value.inputs == inputs
+
 
 class TestBudgetOverflow:
     """Inputs whose counts or times do not fit a float raise, naming them."""
@@ -211,11 +241,12 @@ class TestBudgetOverflow:
             lambda: shots_for_snr(1e-300, 10.0),
             lambda: dip_time(1e-320, 1.0, 0.02, 1.0),
             lambda: dip_time(1e-320, 1e-10, 0.02, 1.0),  # the product rounds to 0
+            lambda: dip_time(1e300, 1e300, 1e300, 1e300),  # both products overflow
             lambda: point_time(10, 9.0, 1e308),
             lambda: sweep_time(100, (1e-320, 0.02), (1e3, 1.0)),
             lambda: sweep_time(100, (1e-200, 1e-200), (1.0, 1.0)),
         ],
-        ids=["snr", "fidelity", "dip", "dip-product", "point", "cell", "sweep"],
+        ids=["snr", "fidelity", "dip", "dip-product", "dip-zero", "point", "cell", "sweep"],
     )
     def test_raises_instead_of_inf(self, call):
         with pytest.raises(BudgetOverflow):
