@@ -420,6 +420,8 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past int-to-str's digit limit
+        raise ScenarioError(f"{path}: {exc}") from exc
     return scenario_from_dict(raw, name=str(path))
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from .analytic import _TOPOLOGIES, _magnus_stacks, magnus_coherence  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
-from .spin_model import SystemModel, check_bytes
+from .spin_model import SystemModel, check_bytes, format_g
 
 ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
@@ -241,7 +241,11 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     )
     if grid.engine != "exact":
         need += _TRIPLE_BYTES * max(c.dim for c in system.clusters) ** 3
-    check_bytes(need, f"grid of {points} points needs", "a scan")
+    try:
+        count = str(points)
+    except ValueError:  # more digits than int-to-str converts
+        count = format_g(points)
+    check_bytes(need, f"grid of {count} points needs", "a scan")
 
 
 def run_scan(

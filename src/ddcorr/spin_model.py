@@ -39,13 +39,13 @@ MAX_BYTES = 4 << 30
 _LEVEL_PAIR_BYTES = 64
 
 
-def _gib(need: int) -> str:
-    """need bytes in GiB as "%.3g" formats it, also beyond float range."""
+def format_g(n: int, shift: int = 0) -> str:
+    """n / 2**shift as "%.3g" formats it, also for an integer n beyond float range."""
     try:
-        return f"{need / 2**30:.3g}"
-    except OverflowError:  # an integer estimate: format it scaled by 10^-drop
-        drop = need.bit_length() * 30103 // 100000 - 40
-        mantissa, exponent = f"{(need >> 30) // 10**drop:.3g}".split("e")
+        return f"{n / 2**shift:.3g}"
+    except OverflowError:  # format it scaled by 10^-drop
+        drop = n.bit_length() * 30103 // 100000 - 40
+        mantissa, exponent = f"{(n >> shift) // 10**drop:.3g}".split("e")
         return f"{mantissa}e+{int(exponent) + drop}"
 
 
@@ -55,7 +55,7 @@ def check_bytes(need: int, subject: str, user: str, held: str = "") -> None:
     if need > MAX_BYTES:
         held = f" as {held}" if held else ""
         raise ValueError(
-            f"{subject} about {_gib(need)} GiB{held}, "
+            f"{subject} about {format_g(need, 30)} GiB{held}, "
             f"over the {MAX_BYTES >> 30} GiB {user} may use"
         )
 

@@ -698,6 +698,30 @@ class TestDispatchBasics:
             "over the 4 GiB a scan may use\n"
         )
 
+    def test_validate_prices_a_grid_past_the_int_to_str_digit_limit(self, tmp_path, capsys):
+        # 10**4400 points have more digits than str() converts
+        payload = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())
+        for axis in payload["grid"]["axes"]:
+            axis["steps"] = 10**2200
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.grid: grid of 1e+4400 points needs about 1.19e+4393 GiB, "
+            "over the 4 GiB a scan may use\n"
+        )
+
+    def test_validate_reports_a_literal_past_the_digit_limit_at_its_file(self, tmp_path, capsys):
+        payload = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())
+        payload["plan"]["snr"] = "<snr>"
+        path = tmp_path / "scenario.json"
+        # json.dumps cannot write an integer of more than 4300 digits
+        path.write_text(json.dumps(payload).replace('"<snr>"', "1" + "0" * 5000))
+        assert dispatch(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        # Python 3.10 words it "the limit (4300)", later ones "(4300 digits)"
+        assert err.startswith(f"error: {path}: Exceeds the limit (4300"), err
+        assert "value has 5001 digits" in err
+
     def test_validate_and_lint_a_billion_pulse_block_in_constant_memory(self, tmp_path):
         payload = {
             "clusters": [{"preset": "star", "freqs_MHz": [0.2, 0.6], "couplings_kHz": [5.0, 5.0]}],

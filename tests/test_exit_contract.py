@@ -38,6 +38,17 @@ SCENARIOS = {
     path.stem: json.loads(path.read_text()) for path in sorted(REPO.glob("scenarios/*.json"))
 }
 
+
+class RawJson(str):
+    """JSON text that check_case writes verbatim in place of its leaf."""
+
+    def __repr__(self):
+        return f"RawJson(<{len(self)} characters>)"
+
+
+# an integer literal past int-to-str's 4300-digit limit: json.dumps cannot
+# write it, so check_case splices it into the dumped text
+HUGE_LITERAL = RawJson("1" + "0" * 4300)
 HOSTILE = [
     float("nan"),
     float("inf"),
@@ -56,6 +67,7 @@ HOSTILE = [
     {},
     {"m": 0},
     None,
+    HUGE_LITERAL,
 ]
 COMMANDS = ["validate", "lint", "plan", "filter", "scan"]
 _FLAGS = {
@@ -149,12 +161,14 @@ def check_case(name: str, leaf: tuple, value, command: str) -> None:
     target = scenario
     for key in leaf[:-1]:
         target = target[key]
-    target[leaf[-1]] = value
+    target[leaf[-1]] = "<raw>" if isinstance(value, RawJson) else value
+    text = json.dumps(scenario)
+    if isinstance(value, RawJson):
+        text = text.replace('"<raw>"', value)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/{name}.json"
         csv = Path(tmp, "scan.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(scenario, fh)
+        Path(path).write_text(text, encoding="utf-8")
         argv = [command, path, *_FLAGS.get(command, [])]
         if command == "scan":
             argv += ["--out", str(csv)]
@@ -193,6 +207,7 @@ def check_flag_case(command: str, line: int, flag: str, text: str) -> None:
 @example(leaf=("correlated-ladder-cell", ("sequence", 0, "order")), value=10**400, command="scan")
 @example(leaf=("spin-one-tau-map", ("clusters", 0, "f_a_MHz")), value=5e-324, command="lint")
 @example(leaf=("spin-one-tau-map", ("grid", "axes", 0, "steps")), value=2**63, command="validate")
+@example(leaf=("spin-one-tau-map", ("plan", "snr")), value=HUGE_LITERAL, command="validate")
 def test_hostile_value_exits_0_or_2(leaf, value, command):
     check_case(*leaf, value, command)
 

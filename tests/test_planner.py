@@ -1,5 +1,6 @@
 """Tests for the measurement-budget planner."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +10,8 @@ from hypothesis import assume, given, strategies as st
 from ddcorr.planner import (
     DEFAULT_T_IR_US,
     BudgetOverflow,
-    PlanReport,
-    check_fidelity,
-    dip_time,
     plan,
-    point_time,
     readout_fidelity,
-    shots_for_snr,
-    sweep_time,
 )
 from ddcorr.spin_model import InputError
 
@@ -65,94 +60,146 @@ class TestReadoutFidelity:
         assert better > base
 
     def test_model_wraps_fidelity(self):
-        with pytest.raises(ValueError):
-            check_fidelity(0.0)
-        with pytest.raises(ValueError):
-            check_fidelity(1.5)
-        assert check_fidelity(1.0) == 1.0
+        with pytest.raises(InputError, match=r"fidelity must be in \(0, 1\], got 0.0"):
+            _products(0.0, 10.0)
+        with pytest.raises(InputError, match=r"fidelity must be in \(0, 1\], got 1.5"):
+            _products(1.5, 10.0)
+        assert _products(1.0, 10.0).fidelity == 1.0
+
+
+def _products(fidelity, snr, **kwargs):
+    """plan() of the worked example's products delta_i * omega_i."""
+    return plan(fidelity, snr, delta_omegas=(COUPLING, COUPLING), **kwargs)
+
+
+def _full(fidelity=0.03):
+    """plan() of the worked example's deltas and omegas at SNR 10."""
+    return plan(fidelity, 10.0, deltas=DELTAS, omegas=OMEGAS)
 
 
 class TestShots:
     def test_exact_squares(self):
-        assert shots_for_snr(0.5, 1.0) == 4
-        assert shots_for_snr(1.0, 1.0) == 1
+        assert _products(0.5, 1.0).shots == 4
+        assert _products(1.0, 1.0).shots == 1
 
     def test_rounds_up(self):
-        assert shots_for_snr(0.3, 1.0) == 12  # (1/0.3)^2 = 11.11
+        assert _products(0.3, 1.0).shots == 12  # (1/0.3)^2 = 11.11
 
     def test_snr_squared_scaling(self):
         base = (1.0 / 0.5) ** 2
-        assert shots_for_snr(0.5, 2.0) == int(4 * base)
-        assert shots_for_snr(0.5, 3.0) == int(9 * base)
+        assert _products(0.5, 2.0).shots == int(4 * base)
+        assert _products(0.5, 3.0).shots == int(9 * base)
 
     def test_worked_example(self):
-        assert shots_for_snr(0.03, 10.0) == 111112
+        assert _products(0.03, 10.0).shots == 111112
 
     def test_at_least_one_shot(self):
         # (1e-200)^2 rounds to 0
-        assert shots_for_snr(1.0, 1e-200) == 1
+        assert _products(1.0, 1e-200).shots == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            shots_for_snr(0.0, 1.0)
+            _products(0.0, 1.0)
         with pytest.raises(ValueError):
-            shots_for_snr(0.5, 0.0)
+            _products(0.5, 0.0)
 
 
 class TestDipTime:
     def test_equal_couplings(self):
-        got = dip_time(0.025, COUPLING / 0.025, 0.025, COUPLING / 0.025)
+        got = _products(0.03, 10.0).dip_time_us
         assert got == pytest.approx(math.pi**2 / COUPLING, rel=1e-12)
         assert got == pytest.approx(314.159, abs=1e-3)
+        # the dip time depends on each product delta_i * omega_i alone
+        split = plan(0.03, 10.0, deltas=(0.025, 0.025), omegas=(COUPLING / 0.025,) * 2)
+        assert split.dip_time_us == pytest.approx(got, rel=1e-12)
 
     def test_worked_example(self):
-        got = dip_time(DELTAS[0], OMEGAS[0], DELTAS[1], OMEGAS[1])
-        assert got == pytest.approx(312.91, abs=0.01)
+        assert _full().dip_time_us == pytest.approx(312.91, abs=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dip_time(0.0, 1.0, 0.02, 1.0)
+            plan(0.03, 10.0, deltas=(0.0, 0.02), omegas=(1.0, 1.0))
 
 
 class TestPointTime:
     def test_unit_conversion(self):
-        assert point_time(1000, 99.0, 1.0) == pytest.approx(0.1)
+        # 100 shots of 99 + 1 us
+        report = plan(0.5, 5.0, delta_omegas=(math.pi**2 / 99.0,) * 2, t_ir_us=1.0)
+        assert report.shots == 100
+        assert report.dip_time_us == pytest.approx(99.0, rel=1e-12)
+        assert report.point_time_s == pytest.approx(0.01, rel=1e-12)
 
     def test_default_overhead(self):
-        assert point_time(10, 9.0) == point_time(10, 9.0, DEFAULT_T_IR_US)
+        assert _products(0.03, 10.0) == _products(0.03, 10.0, t_ir_us=DEFAULT_T_IR_US)
 
     def test_worked_example(self):
-        t_dip = dip_time(DELTAS[0], OMEGAS[0], DELTAS[1], OMEGAS[1])
-        got = point_time(111112, t_dip, 1.0)
-        assert got == pytest.approx(34.879, abs=0.01)
+        assert _full().point_time_s == pytest.approx(34.879, abs=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            point_time(0, 9.0)
+            _products(0.03, 10.0, t_ir_us=-1.0)
         with pytest.raises(ValueError):
-            point_time(10, -1.0)
+            plan(0.03, 10.0, delta_omegas=(COUPLING, -1.0))
 
 
 class TestSweepTime:
     def test_unit_cell_point_count(self):
-        points, _ = sweep_time(111112, DELTAS, OMEGAS)
-        assert points == 63 * 44
+        assert _full().sweep_points == 63 * 44
 
     def test_uniform_seconds(self):
-        points, seconds = sweep_time(111112, DELTAS, OMEGAS)
-        t_dip = dip_time(DELTAS[0], OMEGAS[0], DELTAS[1], OMEGAS[1])
-        want = points * point_time(111112, t_dip, 1.0)
-        assert seconds == pytest.approx(want, rel=1e-12)
+        report = _full()
+        assert report.sweep_time_s == report.sweep_points * report.point_time_s
+
+    def test_charged_the_reported_point_time(self):
+        # integers whose float roundings are inexact price the sweep at the
+        # reported point time too, not at one recomputed from the roundings
+        big = 2**53 + 1
+        report = plan(1.0, 1.0, deltas=(big, big), omegas=(big, big), t_ir_us=0.0)
+        assert report.sweep_time_s == report.sweep_points * report.point_time_s
 
     def test_uniform_mode_needs_two_axes(self):
         with pytest.raises(ValueError):
-            sweep_time(100, (0.02,), (1.0,))
+            plan(0.03, 10.0, deltas=(0.02,), omegas=(1.0,))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sweep_time(0, DELTAS, OMEGAS)
-        with pytest.raises(ValueError):
-            sweep_time(100, (0.02, -0.01), (1.0, 1.0))
+            plan(0.03, 10.0, deltas=(0.02, -0.01), omegas=(1.0, 1.0))
+
+
+class TestGoldenBits:
+    """Every PlanReport field of the worked examples, bit for bit (float.hex)."""
+
+    @pytest.mark.parametrize(
+        "report,want",
+        [
+            (
+                _products(0.03, 10.0),
+                {"fidelity": "0x1.eb851eb851eb8p-6", "snr": "0x1.4000000000000p+3",
+                 "shots": 111112, "dip_time_us": "0x1.3a28c59d5433ap+8",
+                 "point_time_s": "0x1.1824d0c1256cep+5", "sweep_points": None,
+                 "sweep_time_s": None},
+            ),
+            (
+                _full(0.03),
+                {"fidelity": "0x1.eb851eb851eb8p-6", "snr": "0x1.4000000000000p+3",
+                 "shots": 111112, "dip_time_us": "0x1.38e9a0424ab98p+8",
+                 "point_time_s": "0x1.170920bf0c13bp+5", "sweep_points": 2772,
+                 "sweep_time_s": "0x1.79addad295d8ap+16"},
+            ),
+            (
+                _full(0.3),
+                {"fidelity": "0x1.3333333333333p-2", "snr": "0x1.4000000000000p+3",
+                 "shots": 1112, "dip_time_us": "0x1.38e9a0424ab98p+8",
+                 "point_time_s": "0x1.6572d1b7145adp-2", "sweep_points": 2772,
+                 "sweep_time_s": "0x1.e3cfe8da4d0cfp+9"},
+            ),
+        ],
+        ids=["products", "full-dim", "full-bright"],
+    )
+    def test_worked_examples(self, report, want):
+        got = {key: value.hex() if isinstance(value, float) else value
+               for key, value in dataclasses.asdict(report).items()}
+        assert got == want
 
 
 class TestPlan:
@@ -235,22 +282,33 @@ class TestBudgetOverflow:
     """Inputs whose counts or times do not fit a float raise, naming them."""
 
     @pytest.mark.parametrize(
-        "call",
+        "kwargs,message",
         [
-            lambda: shots_for_snr(0.03, 1e200),
-            lambda: shots_for_snr(1e-300, 10.0),
-            lambda: dip_time(1e-320, 1.0, 0.02, 1.0),
-            lambda: dip_time(1e-320, 1e-10, 0.02, 1.0),  # the product rounds to 0
-            lambda: dip_time(1e300, 1e300, 1e300, 1e300),  # both products overflow
-            lambda: point_time(10, 9.0, 1e308),
-            lambda: sweep_time(100, (1e-320, 0.02), (1e3, 1.0)),
-            lambda: sweep_time(100, (1e-200, 1e-200), (1.0, 1.0)),
+            ({"snr": 1e200}, "snr 1e+200 at F = 0.03 needs too many shots"),
+            ({"fidelity": 1e-300}, "snr 10 at F = 1e-300 needs too many shots"),
+            ({"deltas": (1e-320, 0.02), "omegas": (1.0, 1.0)},
+             "delta * omega = 9.99989e-321 and 0.02 rad/us give an infinite dip time"),
+            # the product rounds to 0
+            ({"deltas": (1e-320, 0.02), "omegas": (1e-10, 1.0)},
+             "delta * omega = 0 and 0.02 rad/us give an infinite dip time"),
+            # both products overflow
+            ({"deltas": (1e300, 1e300), "omegas": (1e300, 1e300)},
+             "delta * omega = inf and inf rad/us give a zero dip time"),
+            ({"t_ir_us": 1e308},
+             "1.11e+05 shots of 314.159 + 1e+308 us give an infinite point time"),
+            ({"deltas": (1e-310, 0.02), "omegas": (1e300, 1.0)},
+             "deltas 1e-310 and 0.02 give an infinite unit cell"),
+            ({"deltas": (1e-200, 1e-200), "omegas": (1.0, 1.0)},
+             "1.57e+200 x 1.57e+200 points of 1.09663e+200 s give an infinite sweep time"),
         ],
         ids=["snr", "fidelity", "dip", "dip-product", "dip-zero", "point", "cell", "sweep"],
     )
-    def test_raises_instead_of_inf(self, call):
-        with pytest.raises(BudgetOverflow):
-            call()
+    def test_raises_instead_of_inf(self, kwargs, message):
+        if "deltas" not in kwargs:
+            kwargs = {"delta_omegas": (COUPLING, COUPLING), **kwargs}
+        with pytest.raises(BudgetOverflow) as info:
+            plan(**{"fidelity": 0.03, "snr": 10.0, **kwargs})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "kwargs,inputs",
@@ -273,15 +331,3 @@ class TestBudgetOverflow:
         with pytest.raises(BudgetOverflow) as info:
             plan(**{"fidelity": 0.03, "snr": 10.0, **kwargs})
         assert info.value.inputs == inputs
-
-
-class TestPlanReport:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PlanReport(
-                fidelity=0.0,
-                snr=10.0,
-                shots=1,
-                dip_time_us=1.0,
-                point_time_s=1.0,
-            )
