@@ -37,9 +37,7 @@ from .scan import (
 from .sequence import (
     Block,
     SequenceSpec,
-    build_timeline,
-    check_timeline_size,
-    filter_numeric,
+    filter_multiblock,
     lint_resonance_overlap,
     resonant_tau,
 )
@@ -411,16 +409,15 @@ def parse_scenario(path) -> Scenario:
     """Load and fully validate a scenario JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            raw = json.loads(fh.read())
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal past int-to-str's digit limit
+    # not UTF-8, an integer literal past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return scenario_from_dict(raw, name=str(path))
 
@@ -546,21 +543,22 @@ def _cmd_plan(args) -> int:
 
 def _cmd_filter(args) -> int:
     scenario = parse_scenario(args.scenario)
-    with _at(f"{args.scenario}.sequence"):
-        check_timeline_size(scenario.sequence)
     f_lo = _finite(args.f_min_mhz, "--f-min-MHz")
     f_hi = _finite(args.f_max_mhz, "--f-max-MHz")
     if not 0 < f_lo < f_hi:
         raise ScenarioError(f"--f-min-MHz/--f-max-MHz: need 0 < f-min < f-max, got {f_lo}, {f_hi}")
+    # every closed-form phase is omega times the sequence duration or less,
+    # or times the tau of a zero-pulse block
+    longest = max(scenario.sequence.duration, *(b.tau for b in scenario.sequence.blocks))
+    if not math.isfinite(TWO_PI * f_hi * longest):
+        raise ScenarioError(f"--f-max-MHz: 2 pi x {f_hi:g} MHz x {longest:g} us is beyond float range")
     if args.steps < 1:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
     with _at("--steps"):
         check_bytes(args.steps * _STEP_BYTES, f"{args.steps} steps need", "a filter profile")
-    with _at(f"{args.scenario}.sequence"):
-        timeline = build_timeline(scenario.sequence)
     rows = []
     for f in np.linspace(f_lo, f_hi, args.steps):
-        result = filter_numeric(timeline, TWO_PI * f)
+        result = filter_multiblock(scenario.sequence, TWO_PI * f)
         rows.append((f, result.magnitude, result.phase))
     if args.out:
         lines = ["# ddcorr-filter v1", "f_MHz,filter_F,filter_phase_rad"]

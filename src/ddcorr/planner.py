@@ -76,6 +76,13 @@ def readout_fidelity(alpha0: float, alpha1: float) -> float:
         ) from None
 
 
+def _float(value, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a Python integer beyond float range
+        raise InputError(f"{name} must be finite, got an integer beyond float range", (name,)) from None
+
+
 def plan(
     fidelity: float,
     snr: float,
@@ -99,7 +106,8 @@ def plan(
         targets = {"deltas": deltas, "omegas": omegas}
     else:
         raise ValueError("give delta_omegas, or deltas and omegas")
-    targets = {name: tuple(float(x) for x in values) for name, values in targets.items()}
+    targets = {name: tuple(_float(x, name) for x in values) for name, values in targets.items()}
+    fidelity, snr, t_ir_us = _float(fidelity, "fidelity"), _float(snr, "snr"), _float(t_ir_us, "t_ir_us")
     if not 0 < fidelity <= 1:
         raise InputError(f"fidelity must be in (0, 1], got {fidelity}", ("fidelity",))
     if not snr > 0:
@@ -121,7 +129,7 @@ def plan(
         ) from None
     # the dip time depends on each product delta_i * omega_i alone
     sweep = "deltas" in targets
-    (d1, o1), (d2, o2) = zip(deltas, omegas) if sweep else [(x, 1.0) for x in delta_omegas]
+    (d1, o1), (d2, o2) = zip(*targets.values()) if sweep else zip(targets["delta_omegas"], (1.0, 1.0))
     try:
         t_dip = math.pi**2 / (2 * d1 * o1) + math.pi**2 / (2 * d2 * o2)
     except ZeroDivisionError:  # a product of subnormals rounds to 0

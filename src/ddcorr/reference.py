@@ -4,21 +4,20 @@ magnus_rotation is the first-order propagator of a resonant CPMG block;
 dip_trace_2d and dip_trace_3d take normalized traces of its products,
 which the closed-form dips of analytic.AnalyticModel must equal.
 modulation is the square-wave modulation function f(t) of a compiled
-timeline, against which the tests integrate the filter functions, and
-filter_multiblock composes a sequence's filter from its blocks' closed
-forms.  No other ddcorr module imports this one, so the CLI never
-compiles it.
+timeline, and filter_numeric integrates f(t) e^{i omega t} over a
+compiled timeline segment by segment, one flip per pulse: the reference
+for sequence.filter_multiblock's per-block closed forms.  No other ddcorr
+module imports this one, so the CLI never compiles it.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 
 import numpy as np
 
-from .sequence import FilterResult, PulseTimeline, SequenceSpec, _block_integral
+from .sequence import FilterResult, PulseTimeline
 from .spin_model import TargetCluster, transition
 
 
@@ -78,21 +77,22 @@ def modulation(timeline: PulseTimeline, t: float) -> int:
     return -1 if flipped % 2 else 1
 
 
-def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
-    """Coherent per-block composition of the sequence filter.
+def _filter_integral(flip_times, total_time: float, omega: float) -> complex:
+    """omega * integral_0^T f(t) e^{i omega t} dt, exactly, segment by segment."""
+    bounds = np.concatenate([[0.0], flip_times, [total_time]])
+    phases = np.exp(1j * omega * bounds)
+    signs = np.where(np.arange(bounds.size - 1) % 2, -1.0, 1.0)
+    # omega * s * (e^{i w b} - e^{i w a}) / (i w) summed over segments
+    return -1j * np.sum(signs * (phases[1:] - phases[:-1]))
 
-    Each block contributes its closed-form integral, O(1) in its pulse
-    count, rotated by the phase accumulated up to the block start and
-    sign-flipped when an odd number of pulses precede it; the result equals
-    filter_numeric of the compiled timeline.
+
+def filter_numeric(timeline: PulseTimeline, omega: float) -> FilterResult:
+    """Filter magnitude and phase of an arbitrary timeline at frequency omega.
+
+    Returns (F, xi) with F * e^{i xi} = omega * integral f(t) e^{i omega t} dt,
+    the phase referenced to the timeline start.
     """
-    if not (math.isfinite(omega) and omega != 0):  # negated so that NaN fails too
-        raise ValueError(f"omega must be finite and nonzero, got {omega}")
-    z = 0.0 + 0.0j
-    start = 0.0
-    sign = 1.0
-    for block in spec.blocks:
-        z += sign * cmath.exp(1j * omega * start) * _block_integral(block.n_pulses, block.tau, omega)
-        start += block.duration
-        sign *= (-1) ** block.n_pulses
-    return FilterResult(abs(z), cmath.phase(z) if z != 0 else 0.0)
+    if omega == 0:
+        raise ValueError("filter undefined at omega = 0")
+    z = _filter_integral(timeline.flip_times, timeline.total_time, omega)
+    return FilterResult(float(abs(z)), float(np.angle(z)) if z != 0 else 0.0)

@@ -11,9 +11,9 @@ wave toggling at each flip) picks up noise at omega; a block is resonant with
 a transition when 2*tau = pi*(2c - 1)/omega, where F reaches 2N.
 
 Filter integrals are exact, never quadrature: one closed form per CPMG
-block, O(1) in N, and, as their reference, filter_numeric's per-segment
-antiderivatives of e^{i omega t} over a compiled timeline.  Filter phases
-are measured with t = 0 at the start of the whole timeline.
+block, O(1) in N, composed over the blocks by filter_multiblock, so no
+timeline is built to filter.  Filter phases are measured with t = 0 at the
+start of the whole sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import all_transitions, check_bytes
+from .spin_model import all_transitions
 
 # Fraction of the on-resonance value 2N at which an off-target transition
 # counts as contaminating a block.
@@ -36,13 +36,6 @@ _RESONANCE_RESIDUAL = 0.05
 
 # Larger pulse counts do not survive float64 (coordinates, 2*N*tau) exactly.
 MAX_PULSES = 2**53
-
-# The bytes that build_timeline plus filter_numeric need per pulse, of the
-# 4 GiB a filter profile may use (spin_model.check_bytes): one flip time as
-# a Python float in a list and in two arrays, and the complex phase, sign
-# and difference arrays of its segment.  Peak RSS rose by about 150 bytes a
-# pulse filtering 1.5e6 pulses at 5 frequencies (numpy 2.4, Python 3.11).
-_PULSE_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -63,6 +56,8 @@ class Block:
             raise ValueError(f"n_pulses must be a nonnegative integer, got {n}")
         if n > MAX_PULSES:
             raise ValueError(f"n_pulses must be at most 2**53, got {n}")
+        if not math.isfinite(2.0 * self.tau * max(n, 1)):  # tau enters phases even at n = 0
+            raise ValueError(f"2 * tau * max(n_pulses, 1) must be finite, got tau = {self.tau}, n = {n}")
         object.__setattr__(self, "n_pulses", int(n))
 
     @property
@@ -83,6 +78,12 @@ class SequenceSpec:
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("sequence needs at least one block")
+        if not math.isfinite(self.duration):
+            raise ValueError("sequence lasts beyond float range")
+
+    @property
+    def duration(self) -> float:
+        return sum(block.duration for block in self.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +120,6 @@ class FilterResult:
     phase: float
 
 
-def check_timeline_size(spec: SequenceSpec) -> None:
-    """Raise ValueError if the timeline of spec, one flip per pulse, would
-    need more than 4 GiB to build and filter."""
-    pulses = sum(block.n_pulses for block in spec.blocks)
-    check_bytes(pulses * _PULSE_BYTES, f"{pulses} pulses need", "a filter profile", "a timeline")
-
-
 def build_timeline(spec: SequenceSpec) -> PulseTimeline:
     """Compile a block sequence to absolute flip times.
 
@@ -155,27 +149,6 @@ def resonant_tau(omega: float, order: int = 1) -> float:
     return np.pi * (2 * order - 1) / (2.0 * omega)
 
 
-def _filter_integral(flip_times, total_time: float, omega: float) -> complex:
-    """omega * integral_0^T f(t) e^{i omega t} dt, exactly, segment by segment."""
-    bounds = np.concatenate([[0.0], flip_times, [total_time]])
-    phases = np.exp(1j * omega * bounds)
-    signs = np.where(np.arange(bounds.size - 1) % 2, -1.0, 1.0)
-    # omega * s * (e^{i w b} - e^{i w a}) / (i w) summed over segments
-    return -1j * np.sum(signs * (phases[1:] - phases[:-1]))
-
-
-def filter_numeric(timeline: PulseTimeline, omega: float) -> FilterResult:
-    """Filter magnitude and phase of an arbitrary timeline at frequency omega.
-
-    Returns (F, xi) with F * e^{i xi} = omega * integral f(t) e^{i omega t} dt,
-    the phase referenced to the timeline start.
-    """
-    if omega == 0:
-        raise ValueError("filter undefined at omega = 0")
-    z = _filter_integral(timeline.flip_times, timeline.total_time, omega)
-    return FilterResult(float(abs(z)), float(np.angle(z)) if z != 0 else 0.0)
-
-
 def _block_integral(n_pulses: int, tau: float, omega: float) -> complex:
     """omega * integral f(t) e^{i omega t} dt over one CPMG block, from its start.
 
@@ -189,18 +162,24 @@ def _block_integral(n_pulses: int, tau: float, omega: float) -> complex:
     return 1j * (1.0 - u) ** 2 * cmath.exp(1j * (n_pulses - 1) * h) * kernel
 
 
-def filter_cpmg_closed(n_pulses: int, tau: float, omega: float) -> float:
-    """Closed-form CPMG-N filter magnitude at the block's full duration 2*N*tau.
+def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
+    """Coherent per-block composition of the sequence filter.
 
-    One expression, O(1) in N and 2N at every resonance; filter_numeric of
-    the block's timeline is its reference.
+    Each block contributes its closed-form integral, O(1) in its pulse
+    count, rotated by the phase accumulated up to the block start and
+    sign-flipped when an odd number of pulses precede it; the result equals
+    reference.filter_numeric of the compiled timeline.
     """
-    if n_pulses < 1:
-        raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    for name, value in (("tau", tau), ("omega", omega)):
-        if not 0 < value < math.inf:  # negated so that NaN fails too
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    return abs(_block_integral(n_pulses, tau, omega))
+    if not (math.isfinite(omega) and omega != 0):  # negated so that NaN fails too
+        raise ValueError(f"omega must be finite and nonzero, got {omega}")
+    z = 0.0 + 0.0j
+    start = 0.0
+    sign = 1.0
+    for block in spec.blocks:
+        z += sign * cmath.exp(1j * omega * start) * _block_integral(block.n_pulses, block.tau, omega)
+        start += block.duration
+        sign *= (-1) ** block.n_pulses
+    return FilterResult(abs(z), cmath.phase(z) if z != 0 else 0.0)
 
 
 def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:
@@ -217,12 +196,14 @@ def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:
         transitions.extend((ci, t) for t in all_transitions(cluster))
     warnings = []
     for bi, block in enumerate(spec.blocks):
-        if block.n_pulses < 1 or not transitions:
+        if block.n_pulses < 1:
             continue
         full = 2.0 * block.n_pulses
+        # a transition whose 2*tau*omega overflows has no resonance or filter value
+        phases = [(ci, t, 2.0 * block.tau * t.omega / np.pi) for ci, t in transitions]
+        phases = [(ci, t, x) for ci, t, x in phases if math.isfinite(x)]
         hits = []
-        for ci, t in transitions:
-            x = 2.0 * block.tau * t.omega / np.pi
+        for ci, t, x in phases:
             order = max(round((x - 1.0) / 2.0), 0)
             residual = abs(x - (2 * order + 1))
             if residual <= _RESONANCE_RESIDUAL:
@@ -230,10 +211,10 @@ def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:
         if not hits:
             continue  # block targets nothing; nothing to contaminate
         _, _, best_ci, best_t = min(hits, key=lambda h: h[:2])
-        for ci, t in transitions:
+        for ci, t, _ in phases:
             if ci == best_ci and t == best_t:
                 continue
-            f = filter_cpmg_closed(block.n_pulses, block.tau, t.omega)
+            f = abs(_block_integral(block.n_pulses, block.tau, t.omega))
             if f >= _OVERLAP_FRACTION * full:
                 warnings.append(
                     f"block {bi} (tau = {block.tau:.6g} us) is resonant with "

@@ -13,7 +13,7 @@ import pytest
 from ddcorr.analytic import AnalyticModel, dip_1d
 from ddcorr.exact import coherence_cluster
 from ddcorr.planner import plan
-from ddcorr.reference import dip_trace_2d, dip_trace_3d, filter_multiblock
+from ddcorr.reference import dip_trace_2d, dip_trace_3d, filter_numeric
 from ddcorr.scan import (
     GridSpec,
     PulseAxis,
@@ -26,8 +26,7 @@ from ddcorr.sequence import (
     Block,
     SequenceSpec,
     build_timeline,
-    filter_cpmg_closed,
-    filter_numeric,
+    filter_multiblock,
     resonant_tau,
 )
 from ddcorr.spin_model import (
@@ -275,9 +274,9 @@ def test_criterion_5_filter_identities(capsys):
     for n_pulses in (7, 8):
         for x in np.linspace(0.004, 4.0 * np.pi, 997):
             omega = x / tau
-            timeline = build_timeline(SequenceSpec([Block(tau, n_pulses)]))
-            closed = filter_cpmg_closed(n_pulses, tau, omega)
-            numeric = filter_numeric(timeline, omega).magnitude
+            spec = SequenceSpec([Block(tau, n_pulses)])
+            closed = filter_multiblock(spec, omega).magnitude
+            numeric = filter_numeric(build_timeline(spec), omega).magnitude
             worst_closed = max(worst_closed, abs(closed - numeric))
 
     worst_res = 0.0

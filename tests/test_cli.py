@@ -722,6 +722,35 @@ class TestDispatchBasics:
         assert err.startswith(f"error: {path}: Exceeds the limit (4300"), err
         assert "value has 5001 digits" in err
 
+    def test_validate_reports_json_nested_past_the_recursion_limit_at_its_file(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert dispatch(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: maximum recursion depth exceeded"), err
+
+    def test_validate_reports_a_file_that_is_not_utf8_at_its_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert dispatch(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
+    def test_validate_refuses_a_block_lasting_beyond_float_range(self, tmp_path, capsys):
+        payload = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())
+        payload["sequence"][0]["tau_us"] = 1e308
+        path = write_scenario(tmp_path, payload)
+        for command in ("validate", "lint"):
+            assert dispatch([command, path]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}.sequence[0]: 2 * tau * max(n_pulses, 1) must be finite, "
+                f"got tau = 1e+308, n = {payload['sequence'][0]['n_pulses']}\n"
+            )
+
     def test_validate_and_lint_a_billion_pulse_block_in_constant_memory(self, tmp_path):
         payload = {
             "clusters": [{"preset": "star", "freqs_MHz": [0.2, 0.6], "couplings_kHz": [5.0, 5.0]}],
@@ -1430,21 +1459,44 @@ class TestFilterCommand:
             "over the 4 GiB a filter profile may use\n"
         )
 
-    def test_rejects_a_timeline_too_large_to_build(self, tmp_path, capsys):
-        # one flip per pulse: 10**9 pulses would need about 238 GiB
+    def test_filters_a_billion_pulse_block_in_constant_memory(self, tmp_path):
+        # a timeline of 1e9 flips would take about 238 GiB; the closed form
+        # takes O(1) in the pulse count
         payload = tau_scan_scenario()
         payload["sequence"][0]["n_pulses"] = 10**9
         path = write_scenario(tmp_path, payload)
-        out_csv = tmp_path / "filter.csv"
-        argv = ["filter", path, "--f-min-MHz", "0.1", "--f-max-MHz", "0.3"]
-        assert dispatch([*argv, "--steps", "3", "--out", str(out_csv)]) == 2
+        argv = ["filter", path, "--f-min-MHz", "0.1", "--f-max-MHz", "0.3", "--steps", "3"]
+        result = run_capped(argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert "0.2 MHz: F = 2e+09, phase = " in result.stdout
+
+    @pytest.mark.parametrize(
+        "sequence,f_max,message",
+        [
+            # 2 pi x 1e307 MHz is finite, but not over the 50 us sequence
+            ([{"tau_us": 1.25, "n_pulses": 20}], "1e307", "2 pi x 1e+307 MHz x 50 us"),
+            # 2 pi x 1e308 MHz itself overflows
+            ([{"tau_us": 1.25, "n_pulses": 20}], "1e308", "2 pi x 1e+308 MHz x 50 us"),
+            # a zero-pulse block's tau enters its phase, though not the duration
+            (
+                [{"tau_us": 1e300, "n_pulses": 0}, {"tau_us": 1.25, "n_pulses": 20}],
+                "1e10",
+                "2 pi x 1e+10 MHz x 1e+300 us",
+            ),
+        ],
+        ids=["sequence", "omega", "zero-pulse-tau"],
+    )
+    def test_refuses_phases_beyond_float_range(self, tmp_path, capsys, sequence, f_max, message):
+        payload = tau_scan_scenario()
+        payload["sequence"] = sequence
+        del payload["grid"]
+        path = write_scenario(tmp_path, payload)
+        argv = ["filter", path, "--f-min-MHz", "0.1", "--f-max-MHz", f_max, "--steps", "2"]
+        assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}.sequence: 1000000000 pulses need about 238 GiB as a "
-            "timeline, over the 4 GiB a filter profile may use\n"
-        )
-        assert not out_csv.exists()
+        assert captured.err == f"error: --f-max-MHz: {message} is beyond float range\n"
 
 
 class TestLintCommand:

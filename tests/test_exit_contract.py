@@ -101,10 +101,10 @@ FLAG_LINES = {
 
 def _hostile_texts(valid: str) -> list[str]:
     """Hostile strings for a flag whose valid value is valid: non-finite,
-    huge, negative, zero and subnormal numbers, empty lists, one value too
-    few and one too many, and a non-number."""
+    huge, near-largest, negative, zero and subnormal numbers, empty lists,
+    one value too few and one too many, and a non-number."""
     values = valid.split(",")
-    texts = ["NaN", "inf", "-inf", "1" + "0" * 400, "-1", "0", "5e-324", "", ","]
+    texts = ["NaN", "inf", "-inf", "1" + "0" * 400, "1e308", "-1", "0", "5e-324", "", ","]
     texts += [",".join(values[:-1]), ",".join(values + values[-1:]), "abc"]
     return list(dict.fromkeys(texts))
 
@@ -219,6 +219,7 @@ def test_hostile_value_exits_0_or_2(leaf, value, command):
 @example(case=("plan", 0, "--snr", "-1"))
 @example(case=("plan", 3, "--alpha0", "5e-324"))
 @example(case=("filter", 0, "--f-min-MHz", "0"))
+@example(case=("filter", 0, "--f-max-MHz", "1e308"))
 def test_hostile_flag_exits_0_1_or_2_at_its_flag(case):
     check_flag_case(*case)
 

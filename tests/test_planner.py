@@ -278,6 +278,32 @@ class TestPlan:
         assert info.value.inputs == inputs
 
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"snr": 10**400}, "snr"),
+            ({"t_ir_us": 10**400}, "t_ir_us"),
+            ({"fidelity": -(10**400)}, "fidelity"),
+            ({"delta_omegas": (COUPLING, 10**400)}, "delta_omegas"),
+            ({"deltas": (10**400, 0.02), "omegas": OMEGAS}, "deltas"),
+        ],
+        ids=["snr", "t-ir", "fidelity", "products", "deltas"],
+    )
+    def test_integer_beyond_float_range_names_its_input(self, kwargs, name):
+        if "deltas" not in kwargs:
+            kwargs = {"delta_omegas": (COUPLING, COUPLING), **kwargs}
+        with pytest.raises(InputError) as info:
+            plan(**{"fidelity": 0.03, "snr": 10.0, **kwargs})
+        assert str(info.value) == f"{name} must be finite, got an integer beyond float range"
+        assert info.value.inputs == (name,)
+
+    def test_integer_deltas_and_omegas_are_priced_as_floats(self):
+        # their product, 10**400, overflows only as an integer
+        ints = plan(0.03, 10.0, deltas=(10**200, 0.02), omegas=(10**200, 1.0))
+        floats = plan(0.03, 10.0, deltas=(1e200, 0.02), omegas=(1e200, 1.0))
+        assert ints == floats
+
+
 class TestBudgetOverflow:
     """Inputs whose counts or times do not fit a float raise, naming them."""
 

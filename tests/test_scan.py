@@ -652,13 +652,18 @@ class TestEncoderExactness:
         assert run.stdout == "[]\n"
 
     def test_scan_never_loads_the_reference_module(self, tmp_path):
-        # the first-order oracles serve the tests; the CLI does not compile them
-        scenario = REPO / "scenarios" / "correlated-ladder-cell.json"
-        argv = ["scan", str(scenario), "--engine", "both", "--out", str(tmp_path / "scan.csv")]
+        # the oracles serve the tests; neither scan nor filter nor lint
+        # compiles them
+        scenario = str(REPO / "scenarios" / "correlated-ladder-cell.json")
+        commands = [
+            ["scan", scenario, "--engine", "both", "--out", str(tmp_path / "scan.csv")],
+            ["filter", scenario, "--f-min-MHz", "0.05", "--f-max-MHz", "0.4", "--steps", "5"],
+            ["lint", scenario],
+        ]
         code = (
             "import sys\n"
             "from ddcorr.cli import dispatch\n"
-            f"code = dispatch({argv!r})\n"
+            f"code = max(dispatch(argv) for argv in {commands!r})\n"
             "print(code, sorted(m for m in sys.modules if m.startswith('ddcorr.')))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
