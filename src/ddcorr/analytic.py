@@ -13,11 +13,11 @@ rotations, which reduces to one closed form per transition topology:
 
 with c_i = cos(2 N_i delta_i), plus the three-transition variants.
 AnalyticModel(topology, deltas, dims).evaluate(pulses) is the one entry
-point for all ten topologies (dip_1d is its one-transition form), and one
-check of (dims, deltas, counts) guards both.  Driving each transition for
-N_i = pi/(2 delta_i) pulses (a half period) pins the dip at a quantized
-minimum fixed by the dimensions and the topology alone (minima).  One
-table, _TOPOLOGIES, holds what the closed forms need of a topology.
+point for all ten topologies, and one check of (dims, deltas, counts)
+guards them.  Driving each transition for N_i = pi/(2 delta_i) pulses (a
+half period) pins the dip at a quantized minimum fixed by the dimensions
+and the topology alone (minima).  One table, TOPOLOGIES, holds each
+topology's closed form and what its checks and minimum need.
 
 Pulse counts may be real-valued here: the closed forms are smooth in N and
 exactly periodic with period pi/delta_i, which the tests exploit.  Integer
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,30 +47,42 @@ from .exact import check_blocks, factor_coherence, fold_blocks
 from .spin_model import InputError, SystemModel, TargetCluster
 
 
-class _Shape(NamedTuple):
+class Shape(NamedTuple):
+    """A row of TOPOLOGIES: what a topology's closed form, checks and minimum need."""
+
     arity: int  # driven transitions
     least: int  # least dimension, per molecule
     m: int  # m of the quantized minimum (d - m)/d, per molecule
     independent: bool  # one driven transition per separate molecule
+    dip: Callable | None  # the closed form dip(d, c, x)
 
 
-# Topology name -> its _Shape, the one place that knows them.  A topology
-# of one transition per molecule (1d and the *-independent ones) has a
-# product of one-transition factors as its closed form, and their least
-# corner product as its minimum (minima).
-_TOPOLOGIES = {
-    "1d": _Shape(1, 2, 4, False),
-    "2d-independent": _Shape(2, 2, 4, True),
-    "2d-uncorrelated": _Shape(2, 4, 8, False),
-    "2d-correlated": _Shape(2, 3, 4, False),
-    "3d-independent": _Shape(3, 2, 4, True),
-    "3d-uncorrelated": _Shape(3, 6, 12, False),
-    "3d-ring": _Shape(3, 3, 4, False),
-    "3d-star": _Shape(3, 4, 4, False),
-    "3d-linked-ladder": _Shape(3, 4, 8, False),
-    "3d-unlinked-ladder": _Shape(3, 5, 8, False),
+def _closed_loop(d, c, x):  # ring and star share one closed form
+    return (d - 3 + c[0] * c[2] + x) / d
+
+
+# Topology name -> its Shape, the one place that knows them.  A dip takes
+# the joint dimension d, c_i = cos(2 N_i delta_i) and, for three
+# transitions, the chain cross term x.  None stands for the product of
+# one-transition factors, one per molecule, of 1d and *-independent, whose
+# minimum is the least corner product of the molecules' minima (minima).
+TOPOLOGIES = {
+    "1d": Shape(1, 2, 4, False, None),
+    "2d-independent": Shape(2, 2, 4, True, None),
+    "2d-uncorrelated": Shape(2, 4, 8, False, lambda d, c, x: (d - 4 + 2 * c[0] + 2 * c[1]) / d),
+    "2d-correlated": Shape(2, 3, 4, False, lambda d, c, x: (d - 3 + c[0] + c[1] + c[0] * c[1]) / d),
+    "3d-independent": Shape(3, 2, 4, True, None),
+    # summed term by term: 2 * sum(c) rounds differently
+    "3d-uncorrelated": Shape(
+        3, 6, 12, False, lambda d, c, x: (d - 6 + 2 * c[0] + 2 * c[1] + 2 * c[2]) / d
+    ),
+    "3d-ring": Shape(3, 3, 4, False, _closed_loop),
+    "3d-star": Shape(3, 4, 4, False, _closed_loop),
+    "3d-linked-ladder": Shape(3, 4, 8, False, lambda d, c, x: (d - 4 + c[0] + c[2] + x) / d),
+    "3d-unlinked-ladder": Shape(
+        3, 5, 8, False, lambda d, c, x: (d - 5 + 2 * c[0] + c[1] + c[2] + c[1] * c[2]) / d
+    ),
 }
-TOPOLOGIES = tuple(_TOPOLOGIES)
 # Below this max(|a|, |b|) * dt the nested segment integral uses its double
 # Taylor series, truncated after total order _SERIES_ORDER (error below
 # 1e-20 relative), instead of difference quotients that divide by a or b.
@@ -232,7 +244,7 @@ def _expm_skew(x: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def _magnus_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
+def magnus_stacks(cluster: TargetCluster, taus, counts) -> np.ndarray:
     """Lab-frame Magnus block propagators, shaped and ordered as exact.block_stacks.
 
     A block of N pulses entered on coupling sign s is e^{-i H0 T}
@@ -266,16 +278,16 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
     counts = np.reshape(counts, (-1, taus.size))
     empty = np.empty((1, 0))
     right = (np.broadcast_to(taus, counts.shape), counts)
-    return factor_coherence(system, (empty, empty), right, _magnus_stacks)[0]
+    return factor_coherence(system, (empty, empty), right, magnus_stacks)[0]
 
 
-def _shape(topology: str, dims) -> tuple[_Shape, tuple[int, ...]]:
-    """topology's _Shape and dims as ints, if there is one dimension per
+def _shape(topology: str, dims) -> tuple[Shape, tuple[int, ...]]:
+    """topology's Shape and dims as ints, if there is one dimension per
     molecule and each is at least the topology's least (else an InputError
     naming "dims")."""
-    if topology not in _TOPOLOGIES:
+    if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
-    shape, dims = _TOPOLOGIES[topology], tuple(int(x) for x in dims)
+    shape, dims = TOPOLOGIES[topology], tuple(int(x) for x in dims)
     if shape.independent:
         if len(dims) != shape.arity or min(dims) < shape.least:
             message = f"{topology} needs {shape.arity} dimensions >= {shape.least}, got {dims}"
@@ -338,35 +350,19 @@ class AnalyticModel:
             raise InputError(f"every delta must be finite and > 0, got {deltas}", ("deltas",))
         if not all(0 <= n < math.inf for n in counts):
             raise InputError(f"pulse counts must be finite and >= 0, got {counts}", ("pulses",))
-        name, d = self.topology, self.d
-        if len(self.dims) == len(deltas):
-            # one transition per molecule (1d, *-independent): one factor each
+        shape = TOPOLOGIES[self.topology]
+        if shape.dip is None:
             return math.prod(
                 (dim - 2 + 2 * math.cos(2 * n * delta)) / dim
                 for dim, delta, n in zip(self.dims, deltas, counts)
             )
         c = [math.cos(2 * n * delta) for delta, n in zip(deltas, counts)]
-        if name == "2d-uncorrelated":
-            return (d - 4 + 2 * c[0] + 2 * c[1]) / d
-        if name == "2d-correlated":
-            return (d - 3 + c[0] + c[1] + c[0] * c[1]) / d
-        if name == "3d-uncorrelated":
-            # summed term by term: 2 * sum(c) rounds differently
-            return (d - 6 + 2 * c[0] + 2 * c[1] + 2 * c[2]) / d
-        if name == "3d-unlinked-ladder":
-            return (d - 5 + 2 * c[0] + c[1] + c[2] + c[1] * c[2]) / d
-        # ring/star/linked forms carry the middle rotation as split half angles
+        # ring/star/linked forms carry the middle rotation as split half
+        # angles; the two-transition forms leave x unused
         half = counts[1] * deltas[1]
         cos2, sin2 = math.cos(half) ** 2, math.sin(half) ** 2
-        cross = c[0] * cos2 + cos2 * c[2] - c[0] * sin2 * c[2] - sin2
-        if name == "3d-linked-ladder":
-            return (d - 4 + c[0] + c[2] + cross) / d
-        return (d - 3 + c[0] * c[2] + cross) / d
-
-
-def dip_1d(d: int, delta: float, n_pulses: float) -> float:
-    """Single-transition dip (d - 2 + 2 cos(2 N delta)) / d, the "1d" model."""
-    return AnalyticModel("1d", (delta,), (d,)).evaluate((n_pulses,))
+        x = c[0] * cos2 + cos2 * c[-1] - c[0] * sin2 * c[-1] - sin2
+        return shape.dip(self.d, c, x)
 
 
 def pulse_period(delta: float) -> PulsePeriod:

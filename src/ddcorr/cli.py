@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _TOPOLOGIES, TOPOLOGIES, AnalyticModel
+from .analytic import TOPOLOGIES, AnalyticModel
 from .planner import DEFAULT_T_IR_US, plan, readout_fidelity
 from .scan import (
     ENGINES,
@@ -221,18 +221,19 @@ _CUSTOM_CLUSTER = {
 
 
 def _parse_cluster(obj, path: str) -> TargetCluster:
+    # numpy need not warn of a unit conversion that overflows: TargetCluster refuses its inf or NaN
     if "preset" not in _object(obj, path):
         label, energies, couplings = _fields(obj, _CUSTOM_CLUSTER, path)
         if energies is None:
             _fail(path, "cluster needs a 'preset' or an 'energies_MHz' list")
-        with _at(path):
+        with _at(path), np.errstate(over="ignore", invalid="ignore"):
             return new_cluster(label, TWO_PI * np.asarray(energies), couplings)
     preset = obj["preset"]
     if not isinstance(preset, str) or preset not in _PRESETS:
         _fail(path, f"unknown preset {preset!r}")
     make, table = _PRESETS[preset]
     _, label, *args = _fields(obj, {"preset": _text, "label": (_text, None), **table}, path)
-    with _at(path):
+    with _at(path), np.errstate(over="ignore", invalid="ignore"):
         cluster = make(*args)
     return cluster if label is None else dataclasses.replace(cluster, label=label)
 
@@ -299,7 +300,8 @@ def _parse_grid(obj, path: str) -> GridSpec:
 
 
 def _topology(value, path: str) -> str:
-    if value not in TOPOLOGIES:
+    # a JSON list or object is not hashable, so not a key to look up
+    if not isinstance(value, str) or value not in TOPOLOGIES:
         _fail(path, f"unknown topology {value!r} (one of {', '.join(TOPOLOGIES)})")
     return value
 
@@ -312,7 +314,7 @@ def _parse_analytic(obj, clusters, path: str) -> AnalyticModel:
     name, index, entries = _fields(obj, _ANALYTIC, path)
     cluster = None
     # separate molecules name [cluster, m, n]; otherwise one cluster holds all
-    if not _TOPOLOGIES[name].independent:
+    if not TOPOLOGIES[name].independent:
         if index is None:
             _fail(path, "missing required field 'cluster'")
         cluster = _cluster_at(clusters, index, f"{path}.cluster")
@@ -394,6 +396,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         for i, axis in enumerate(grid.axes):
             if axis.block >= len(blocks):
                 _fail(f"{name}.grid.axes[{i}]", f"block {axis.block} not in the sequence")
+            with _at(f"{name}.grid.axes[{i}]"):
+                axis.extreme_block(sequence.blocks[axis.block])
         with _at(f"{name}.grid"):
             check_grid_size(system, sequence, grid)
     return Scenario(
@@ -462,7 +466,7 @@ def _cmd_analytic(args) -> int:
     deltas = _parse_numbers(args.delta, "--delta")
     pulses = _parse_numbers(args.n, "--n")
     name = args.topology
-    if _TOPOLOGIES[name].independent:
+    if TOPOLOGIES[name].independent:
         if args.dims is None:
             raise ScenarioError(f"--dims is required for {name}")
         size, dims = "--dims", tuple(_parse_numbers(args.dims, "--dims", int))

@@ -16,7 +16,8 @@ grid on two blocks costs N1 + N2 block products plus a GEMM instead of a
 product chain at every point.  A scan is one ScanResult of columns in
 lexicographic grid order.  check_grid_size rejects a grid too large to
 scan in memory, from its point count, the cut's rows and blocks and,
-under the Magnus engine, the level triples of its clusters.
+under the Magnus engine, the level triples of its clusters, and one whose
+axes reach a block that Block or the Magnus engine's range refuses.
 
 write_csv prints every cell as "%.17g" would, byte for byte, without a
 % operation per value: a numpy encoder computes the 17 significant digits
@@ -46,9 +47,9 @@ import numpy as np
 
 # magnus_coherence, coherence_system and build_timeline are unused here, but
 # perfbench --trace 1 wraps them by name
-from .analytic import _TOPOLOGIES, _magnus_stacks, magnus_coherence  # noqa: F401
+from .analytic import TOPOLOGIES, magnus_coherence, magnus_stacks  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
-from .sequence import MAX_PULSES, SequenceSpec, build_timeline  # noqa: F401
+from .sequence import MAX_PULSES, Block, SequenceSpec, build_timeline  # noqa: F401
 from .spin_model import SystemModel, check_bytes, format_g
 
 ENGINES = ("exact", "analytic", "both")
@@ -69,7 +70,7 @@ _AMBIGUOUS_BAND = 0.1
 # axes and on pulse axes of step 2 and 16, whatever their largest count
 # (block folds keep O(d^2) per count).  Per block, 36-40 bytes on a
 # 2001-count pulse axis over 100-800 blocks at d = 3.  Per triple, 97-122
-# bytes (peak RSS of one tau's blocks, analytic._magnus_stacks) on ladders
+# bytes (peak RSS of one tau's blocks, analytic.magnus_stacks) on ladders
 # of 0.2 MHz and of 1e-7 MHz rungs (every triple in _nested_integral's
 # Taylor series) at d = 60, 100, 150 and 200, and of near-degenerate groups
 # of 4 and 20 levels at d = 100 and 200.  numpy 2.4, Python 3.11, x86-64.
@@ -77,6 +78,10 @@ _POINT_BYTES = 128
 _MATRIX_BYTES = 512
 _ENTRY_BYTES = 48
 _TRIPLE_BYTES = 128
+# The most |coupling| x max(block duration, 1 us), in rad, that the Magnus
+# engine takes: its terms sum products of two such values over d <= 317
+# levels, which stays far inside float range.
+_MAGNUS_RANGE = 1e150
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,10 @@ class TauAxis:
     def values(self) -> list[float]:
         return [float(v) for v in np.linspace(self.lo, self.hi, self.steps)]
 
+    def extreme_block(self, block: Block) -> Block:
+        """block at this axis's largest tau, as Block checks it."""
+        return Block(self.hi, block.n_pulses)
+
 
 @dataclass(frozen=True)
 class PulseAxis:
@@ -137,6 +146,10 @@ class PulseAxis:
 
     def values(self) -> list[int]:
         return list(range(self.start, self.stop + 1, self.step))
+
+    def extreme_block(self, block: Block) -> Block:
+        """block at this axis's largest count, as Block checks it."""
+        return Block(block.tau, self.stop - (self.stop - self.start) % self.step)
 
 
 @dataclass(frozen=True)
@@ -221,16 +234,23 @@ class ScanResult:
 
 
 def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec) -> None:
-    """Raise ValueError if scanning grid on base_spec would need over 4 GiB.
+    """Raise ValueError if scanning grid on base_spec would need over 4 GiB,
+    or reach a block that Block or the Magnus engine refuses.
 
     The estimate charges every point _POINT_BYTES, every row that the cut
     composes _MATRIX_BYTES per unit of each cluster's d^2, and every block
     of such a row _ENTRY_BYTES.  Engines analytic and both also hold, for
     one cluster and one tau at a time, _TRIPLE_BYTES per level triple of the
-    largest cluster.  It reads only the axis lengths, their blocks, the
-    block count, the cluster sizes and the engine, so an oversize grid is
-    rejected before any of its points is built.
+    largest cluster, and take at most _MAGNUS_RANGE as the largest |coupling|
+    times the longest block (2 tau max(N, 1), at its axes' largest values).
+    It reads no point of the grid, so such a grid is rejected before any of
+    its points is built.
     """
+    blocks = list(base_spec.blocks)
+    for axis in grid.axes:
+        if axis.block >= len(blocks):
+            raise ValueError(f"axis block {axis.block} not in the base sequence")
+        blocks[axis.block] = axis.extreme_block(blocks[axis.block])
     cut, left, right = _cut(grid)
     points = left * right
     entries = left * cut + right * (len(base_spec.blocks) - cut)
@@ -246,6 +266,12 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     except ValueError:  # more digits than int-to-str converts
         count = format_g(points)
     check_bytes(need, f"grid of {count} points needs", "a scan")
+    if grid.engine != "exact":
+        coupling = max(float(np.abs(c.coupling).max()) for c in system.clusters)
+        longest = max(1.0, *(2.0 * b.tau * max(b.n_pulses, 1) for b in blocks))
+        if not coupling * longest <= _MAGNUS_RANGE:
+            reach = f"|coupling| {coupling:.3g} rad/us over blocks of up to {longest:.3g} us"
+            raise ValueError(f"{reach} is beyond the {_MAGNUS_RANGE:g} rad the Magnus engine takes")
 
 
 def run_scan(
@@ -270,9 +296,6 @@ def run_scan(
     Both engines go through exact.factor_coherence, cut at _cut: the axes on
     blocks before the cut vary its left rows, the others its right rows.
     """
-    for axis in grid.axes:
-        if axis.block >= len(base_spec.blocks):
-            raise ValueError(f"axis block {axis.block} not in the base sequence")
     check_grid_size(system, base_spec, grid)
 
     blocks = base_spec.blocks
@@ -287,7 +310,7 @@ def run_scan(
         pairs = factor_coherence(system, left, right, block_stack)
         return pairs.reshape([shape[k] for k in order]).transpose(np.argsort(order)).ravel()
 
-    analytic_L = None if grid.engine == "exact" else coherence(_magnus_stacks).real
+    analytic_L = None if grid.engine == "exact" else coherence(magnus_stacks).real
     L = analytic_L.astype(complex) if grid.engine == "analytic" else coherence(block_stacks)
     labels = tuple(axis.label for axis in grid.axes)
     return ScanResult(labels, shape, _points(grid.axes), L, analytic_L)
@@ -341,7 +364,7 @@ def classify_correlation(measured_min: float, d: int) -> str:
     topology's least dimension that hypothesis does not exist, so a low
     minimum is ambiguous rather than uncorrelated.
     """
-    correlated, uncorrelated = _TOPOLOGIES["2d-correlated"], _TOPOLOGIES["2d-uncorrelated"]
+    correlated, uncorrelated = TOPOLOGIES["2d-correlated"], TOPOLOGIES["2d-uncorrelated"]
     if d < correlated.least:
         raise ValueError(f"need d >= {correlated.least}, got {d}")
     midpoint = (d - (correlated.m + uncorrelated.m) / 2) / d

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ddcorr.analytic import AnalyticModel, dip_1d
+from ddcorr.analytic import AnalyticModel
 from ddcorr.exact import coherence_cluster
 from ddcorr.planner import plan
 from ddcorr.reference import dip_trace_2d, dip_trace_3d, filter_numeric
@@ -261,7 +261,7 @@ def test_criterion_4_trace_oracle_equivalence(capsys):
                 ).evaluate((n1, n3))
                 check(trace.real, closed)
             solo = dip_trace_3d(cluster, pairs, n1, 0, 0)
-            check(solo.real, dip_1d(cluster.dim, deltas[0], n1))
+            check(solo.real, AnalyticModel("1d", (deltas[0],), (cluster.dim,)).evaluate((n1,)))
 
     ok = worst < 1e-10
     _report(capsys, 4, ok, f"max |trace - closed form| = {worst:.2e} (< 1e-10)")

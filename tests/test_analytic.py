@@ -9,7 +9,6 @@ import pytest
 from ddcorr.analytic import (
     TOPOLOGIES,
     AnalyticModel,
-    dip_1d,
     magnus_coherence,
     magnus_generator,
     minima,
@@ -106,7 +105,8 @@ class TestMagnusRotation:
         delta = transition(c, 2, 1).delta
         for n in (0, 5, 40, 63):
             got = np.trace(magnus_rotation(c, 2, 1, 2 * n)).real / 3
-            assert got == pytest.approx(dip_1d(3, delta, n), abs=1e-14)
+            want = AnalyticModel("1d", (delta,), (3,)).evaluate((n,))
+            assert got == pytest.approx(want, abs=1e-14)
 
 
 def shared_level_cluster(scale):
@@ -198,32 +198,31 @@ class TestMagnusGenerator:
 
 class TestDip1D:
     def test_unit_at_zero_pulses(self):
-        assert dip_1d(3, 0.025, 0) == pytest.approx(1.0)
+        assert AnalyticModel("1d", (0.025,), (3,)).evaluate((0,)) == pytest.approx(1.0)
 
     def test_known_values(self):
-        assert dip_1d(3, 0.025, 20) == pytest.approx(
-            (1 + 2 * np.cos(1.0)) / 3
-        )
-        assert dip_1d(3, 0.025, 63) == pytest.approx(-1.0 / 3.0, abs=1e-4)
+        model = AnalyticModel("1d", (0.025,), (3,))
+        assert model.evaluate((20,)) == pytest.approx((1 + 2 * np.cos(1.0)) / 3)
+        assert model.evaluate((63,)) == pytest.approx(-1.0 / 3.0, abs=1e-4)
 
     def test_two_level_floor(self):
         delta = 0.02
         n_half = np.pi / (2 * delta)
-        assert dip_1d(2, delta, n_half) == pytest.approx(-1.0)
+        assert AnalyticModel("1d", (delta,), (2,)).evaluate((n_half,)) == pytest.approx(-1.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            dip_1d(1, 0.02, 5)
+            AnalyticModel("1d", (0.02,), (1,)).evaluate((5,))
         with pytest.raises(ValueError):
-            dip_1d(3, 0.0, 5)
+            AnalyticModel("1d", (0.0,), (3,)).evaluate((5,))
 
     def test_rejects_non_finite_delta(self):
         with pytest.raises(ValueError, match="delta must be finite"):
-            dip_1d(4, np.nan, 2)
+            AnalyticModel("1d", (np.nan,), (4,)).evaluate((2,))
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match=r"pulse counts must be finite and >= 0, got \(-5.0,\)"):
-            dip_1d(3, 0.02, -5)
+            AnalyticModel("1d", (0.02,), (3,)).evaluate((-5,))
 
 
 class TestDip2D:
@@ -247,7 +246,8 @@ class TestDip2D:
     def test_independent_molecules_is_product(self):
         model = AnalyticModel("2d-independent", (0.02, 0.03), (2, 3))
         got = model.evaluate((17, 11))
-        want = dip_1d(2, 0.02, 17) * dip_1d(3, 0.03, 11)
+        first = AnalyticModel("1d", (0.02,), (2,)).evaluate((17,))
+        want = first * AnalyticModel("1d", (0.03,), (3,)).evaluate((11,))
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_independent_molecules_dimension_guard(self):
@@ -364,7 +364,7 @@ class TestTraceOracle3D:
                     assert full == pytest.approx(two, abs=1e-12)
                 solo = AnalyticModel(topo, deltas, (d,)).evaluate((n1, 0, 0))
                 assert solo == pytest.approx(
-                    dip_1d(d, deltas[0], n1), abs=1e-12
+                    AnalyticModel("1d", (deltas[0],), (d,)).evaluate((n1,)), abs=1e-12
                 )
 
     def test_trace_is_phase_blind(self):
@@ -386,8 +386,11 @@ class TestTraceOracle3D:
     def test_independent_is_product(self):
         model = AnalyticModel("3d-independent", (0.02, 0.03, 0.01), (2, 2, 2))
         got = model.evaluate((5, 9, 13))
-        want = (
-            dip_1d(2, 0.02, 5) * dip_1d(2, 0.03, 9) * dip_1d(2, 0.01, 13)
+        want = np.prod(
+            [
+                AnalyticModel("1d", (delta,), (2,)).evaluate((n,))
+                for delta, n in ((0.02, 5), (0.03, 9), (0.01, 13))
+            ]
         )
         assert got == pytest.approx(want, abs=1e-14)
 
@@ -485,8 +488,6 @@ def test_closed_forms_match_golden_values_bit_for_bit(name):
         dims = size if isinstance(size, tuple) else (size,)
         got = AnalyticModel(name, deltas, dims).evaluate(pulses)
         assert got.hex() == want, (size, deltas, pulses)
-        if name == "1d":
-            assert dip_1d(size, deltas[0], pulses[0]).hex() == want
 
 
 class TestPeriodicityAndParity:
@@ -494,8 +495,8 @@ class TestPeriodicityAndParity:
         delta = 0.025
         period = pulse_period(delta).exact
         for n in (0.0, 13.0, 50.5):
-            assert dip_1d(3, delta, n + period) == pytest.approx(
-                dip_1d(3, delta, n), abs=1e-12
+            assert AnalyticModel("1d", (delta,), (3,)).evaluate((n + period,)) == pytest.approx(
+                AnalyticModel("1d", (delta,), (3,)).evaluate((n,)), abs=1e-12
             )
 
     def test_traces_periodic_per_axis(self):

@@ -228,6 +228,17 @@ MALFORMED = [
         id="ring-count",
     ),
     pytest.param(
+        ("clusters", 0), edit(LADDER, rung_freqs_MHz=[1e308, 0.14, 0.3]),
+        ".clusters[0]: level energies and couplings must be finite",
+        id="ladder-frequency-overflow",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(LADDER, rung_couplings_kHz=[1e308, 5.04, None]),
+        ".grid: |coupling| 6.28e+305 rad/us over blocks of up to 28.6 us"
+        " is beyond the 1e+150 rad the Magnus engine takes",
+        id="magnus-coupling-range",
+    ),
+    pytest.param(
         ("clusters", 0), edit(STAR, freqs_MHz=[0.2, 0.2]),
         ".clusters[0]: satellite frequencies must be positive and distinct",
         id="star-error",
@@ -275,6 +286,16 @@ MALFORMED = [
     pytest.param(
         ("clusters", 0), edit(CUSTOM, label=None), ".clusters[0].label: expected a string",
         id="custom-label-type",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, energies_MHz=[0.0, 1e308]),
+        ".clusters[0]: level energies and couplings must be finite",
+        id="custom-energy-overflow",
+    ),
+    pytest.param(
+        ("clusters", 0), edit(CUSTOM, couplings=[{"m": 1, "n": 0, "amp_kHz": 1e308}]),
+        ".clusters[0]: level energies and couplings must be finite",
+        id="custom-amplitude-overflow",
     ),
     pytest.param(
         ("sequence",), [], ".sequence: sequence needs at least one block", id="sequence-empty"
@@ -353,6 +374,11 @@ MALFORMED = [
     pytest.param(
         ("grid", "axes", 0, "block"), 5, ".grid.axes[0]: block 5 not in the sequence",
         id="axis-block",
+    ),
+    pytest.param(
+        ("grid", "axes", 1), {"kind": "tau", "block": 1, "lo_us": 1.0, "hi_us": 1e308, "steps": 3},
+        ".grid.axes[1]: 2 * tau * max(n_pulses, 1) must be finite, got tau = 1e+308, n = 2",
+        id="axis-tau-overflow",
     ),
     pytest.param(
         ("grid", "axes", 1, "block"), 0, ".grid: duplicate axis for block 0",

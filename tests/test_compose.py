@@ -37,11 +37,11 @@ from ddcorr.analytic import (
     _SERIES_ORDER,
     _SERIES_TOL,
     _expm_skew,
-    _magnus_stacks,
     _nested_integral,
     magnus_axis,
     magnus_coherence,
     magnus_generator,
+    magnus_stacks,
 )
 from ddcorr.exact import (
     block_stacks,
@@ -267,7 +267,7 @@ def test_magnus_blocks_memory_does_not_grow_with_the_largest_count():
     counts = range(0, 200001, 20000)
     tracemalloc.start()
     try:
-        _magnus_stacks(cluster, [0.8], counts)
+        magnus_stacks(cluster, [0.8], counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -329,7 +329,7 @@ def test_magnus_blocks_memory_is_one_rate_per_triple():
     cluster = ladder_preset([1e-7] * (d - 1), [5.0] * (d - 1))
     tracemalloc.start()
     try:
-        _magnus_stacks(cluster, [1.25], [0, 2, 4])
+        magnus_stacks(cluster, [1.25], [0, 2, 4])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,7 +18,7 @@ from ddcorr.sequence import (
     resonant_tau,
 )
 from ddcorr.spin_model import SystemModel, new_cluster, spin_one_preset
-from ddcorr.analytic import dip_1d
+from ddcorr.analytic import AnalyticModel
 
 TWO_PI = 2.0 * np.pi
 
@@ -176,8 +176,9 @@ class TestRefinement:
         tl_base = build_timeline(SequenceSpec([Block(tau, n)]))
         tl_half = build_timeline(SequenceSpec([Block(tau, 2 * n)]))
 
-        want = dip_1d(3, delta, n)
-        assert want == pytest.approx(dip_1d(3, delta / 2.0, 2 * n), abs=1e-12)
+        want = AnalyticModel("1d", (delta,), (3,)).evaluate((n,))
+        halved = AnalyticModel("1d", (delta / 2.0,), (3,)).evaluate((2 * n,))
+        assert want == pytest.approx(halved, abs=1e-12)
 
         err_base = abs(coherence_cluster(c_base, tl_base).real - want)
         err_half = abs(coherence_cluster(c_half, tl_half).real - want)

@@ -7,6 +7,12 @@ that starts with a field path or a flag; exit 0 prints no nan or inf
 token, to stdout or to a CSV.  Scans run on the scenario's grid shrunk to
 a few points, under --engine both.
 
+A structure case keeps the values and breaks the document instead: it
+deletes one key or list entry, duplicates one key, swaps one object or
+array for the other kind of container, nests one of them 100000 arrays
+deep, truncates the file or writes bytes that are not UTF-8.  The
+contract is the scenario case's.
+
 A flag case sets one value flag of a valid analytic, plan or filter
 command line to a hostile string.  The contract: exit 0 with no nan or inf
 token in stdout, exit 1 with argparse's usage message, or exit 2 with a
@@ -53,6 +59,8 @@ HOSTILE = [
     float("nan"),
     float("inf"),
     float("-inf"),
+    1e308,
+    -1e308,
     10**400,
     -(10**400),
     2**63,
@@ -138,22 +146,76 @@ def _shrunk(scenario: dict) -> dict:
     return scenario
 
 
-def _leaves(node, path=()):
-    """Paths of every scalar in a JSON document, list entries included."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        yield path
-        return
-    for key, child in items:
-        yield from _leaves(child, (*path, key))
+def _nodes(node, path=()):
+    """(path, value) of every value in a JSON document, parents first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, (*path, key))
 
 
 LEAVES = [
-    (name, path) for name, scenario in SCENARIOS.items() for path in _leaves(_shrunk(scenario))
+    (name, path)
+    for name, scenario in SCENARIOS.items()
+    for path, node in _nodes(_shrunk(scenario))
+    if not isinstance(node, (dict, list))
 ]
+
+
+def _structures(scenario: dict) -> list[tuple]:
+    """The structure cases of a scenario, as (kind, where)."""
+    nodes = list(_nodes(scenario))
+    cases = [("delete", path) for path, _ in nodes if path]
+    cases += [("duplicate", path) for path, _ in nodes if path and isinstance(path[-1], str)]
+    containers = [path for path, node in nodes if isinstance(node, (dict, list))]
+    cases += [(kind, path) for kind in ("swap", "nest") for path in containers]
+    cases += [("truncate", eighth) for eighth in range(8)]
+    cases += [("encoding", how) for how in ("bom", "utf-16", "stray")]
+    return cases
+
+
+STRUCTURES = [
+    (name, *case) for name, scenario in SCENARIOS.items() for case in _structures(_shrunk(scenario))
+]
+
+
+# a key and value no shipped scenario holds, for structure_bytes to splice over
+STAND_IN = "\0"
+
+
+def structure_bytes(name: str, kind: str, where) -> bytes:
+    """The file of one structure case of a shipped scenario (shrunk)."""
+    scenario = _shrunk(SCENARIOS[name])
+    text = json.dumps(scenario, indent=2)
+    if kind == "truncate":
+        return text.encode()[: len(text) * where // 8]
+    if kind == "encoding":
+        if where == "utf-16":
+            return text.encode("utf-16")
+        if where == "bom":
+            return b"\xff\xfe" + text.encode()
+        # a lone continuation byte inside the first string
+        cut = text.index('"') + 1
+        return text[:cut].encode() + b"\x80" + text[cut:].encode()
+    # boxed, so that the root too has a parent to change it in
+    *path, key = (0, *where)
+    parent = box = [scenario]
+    for step in path:
+        parent = parent[step]
+    node = parent[key]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "duplicate":
+        parent[STAND_IN] = node
+    elif kind == "swap":
+        parent[key] = list(node.values()) if isinstance(node, dict) else dict(enumerate(node))
+    else:
+        parent[key] = STAND_IN
+    # json.dumps writes the stand-in once, as a key or a value; it becomes
+    # the duplicated key, or the nested arrays
+    text = json.dumps(box[0])
+    splice = json.dumps(key) if kind == "duplicate" else "[" * 100000 + "]" * 100000
+    return text.replace(json.dumps(STAND_IN), splice).encode()
 
 
 def check_case(name: str, leaf: tuple, value, command: str) -> None:
@@ -165,16 +227,25 @@ def check_case(name: str, leaf: tuple, value, command: str) -> None:
     text = json.dumps(scenario)
     if isinstance(value, RawJson):
         text = text.replace('"<raw>"', value)
+    _check_file(f"{command} with {name} {list(leaf)} = {value!r}", name, text.encode(), command)
+
+
+def check_structure(name: str, kind: str, where, command: str) -> None:
+    case = f"{command} with {name}, {kind} {where!r}"
+    _check_file(case, name, structure_bytes(name, kind, where), command)
+
+
+def _check_file(case: str, name: str, data: bytes, command: str) -> None:
+    """Run command on a scenario file of these bytes and check the contract."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/{name}.json"
         csv = Path(tmp, "scan.csv")
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
         argv = [command, path, *_FLAGS.get(command, [])]
         if command == "scan":
             argv += ["--out", str(csv)]
         code, out, err = _run(argv)
         written = csv.read_text() if csv.exists() else ""
-    case = f"{command} with {name} {list(leaf)} = {value!r}"
     assert code in (0, 2), f"{case}: exit {code}\n{err}"
     if code == 2:
         message = err.removeprefix("error: ")
@@ -208,8 +279,30 @@ def check_flag_case(command: str, line: int, flag: str, text: str) -> None:
 @example(leaf=("spin-one-tau-map", ("clusters", 0, "f_a_MHz")), value=5e-324, command="lint")
 @example(leaf=("spin-one-tau-map", ("grid", "axes", 0, "steps")), value=2**63, command="validate")
 @example(leaf=("spin-one-tau-map", ("plan", "snr")), value=HUGE_LITERAL, command="validate")
+@example(
+    leaf=("correlated-ladder-cell", ("clusters", 0, "rung_freqs_MHz", 0)), value=1e308, command="scan"
+)
+@example(
+    leaf=("correlated-ladder-cell", ("clusters", 0, "rung_couplings_kHz", 0)),
+    value=1e308,
+    command="scan",
+)
+@example(leaf=("spin-one-tau-map", ("grid", "axes", 0, "hi_us")), value=1e308, command="scan")
+# a topology is looked up in a dict, where a list or an object is unhashable
+@example(leaf=("correlated-ladder-cell", ("analytic", "topology")), value=[], command="validate")
 def test_hostile_value_exits_0_or_2(leaf, value, command):
     check_case(*leaf, value, command)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(STRUCTURES), command=st.sampled_from(COMMANDS))
+@example(case=("spin-one-tau-map", "nest", ()), command="validate")
+@example(case=("correlated-ladder-cell", "swap", ("grid", "axes", 0)), command="scan")
+@example(case=("ring-sandwich-slice", "duplicate", ("grid", "engine")), command="scan")
+@example(case=("spin-one-tau-map", "truncate", 5), command="plan")
+@example(case=("correlated-ladder-cell", "encoding", "stray"), command="lint")
+def test_hostile_structure_exits_0_or_2(case, command):
+    check_structure(*case, command)
 
 
 @settings(max_examples=100, deadline=None)
@@ -229,6 +322,10 @@ def sweep() -> int:
     cases = [
         (check_case, (name, leaf, value, command))
         for (name, leaf), value, command in itertools.product(LEAVES, HOSTILE, COMMANDS)
+    ]
+    cases += [
+        (check_structure, (*case, command))
+        for case, command in itertools.product(STRUCTURES, COMMANDS)
     ]
     cases += [(check_flag_case, case) for case in FLAG_CASES]
     failures = 0

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddcorr import scan as scan_module
-from ddcorr.analytic import AnalyticModel, dip_1d
+from ddcorr.analytic import AnalyticModel
 from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
+    ENGINES,
     GridSpec,
     PulseAxis,
     ScanRecord,
@@ -179,7 +180,7 @@ class TestScanResult:
 class TestAnalyticModel:
     def test_1d_dispatch(self):
         model = AnalyticModel("1d", (0.025,), (3,))
-        assert model.evaluate((20,)) == pytest.approx(dip_1d(3, 0.025, 20))
+        assert model.evaluate((20,)) == pytest.approx((1 + 2 * np.cos(1.0)) / 3)
 
     def test_delta_count_must_match_topology(self):
         with pytest.raises(ValueError):
@@ -309,6 +310,26 @@ class TestRunScan:
         system = SystemModel((new_cluster("g", 0.03 * np.arange(150), [(1, 0, 0.02, 0.0)]),))
         spec = SequenceSpec([Block(0.5, 2), Block(0.5, 2)])
         check_grid_size(system, spec, GridSpec((TauAxis(1, 0.002, 1.0, 3),), "analytic"))
+
+    def test_grid_size_refuses_blocks_beyond_their_range(self):
+        # every block at its axes' largest tau and count must pass Block's
+        # checks, and the Magnus engine also takes at most 1e150 rad of
+        # |coupling| x max(2 tau max(N, 1), 1 us)
+        system = SystemModel((spin_one_preset(0.2, 0.14, 5.0),))  # |coupling| 0.0222 rad/us
+        spec = SequenceSpec([Block(1.25, 2)])
+        check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 1e306, 3),)))
+        with pytest.raises(ValueError, match=r"finite, got tau = 1e\+306, n = 100$"):
+            check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 1e306, 3), PulseAxis(0, 0, 100))))
+        with pytest.raises(ValueError, match="axis block 1 not in the base sequence"):
+            check_grid_size(system, spec, GridSpec((PulseAxis(1, 0, 4),)))
+        for hi, fits in ((1e151, True), (1e152, False)):
+            for engine in ENGINES:
+                grid = GridSpec((TauAxis(0, 1.0, hi, 3),), engine)
+                if fits or engine == "exact":
+                    check_grid_size(system, spec, grid)
+                else:
+                    with pytest.raises(ValueError, match=r"1e\+150 rad the Magnus engine takes"):
+                        check_grid_size(system, spec, grid)
 
     def test_grid_size_charges_every_block_of_a_row(self):
         # 4001 rows of 30000 blocks: 48 bytes a block makes 5.4 GiB, where
