@@ -393,12 +393,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         plan_section = _parse_plan(plan_section, clusters, f"{name}.plan")
     system = SystemModel(tuple(clusters))
     if grid is not None:
-        for i, axis in enumerate(grid.axes):
-            if axis.block >= len(blocks):
-                _fail(f"{name}.grid.axes[{i}]", f"block {axis.block} not in the sequence")
-            with _at(f"{name}.grid.axes[{i}]"):
-                axis.extreme_block(sequence.blocks[axis.block])
-        with _at(f"{name}.grid"):
+        axes = {f"axes[{i}]": f"{name}.grid.axes[{i}]" for i in range(len(grid.axes))}
+        with _at(f"{name}.grid", axes):
             check_grid_size(system, sequence, grid)
     return Scenario(
         system=system,
@@ -409,18 +405,30 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice, which
+    json.loads alone would read with its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_scenario(path) -> Scenario:
     """Load and fully validate a scenario JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.loads(fh.read())
+            raw = json.loads(fh.read(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    # not UTF-8, an integer literal past the digit limit, or nesting past the recursion limit
+    # not UTF-8, a duplicate key, an integer literal past the digit limit,
+    # or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return scenario_from_dict(raw, name=str(path))

@@ -17,7 +17,7 @@ product chain at every point.  A scan is one ScanResult of columns in
 lexicographic grid order.  check_grid_size rejects a grid too large to
 scan in memory, from its point count, the cut's rows and blocks and,
 under the Magnus engine, the level triples of its clusters, and one whose
-axes reach a block that Block or the Magnus engine's range refuses.
+axes reach a block that Block or the phase range of every engine refuses.
 
 write_csv prints every cell as "%.17g" would, byte for byte, without a
 % operation per value: a numpy encoder computes the 17 significant digits
@@ -50,7 +50,7 @@ import numpy as np
 from .analytic import TOPOLOGIES, magnus_coherence, magnus_stacks  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, Block, SequenceSpec, build_timeline  # noqa: F401
-from .spin_model import SystemModel, check_bytes, format_g
+from .spin_model import InputError, SystemModel, check_bytes, format_g
 
 ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
@@ -78,10 +78,10 @@ _POINT_BYTES = 128
 _MATRIX_BYTES = 512
 _ENTRY_BYTES = 48
 _TRIPLE_BYTES = 128
-# The most |coupling| x max(block duration, 1 us), in rad, that the Magnus
-# engine takes: its terms sum products of two such values over d <= 317
-# levels, which stays far inside float range.
-_MAGNUS_RANGE = 1e150
+# The most (|energy| + |coupling|) x max(block duration, 1 us), in rad, that
+# any engine takes: its phases, and the Magnus terms' sums of products of
+# two of them over d <= 317 levels, stay far inside float range.
+_PHASE_RANGE = 1e150
 
 
 @dataclass(frozen=True)
@@ -235,22 +235,27 @@ class ScanResult:
 
 def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec) -> None:
     """Raise ValueError if scanning grid on base_spec would need over 4 GiB,
-    or reach a block that Block or the Magnus engine refuses.
+    or reach a block that Block or the phase range refuses.
 
     The estimate charges every point _POINT_BYTES, every row that the cut
     composes _MATRIX_BYTES per unit of each cluster's d^2, and every block
     of such a row _ENTRY_BYTES.  Engines analytic and both also hold, for
     one cluster and one tau at a time, _TRIPLE_BYTES per level triple of the
-    largest cluster, and take at most _MAGNUS_RANGE as the largest |coupling|
-    times the longest block (2 tau max(N, 1), at its axes' largest values).
-    It reads no point of the grid, so such a grid is rejected before any of
-    its points is built.
+    largest cluster.  Every engine takes at most _PHASE_RANGE as a cluster's
+    largest |energy| plus largest |coupling| times the longest block (2 tau
+    max(N, 1), at its axes' largest values), in Python floats that overflow
+    to inf unwarned.  An axis on a missing or refused block raises an
+    InputError naming it "axes[i]".  It reads no point of the grid, so such
+    a grid is rejected before any of its points is built.
     """
     blocks = list(base_spec.blocks)
-    for axis in grid.axes:
-        if axis.block >= len(blocks):
-            raise ValueError(f"axis block {axis.block} not in the base sequence")
-        blocks[axis.block] = axis.extreme_block(blocks[axis.block])
+    for i, axis in enumerate(grid.axes):
+        try:
+            if axis.block >= len(blocks):
+                raise ValueError(f"block {axis.block} not in the sequence")
+            blocks[axis.block] = axis.extreme_block(blocks[axis.block])
+        except ValueError as exc:
+            raise InputError(str(exc), (f"axes[{i}]",)) from None
     cut, left, right = _cut(grid)
     points = left * right
     entries = left * cut + right * (len(base_spec.blocks) - cut)
@@ -266,12 +271,11 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     except ValueError:  # more digits than int-to-str converts
         count = format_g(points)
     check_bytes(need, f"grid of {count} points needs", "a scan")
-    if grid.engine != "exact":
-        coupling = max(float(np.abs(c.coupling).max()) for c in system.clusters)
-        longest = max(1.0, *(2.0 * b.tau * max(b.n_pulses, 1) for b in blocks))
-        if not coupling * longest <= _MAGNUS_RANGE:
-            reach = f"|coupling| {coupling:.3g} rad/us over blocks of up to {longest:.3g} us"
-            raise ValueError(f"{reach} is beyond the {_MAGNUS_RANGE:g} rad the Magnus engine takes")
+    rate = max(float(abs(c.energies).max()) + float(abs(c.coupling).max()) for c in system.clusters)
+    longest = max(1.0, *(2.0 * b.tau * max(b.n_pulses, 1) for b in blocks))
+    if not rate * longest <= _PHASE_RANGE:
+        reach = f"|energy| + |coupling| {rate:.3g} rad/us over blocks of up to {longest:.3g} us"
+        raise ValueError(f"{reach} is beyond the {_PHASE_RANGE:g} rad a scan takes")
 
 
 def run_scan(

@@ -123,6 +123,16 @@ CUSTOM = {"energies_MHz": [0.0, 0.2], "couplings": [{"m": 1, "n": 0, "amp_kHz": 
 TOPOLOGY_LIST = ", ".join(TOPOLOGIES)
 
 
+def tau_map(f_a_MHz, hi_us=2.0):
+    """scenarios/spin-one-tau-map.json without its plan section, at f_a_MHz
+    and with its first tau axis up to hi_us."""
+    scenario = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())
+    del scenario["plan"]
+    scenario["clusters"][0]["f_a_MHz"] = f_a_MHz
+    scenario["grid"]["axes"][0]["hi_us"] = hi_us
+    return scenario
+
+
 def edit(base, **changes):
     """A copy of base with keys replaced, added, or (value DELETE) removed."""
     out = copy.deepcopy(base)
@@ -234,8 +244,8 @@ MALFORMED = [
     ),
     pytest.param(
         ("clusters", 0), edit(LADDER, rung_couplings_kHz=[1e308, 5.04, None]),
-        ".grid: |coupling| 6.28e+305 rad/us over blocks of up to 28.6 us"
-        " is beyond the 1e+150 rad the Magnus engine takes",
+        ".grid: |energy| + |coupling| 6.28e+305 rad/us over blocks of up to 28.6 us"
+        " is beyond the 1e+150 rad a scan takes",
         id="magnus-coupling-range",
     ),
     pytest.param(
@@ -383,6 +393,20 @@ MALFORMED = [
     pytest.param(
         ("grid", "axes", 1, "block"), 0, ".grid: duplicate axis for block 0",
         id="axis-duplicate",
+    ),
+    # level energies count on the exact engine too: their phases would
+    # overflow the segment propagators
+    pytest.param(
+        (), tau_map(1e307),
+        ".grid: |energy| + |coupling| 6.28e+307 rad/us over blocks of up to 80 us"
+        " is beyond the 1e+150 rad a scan takes",
+        id="energy-range",
+    ),
+    pytest.param(
+        (), tau_map(1e300, hi_us=1e10),
+        ".grid: |energy| + |coupling| 6.28e+300 rad/us over blocks of up to 4e+11 us"
+        " is beyond the 1e+150 rad a scan takes",
+        id="energy-range-long-blocks",
     ),
     pytest.param(
         ("analytic", "topology"), "2d-entangled",
@@ -765,6 +789,14 @@ class TestDispatchBasics:
             f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte\n"
         )
+
+    def test_validate_reports_a_key_given_twice_at_its_file(self, tmp_path, capsys):
+        # json.loads alone would read the grid as exact, its last value
+        text = (REPO / "scenarios" / "correlated-ladder-cell.json").read_text()
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace('"engine": "both"', '"engine": "analytic", "engine": "exact"'))
+        assert dispatch(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: duplicate key 'engine'\n"
 
     def test_validate_refuses_a_block_lasting_beyond_float_range(self, tmp_path, capsys):
         payload = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())

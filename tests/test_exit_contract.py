@@ -55,12 +55,17 @@ class RawJson(str):
 # an integer literal past int-to-str's 4300-digit limit: json.dumps cannot
 # write it, so check_case splices it into the dumped text
 HUGE_LITERAL = RawJson("1" + "0" * 4300)
+# a key given twice with different values, spliced in place of a string
+# leaf "engine": json.loads alone keeps the last
+ENGINE_TWICE = RawJson('"analytic", "engine": "exact"')
 HOSTILE = [
     float("nan"),
     float("inf"),
     float("-inf"),
     1e308,
     -1e308,
+    1e307,
+    -1e307,
     10**400,
     -(10**400),
     2**63,
@@ -288,6 +293,12 @@ def check_flag_case(command: str, line: int, flag: str, text: str) -> None:
     command="scan",
 )
 @example(leaf=("spin-one-tau-map", ("grid", "axes", 0, "hi_us")), value=1e308, command="scan")
+# level energies whose phases overflow float range over the grid's blocks
+@example(leaf=("ring-sandwich-slice", ("clusters", 0, "f_1_MHz")), value=1e307, command="scan")
+@example(
+    leaf=("correlated-ladder-cell", ("clusters", 0, "rung_freqs_MHz", 2)), value=1e307, command="scan"
+)
+@example(leaf=("correlated-ladder-cell", ("grid", "engine")), value=ENGINE_TWICE, command="validate")
 # a topology is looked up in a dict, where a list or an object is unhashable
 @example(leaf=("correlated-ladder-cell", ("analytic", "topology")), value=[], command="validate")
 def test_hostile_value_exits_0_or_2(leaf, value, command):

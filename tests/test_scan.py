@@ -31,6 +31,7 @@ from ddcorr.scan import (
 )
 from ddcorr.sequence import Block, SequenceSpec, resonant_tau
 from ddcorr.spin_model import (
+    InputError,
     SystemModel,
     ladder_preset,
     new_cluster,
@@ -313,22 +314,28 @@ class TestRunScan:
 
     def test_grid_size_refuses_blocks_beyond_their_range(self):
         # every block at its axes' largest tau and count must pass Block's
-        # checks, and the Magnus engine also takes at most 1e150 rad of
-        # |coupling| x max(2 tau max(N, 1), 1 us)
-        system = SystemModel((spin_one_preset(0.2, 0.14, 5.0),))  # |coupling| 0.0222 rad/us
+        # checks, refused as an InputError naming the axis, and every engine
+        # takes at most 1e150 rad of a cluster's (|energy| + |coupling|) x
+        # max(2 tau max(N, 1), 1 us)
+        system = SystemModel((spin_one_preset(0.2, 0.14, 5.0),))
+        # |energy| 1.26 + |coupling| 0.0222 rad/us
         spec = SequenceSpec([Block(1.25, 2)])
-        check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 1e306, 3),)))
-        with pytest.raises(ValueError, match=r"finite, got tau = 1e\+306, n = 100$"):
-            check_grid_size(system, spec, GridSpec((TauAxis(0, 1.0, 1e306, 3), PulseAxis(0, 0, 100))))
-        with pytest.raises(ValueError, match="axis block 1 not in the base sequence"):
+        grid = GridSpec((TauAxis(0, 1.0, 1e306, 3), PulseAxis(0, 0, 100)))
+        with pytest.raises(InputError, match=r"finite, got tau = 1e\+306, n = 100$") as refused:
+            check_grid_size(system, spec, grid)
+        assert refused.value.inputs == ("axes[1]",)
+        with pytest.raises(InputError, match="^block 1 not in the sequence$") as refused:
             check_grid_size(system, spec, GridSpec((PulseAxis(1, 0, 4),)))
-        for hi, fits in ((1e151, True), (1e152, False)):
+        assert refused.value.inputs == ("axes[0]",)
+        # at hi = 2e149 the coupling alone reaches 1.8e148 rad, and with the
+        # energies 1.02e150
+        for hi, fits in ((1e149, True), (2e149, False)):
             for engine in ENGINES:
                 grid = GridSpec((TauAxis(0, 1.0, hi, 3),), engine)
-                if fits or engine == "exact":
+                if fits:
                     check_grid_size(system, spec, grid)
                 else:
-                    with pytest.raises(ValueError, match=r"1e\+150 rad the Magnus engine takes"):
+                    with pytest.raises(ValueError, match=r"1e\+150 rad a scan takes$"):
                         check_grid_size(system, spec, grid)
 
     def test_grid_size_charges_every_block_of_a_row(self):
