@@ -43,7 +43,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exact import check_blocks, factor_coherence, fold_blocks
+from .exact import factor_coherence, fold_blocks
+from .sequence import check_blocks
 from .spin_model import InputError, SystemModel, TargetCluster
 
 
@@ -159,8 +160,7 @@ def magnus_generator(
     This is the literal per-count reference; magnus_axis gives the same
     terms for a whole pulse axis at once.
     """
-    tau, n_pulses = check_blocks(tau, n_pulses)
-    tau, n_pulses = float(tau), int(n_pulses)
+    tau, n_pulses = (x.item() for x in check_blocks(tau, n_pulses))
     d = cluster.dim
     if n_pulses == 0:
         zero = np.zeros((d, d), dtype=complex)
@@ -274,7 +274,7 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
     counts and are composed by exact.factor_coherence with an empty left
     part, as the exact engine's blocks are.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = np.asarray(taus)
     counts = np.reshape(counts, (-1, taus.size))
     empty = np.empty((1, 0))
     right = (np.broadcast_to(taus, counts.shape), counts)
@@ -331,6 +331,8 @@ class AnalyticModel:
         if len(self.deltas) != shape.arity:
             message = f"{shape.arity} deltas required for this topology, got {len(self.deltas)}"
             raise InputError(message, ("deltas",))
+        if not all(0 < x < math.inf for x in self.deltas):
+            raise InputError(f"every delta must be finite and > 0, got {self.deltas}", ("deltas",))
 
     @property
     def d(self) -> int:
@@ -340,14 +342,12 @@ class AnalyticModel:
     def evaluate(self, pulses) -> float:
         """The dip at pulse counts N_i, one per delta (the real part of the trace).
 
-        Raises an InputError unless there is one count per delta, every
-        delta is finite and > 0 and every count is finite and >= 0.
+        Raises an InputError unless there is one count per delta and every
+        count is finite and >= 0.
         """
         deltas, counts = self.deltas, tuple(float(n) for n in pulses)
         if len(counts) != len(deltas):
             raise InputError("one pulse count per block required", ("pulses",))
-        if not all(0 < x < math.inf for x in deltas):
-            raise InputError(f"every delta must be finite and > 0, got {deltas}", ("deltas",))
         if not all(0 <= n < math.inf for n in counts):
             raise InputError(f"pulse counts must be finite and >= 0, got {counts}", ("pulses",))
         shape = TOPOLOGIES[self.topology]
@@ -371,9 +371,9 @@ def pulse_period(delta: float) -> PulsePeriod:
     Even rounding serves grid construction: sweeping N over one period in
     steps of 2 tiles pulse-number space with whole unit cells.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    exact = math.pi / delta
+    exact = math.pi / delta if delta > 0 else 0.0
+    if not 0 < exact < math.inf:  # so NaN, inf and a delta too small for pi/delta fail
+        raise ValueError(f"delta must be finite and > 0 with pi/delta finite, got {delta}")
     return PulsePeriod(exact, 2 * round(exact / 2))
 
 

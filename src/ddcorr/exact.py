@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sequence import PulseTimeline
+from .sequence import PulseTimeline, check_blocks
 from .spin_model import SystemModel, TargetCluster
 
 def _segment_propagators(cluster: TargetCluster, dts) -> np.ndarray:
@@ -70,25 +70,6 @@ def conditional_propagator(
     for p in range(dts.size):
         u = segments[(first + p) % 2, p] @ u
     return u
-
-
-def check_blocks(taus, counts) -> tuple[np.ndarray, np.ndarray]:
-    """taus and counts as float and int arrays of CPMG blocks.
-
-    Raises ValueError unless every tau is finite and > 0 and every count is
-    an integer >= 0, so that no block is built from a NaN, a negative or a
-    truncated value.
-    """
-    taus = np.asarray(taus, dtype=float)
-    bad = taus[~(np.isfinite(taus) & (taus > 0))]
-    if bad.size:
-        raise ValueError(f"tau must be finite and > 0, got {bad[0]:g}")
-    raw = np.asarray(counts)
-    values = raw.astype(float)
-    bad = values[~(np.isfinite(values) & (values >= 0) & (values == np.floor(values)))]
-    if bad.size:
-        raise ValueError(f"pulse counts must be integers >= 0, got {bad[0]:g}")
-    return taus, raw.astype(int)
 
 
 def _power(cell, ks, combine, one):

@@ -368,6 +368,8 @@ def classify_correlation(measured_min: float, d: int) -> str:
     topology's least dimension that hypothesis does not exist, so a low
     minimum is ambiguous rather than uncorrelated.
     """
+    if not math.isfinite(measured_min):
+        raise ValueError(f"measured_min must be finite, got {measured_min}")
     correlated, uncorrelated = TOPOLOGIES["2d-correlated"], TOPOLOGIES["2d-uncorrelated"]
     if d < correlated.least:
         raise ValueError(f"need d >= {correlated.least}, got {d}")

@@ -38,6 +38,37 @@ _RESONANCE_RESIDUAL = 0.05
 MAX_PULSES = 2**53
 
 
+def _whole(counts: np.ndarray) -> np.ndarray:
+    """Where counts are nonnegative integers, one by one unless numeric."""
+    if counts.dtype.kind in "biuf":
+        return np.isfinite(counts) & (counts >= 0) & (np.floor(counts) == counts)
+    # abs(n) < inf holds for every int, however large, and fails for NaN
+    return np.reshape([abs(n) < math.inf and n == int(n) and n >= 0 for n in counts.flat], counts.shape)
+
+
+def check_blocks(taus, counts) -> tuple[np.ndarray, np.ndarray]:
+    """taus and counts of CPMG blocks as float and int arrays, by the rule
+    Block and every engine entry apply.  A ValueError names the first value
+    that fails: every tau is finite, then > 0; every count (as given: lists
+    as object arrays) is a nonnegative integer, then at most MAX_PULSES;
+    then 2 tau max(N, 1) is finite at the largest tau and count."""
+    taus, counts = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (taus, counts))
+    values = taus.astype(float)
+    for given, ok, rule in (
+        (taus, lambda: np.isfinite(values), "block tau must be finite"),
+        (taus, lambda: values > 0, "block tau must be > 0"),
+        (counts, lambda: _whole(counts), "n_pulses must be a nonnegative integer"),
+        (counts, lambda: counts <= MAX_PULSES, "n_pulses must be at most 2**53"),
+    ):
+        if not (ok := ok()).all():
+            raise ValueError(f"{rule}, got {given[~ok].flat[0]}")
+    if values.size and counts.size:
+        tau, n = taus.flat[values.argmax()], counts.flat[counts.argmax()]
+        if not math.isfinite(2.0 * float(tau) * max(int(n), 1)):  # tau enters phases even at n = 0
+            raise ValueError(f"2 * tau * max(n_pulses, 1) must be finite, got tau = {tau}, n = {n}")
+    return values, counts.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Block:
     """One CPMG block: pulses 2*tau apart, tau padding at the edges."""
@@ -46,19 +77,7 @@ class Block:
     n_pulses: int
 
     def __post_init__(self):
-        if not math.isfinite(self.tau):
-            raise ValueError(f"block tau must be finite, got {self.tau}")
-        if self.tau <= 0:
-            raise ValueError(f"block tau must be > 0, got {self.tau}")
-        n = self.n_pulses
-        # abs(n) < inf holds for every int, however large, and fails for NaN
-        if not abs(n) < math.inf or n != int(n) or n < 0:
-            raise ValueError(f"n_pulses must be a nonnegative integer, got {n}")
-        if n > MAX_PULSES:
-            raise ValueError(f"n_pulses must be at most 2**53, got {n}")
-        if not math.isfinite(2.0 * self.tau * max(n, 1)):  # tau enters phases even at n = 0
-            raise ValueError(f"2 * tau * max(n_pulses, 1) must be finite, got tau = {self.tau}, n = {n}")
-        object.__setattr__(self, "n_pulses", int(n))
+        object.__setattr__(self, "n_pulses", check_blocks(self.tau, self.n_pulses)[1].item())
 
     @property
     def duration(self) -> float:

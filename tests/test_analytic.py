@@ -2,6 +2,8 @@
 the second-order Magnus model against the exact propagators."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ddcorr.exact import coherence_system, conditional_propagator
 from ddcorr.reference import dip_trace_2d, dip_trace_3d, magnus_rotation
 from ddcorr.sequence import Block, SequenceSpec, build_timeline, resonant_tau
 from ddcorr.spin_model import (
+    InputError,
     SystemModel,
     ladder_preset,
     new_cluster,
@@ -524,8 +527,10 @@ class TestPulsePeriod:
         assert p.even == 100
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            pulse_period(0.0)
+        for delta in (0.0, -0.025, math.inf, -math.inf, math.nan, 5e-324):
+            message = f"delta must be finite and > 0 with pi/delta finite, got {delta}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                pulse_period(delta)
 
 
 class TestMinima:
@@ -614,6 +619,12 @@ class TestValidation:
             AnalyticModel("2d-correlated", (0.02, 0.03), (3, 3))
         with pytest.raises(ValueError):
             minima("3d-ring", (3, 3, 3))
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -0.02])
+    def test_model_refuses_a_delta_when_built(self, delta):
+        with pytest.raises(InputError, match=r"^every delta must be finite and > 0, got \(") as caught:
+            AnalyticModel("1d", (delta,), (3,))
+        assert caught.value.inputs == ("deltas",)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

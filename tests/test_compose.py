@@ -23,6 +23,7 @@ grid on two blocks must compose N1 + N2 rows, not N1 * N2.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from itertools import product
 from types import SimpleNamespace
@@ -51,7 +52,7 @@ from ddcorr.exact import (
     factor_coherence,
 )
 from ddcorr.scan import _TRIPLE_BYTES, GridSpec, PulseAxis, TauAxis, run_scan
-from ddcorr.sequence import Block, SequenceSpec, build_timeline
+from ddcorr.sequence import Block, SequenceSpec, build_timeline, check_blocks
 from ddcorr.spin_model import SystemModel, TargetCluster, ladder_preset, new_cluster
 
 TWO_PI = 2.0 * np.pi
@@ -336,40 +337,103 @@ def test_magnus_blocks_memory_is_one_rate_per_triple():
     assert peak < _TRIPLE_BYTES * d**3
 
 
+# (tau, N) that Block refuses, with Block's message; every builder must
+# refuse them with the same text before it builds anything
 BAD_BLOCKS = [
-    pytest.param(1.25, -2, "pulse counts must be integers >= 0, got -2", id="negative-count"),
-    pytest.param(1.25, 2.7, "pulse counts must be integers >= 0, got 2.7", id="fractional-count"),
-    pytest.param(1.25, np.nan, "pulse counts must be integers >= 0, got nan", id="nan-count"),
-    pytest.param(1.25, np.inf, "pulse counts must be integers >= 0, got inf", id="inf-count"),
-    pytest.param(np.nan, 4, "tau must be finite and > 0, got nan", id="nan-tau"),
-    pytest.param(np.inf, 4, "tau must be finite and > 0, got inf", id="inf-tau"),
-    pytest.param(-1.25, 4, "tau must be finite and > 0, got -1.25", id="negative-tau"),
-    pytest.param(0.0, 4, "tau must be finite and > 0, got 0", id="zero-tau"),
+    pytest.param(1.25, -2, "n_pulses must be a nonnegative integer, got -2", id="negative-count"),
+    pytest.param(1.25, 2.7, "n_pulses must be a nonnegative integer, got 2.7", id="fractional-count"),
+    pytest.param(1.25, np.nan, "n_pulses must be a nonnegative integer, got nan", id="nan-count"),
+    pytest.param(1.25, np.inf, "n_pulses must be a nonnegative integer, got inf", id="inf-count"),
+    pytest.param(np.nan, 4, "block tau must be finite, got nan", id="nan-tau"),
+    pytest.param(np.inf, 4, "block tau must be finite, got inf", id="inf-tau"),
+    pytest.param(-1.25, 4, "block tau must be > 0, got -1.25", id="negative-tau"),
+    pytest.param(0.0, 4, "block tau must be > 0, got 0.0", id="zero-tau"),
+    pytest.param(
+        1.25, 2**53 + 2, "n_pulses must be at most 2**53, got 9007199254740994", id="count-past-2**53"
+    ),
+    pytest.param(
+        1.25, 10**19, "n_pulses must be at most 2**53, got 10000000000000000000", id="uint64-count"
+    ),
+    pytest.param(
+        1.25, 10**400, f"n_pulses must be at most 2**53, got {10**400}", id="count-beyond-float"
+    ),
+    pytest.param(
+        1e308,
+        4,
+        "2 * tau * max(n_pulses, 1) must be finite, got tau = 1e+308, n = 4",
+        id="block-beyond-float",
+    ),
+]
+
+# every entry that builds blocks, on one (tau, N): with N after a zero count,
+# alone, and as numpy arrays, which keep each value's type
+BUILDERS = [
+    pytest.param(lambda c, tau, n: block_stacks(c, [tau], [0, n]), id="block_stacks"),
+    pytest.param(lambda c, tau, n: magnus_axis(c, tau, [0, n]), id="magnus_axis"),
+    pytest.param(lambda c, tau, n: magnus_generator(c, tau, n), id="magnus_generator"),
+    pytest.param(
+        lambda c, tau, n: factor_coherence(SystemModel((c,)), NO_LEFT, ([[tau]], [[n]]), block_stacks),
+        id="compose_coherence",
+    ),
+    pytest.param(lambda c, tau, n: magnus_coherence(SystemModel((c,)), [tau], [[n]]), id="magnus_coherence"),
+    pytest.param(lambda c, tau, n: block_stacks(c, [tau], [n]), id="block_stacks-alone"),
+    pytest.param(lambda c, tau, n: magnus_axis(c, tau, [n]), id="magnus_axis-alone"),
+    pytest.param(lambda c, tau, n: block_stacks(c, np.array([tau]), np.array([n])), id="block_stacks-array"),
+    pytest.param(
+        lambda c, tau, n: factor_coherence(
+            SystemModel((c,)), (np.array([[tau]]), np.array([[n]])), NO_LEFT, block_stacks
+        ),
+        id="left-part-array",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda c, tau, n: block_stacks(c, [tau], [0, n]),
-        lambda c, tau, n: magnus_axis(c, tau, [0, n]),
-        lambda c, tau, n: magnus_generator(c, tau, n),
-        lambda c, tau, n: factor_coherence(SystemModel((c,)), NO_LEFT, ([[tau]], [[n]]), block_stacks),
-        lambda c, tau, n: magnus_coherence(SystemModel((c,)), [tau], [[n]]),
-    ],
-    ids=[
-        "block_stacks",
-        "magnus_axis",
-        "magnus_generator",
-        "compose_coherence",
-        "magnus_coherence",
-    ],
-)
+@pytest.mark.parametrize("build", BUILDERS)
 @pytest.mark.parametrize("tau, count, message", BAD_BLOCKS)
 def test_block_builders_reject_invalid_blocks(build, tau, count, message):
     cluster = random_cluster(np.random.default_rng(5), 3)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Block(tau, count)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(cluster, tau, count)
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@settings(max_examples=40, deadline=None)
+@given(
+    tau=st.sampled_from([np.nan, np.inf, -np.inf, -1.25, 0.0, 0, -0.0, 1e308]) | st.floats(0.05, 3.0),
+    count=st.sampled_from(
+        [-2, -1.0, 2.7, 0.5, np.nan, np.inf, -np.inf, 2**53 + 1, 10**19, -(10**19), 10**400, 1e30, 4.0, True]
+    )
+    | st.integers(0, 9),
+)
+def test_builders_refuse_exactly_what_block_refuses(build, tau, count):
+    """Each builder raises when Block(tau, N) raises, with its message, and
+    builds every block that Block takes."""
+    cluster = random_cluster(np.random.default_rng(5), 3)
+    try:
+        Block(tau, count)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            build(cluster, tau, count)
+    else:
+        build(cluster, tau, count)
+
+
+def test_numpy_casts_a_count_before_the_rule_reads_it():
+    """np.array([0, 10**19]) is float64, so the refusal quotes the cast value;
+    the list [0, 10**19] keeps the Python int."""
+    cluster = random_cluster(np.random.default_rng(5), 3)
+    with pytest.raises(ValueError, match=r"^n_pulses must be at most 2\*\*53, got 1e\+19$"):
+        block_stacks(cluster, [1.25], np.array([0, 10**19]))
+
+
+def test_check_blocks_accepts_the_edges_block_accepts():
+    for tau, count in ((1.0, 2**53), (8e307, 1), (8e307, 0), (5e-324, 2**53), (1.25, 4.0), (1.25, True)):
+        Block(tau, count)
+        taus, counts = check_blocks([tau], np.array([count]))
+        assert taus.dtype == float and counts.dtype == np.int64
+        assert counts[0] == count
 
 
 def grid_case(seed, counts, axes):

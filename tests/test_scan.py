@@ -446,6 +446,11 @@ class TestClassifyCorrelation:
         with pytest.raises(ValueError):
             classify_correlation(-0.5, 2)
 
+    @pytest.mark.parametrize("measured", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_minimum_that_is_not_finite(self, measured):
+        with pytest.raises(ValueError, match=f"^measured_min must be finite, got {measured}$"):
+            classify_correlation(measured, 4)
+
 
 # Finite floats the CSV must reproduce bit for bit: signed zeros,
 # subnormals, the extremes and integral values, beside whatever hypothesis
