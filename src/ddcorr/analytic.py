@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exact import factor_coherence, fold_blocks
-from .sequence import check_blocks
+from .sequence import as_float, check_blocks
 from .spin_model import InputError, SystemModel, TargetCluster
 
 
@@ -371,7 +371,7 @@ def pulse_period(delta: float) -> PulsePeriod:
     Even rounding serves grid construction: sweeping N over one period in
     steps of 2 tiles pulse-number space with whole unit cells.
     """
-    exact = math.pi / delta if delta > 0 else 0.0
+    exact = math.pi / as_float(delta) if delta > 0 else 0.0
     if not 0 < exact < math.inf:  # so NaN, inf and a delta too small for pi/delta fail
         raise ValueError(f"delta must be finite and > 0 with pi/delta finite, got {delta}")
     return PulsePeriod(exact, 2 * round(exact / 2))

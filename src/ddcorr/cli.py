@@ -26,6 +26,7 @@ from .analytic import TOPOLOGIES, AnalyticModel
 from .planner import DEFAULT_T_IR_US, plan, readout_fidelity
 from .scan import (
     ENGINES,
+    PHASE_RANGE,
     GridSpec,
     PulseAxis,
     TauAxis,
@@ -560,10 +561,12 @@ def _cmd_filter(args) -> int:
     if not 0 < f_lo < f_hi:
         raise ScenarioError(f"--f-min-MHz/--f-max-MHz: need 0 < f-min < f-max, got {f_lo}, {f_hi}")
     # every closed-form phase is omega times the sequence duration or less,
-    # or times the tau of a zero-pulse block
+    # or times the tau of a zero-pulse block; scan.PHASE_RANGE bounds them
+    # all, so that F's rounding error stays within its tolerance
     longest = max(scenario.sequence.duration, *(b.tau for b in scenario.sequence.blocks))
-    if not math.isfinite(TWO_PI * f_hi * longest):
-        raise ScenarioError(f"--f-max-MHz: 2 pi x {f_hi:g} MHz x {longest:g} us is beyond float range")
+    if not TWO_PI * f_hi * longest <= PHASE_RANGE:
+        reach = f"2 pi x {f_hi:g} MHz x {longest:g} us"
+        raise ScenarioError(f"--f-max-MHz: {reach} is beyond the {PHASE_RANGE:.3g} rad a filter takes")
     if args.steps < 1:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
     with _at("--steps"):

@@ -17,7 +17,11 @@ product chain at every point.  A scan is one ScanResult of columns in
 lexicographic grid order.  check_grid_size rejects a grid too large to
 scan in memory, from its point count, the cut's rows and blocks and,
 under the Magnus engine, the level triples of its clusters, and one whose
-axes reach a block that Block or the phase range of every engine refuses.
+axes reach a block that Block refuses.  It also rejects, under every
+engine, a grid whose phase is beyond PHASE_RANGE: the phase at which
+float64 rounding would move a propagator by the stated tolerance of 1e-4,
+so a scan that runs is right to that, far below the shot noise of a
+measurement.  ddcorr filter holds its phases to the same range.
 
 write_csv prints every cell as "%.17g" would, byte for byte, without a
 % operation per value: a numpy encoder computes the 17 significant digits
@@ -78,10 +82,37 @@ _POINT_BYTES = 128
 _MATRIX_BYTES = 512
 _ENTRY_BYTES = 48
 _TRIPLE_BYTES = 128
-# The most (|energy| + |coupling|) x max(block duration, 1 us), in rad, that
-# any engine takes: its phases, and the Magnus terms' sums of products of
-# two of them over d <= 317 levels, stay far inside float range.
-_PHASE_RANGE = 1e150
+# The most phase, in rad, that a scan or a filter profile may reach: float64
+# rounding error grows with the phase, and PHASE_RANGE holds it to a
+# tolerance of 1e-4, far below the sigma = 0.1 shot noise the shipped plans
+# target.  A block's propagators are within c eps (rate 2 tau + d) max(N, 1)
+# of their exact values in the spectral norm (eps = 2**-52, rate = largest
+# |energy| + largest |coupling|): a unit cell's phases round once, a block
+# of k cells carries k times that whether cell^k comes from the fold or
+# from a spectral power, and the d x d products add about eps per level a
+# pulse, which dominates below tau ~ 0.1 us.  Against a 50-digit mpmath
+# reference (tests/test_precision.py), c was at most 2.5 on 60 random
+# ladders and dense Hermitian couplings of d = 2-16, tau = 1e-3 to 30 us
+# and N up to 1e9; c = 3 here.  Blocks and clusters add their errors and
+# |L| moves by at most those of U+ and U-, so on a grid whose phase
+# (check_grid_size) is within PHASE_RANGE every propagator is within 1e-4
+# and L within 2e-4.  The filter's closed form rounds omega tau once a
+# block: F is within c eps omega T 2N (c at most 0.25 measured), so off by
+# at most 1e-4 of its on-resonance value 2N.  Such phases, and the Magnus
+# terms' sums of products of two of them over d <= 317 levels, stay far
+# inside float range.
+PHASE_RANGE = 1e-4 / (3 * 2.0**-52)
+
+
+def _check_axis(axis, *integers) -> None:
+    """Raise ValueError naming the first of the fields named in integers
+    whose value is not an integer (a bool is not one), then if the axis's
+    block index is negative."""
+    for name in integers:
+        if isinstance(value := getattr(axis, name), bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if axis.block < 0:
+        raise ValueError("block index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,8 +125,7 @@ class TauAxis:
     steps: int
 
     def __post_init__(self):
-        if self.block < 0:
-            raise ValueError("block index must be >= 0")
+        _check_axis(self, "block", "steps")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.lo <= 0:
@@ -128,8 +158,7 @@ class PulseAxis:
     step: int = 2
 
     def __post_init__(self):
-        if self.block < 0:
-            raise ValueError("block index must be >= 0")
+        _check_axis(self, "block", "start", "stop", "step")
         if self.start < 0 or self.step < 1:
             raise ValueError("need start >= 0 and step >= 1")
         if self.stop < self.start + self.step:
@@ -241,12 +270,14 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     composes _MATRIX_BYTES per unit of each cluster's d^2, and every block
     of such a row _ENTRY_BYTES.  Engines analytic and both also hold, for
     one cluster and one tau at a time, _TRIPLE_BYTES per level triple of the
-    largest cluster.  Every engine takes at most _PHASE_RANGE as a cluster's
-    largest |energy| plus largest |coupling| times the longest block (2 tau
-    max(N, 1), at its axes' largest values), in Python floats that overflow
-    to inf unwarned.  An axis on a missing or refused block raises an
-    InputError naming it "axes[i]".  It reads no point of the grid, so such
-    a grid is rejected before any of its points is built.
+    largest cluster.  Every engine takes a grid whose phase is at most
+    PHASE_RANGE: the clusters' largest |energy| plus largest |coupling|,
+    summed, times the sequence's length (2 tau max(N, 1) summed over its
+    blocks at the axes' largest values, and at least 1 us), plus 1 rad per
+    level of every cluster per pulse (max(N, 1) a block), in Python floats
+    that overflow to inf unwarned.  An axis on a missing or refused block
+    raises an InputError naming it "axes[i]".  It reads no point of the
+    grid, so such a grid is rejected before any of its points is built.
     """
     blocks = list(base_spec.blocks)
     for i, axis in enumerate(grid.axes):
@@ -271,11 +302,12 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     except ValueError:  # more digits than int-to-str converts
         count = format_g(points)
     check_bytes(need, f"grid of {count} points needs", "a scan")
-    rate = max(float(abs(c.energies).max()) + float(abs(c.coupling).max()) for c in system.clusters)
-    longest = max(1.0, *(2.0 * b.tau * max(b.n_pulses, 1) for b in blocks))
-    if not rate * longest <= _PHASE_RANGE:
-        reach = f"|energy| + |coupling| {rate:.3g} rad/us over blocks of up to {longest:.3g} us"
-        raise ValueError(f"{reach} is beyond the {_PHASE_RANGE:g} rad a scan takes")
+    rate = sum(float(abs(c.energies).max()) + float(abs(c.coupling).max()) for c in system.clusters)
+    length = max(1.0, sum(2.0 * b.tau * max(b.n_pulses, 1) for b in blocks))
+    levels = sum(c.dim for c in system.clusters) * sum(max(b.n_pulses, 1) for b in blocks)
+    if not rate * length + levels <= PHASE_RANGE:
+        reach = f"|energy| + |coupling| {rate:.3g} rad/us over {length:.3g} us and 1 rad per level per pulse"
+        raise ValueError(f"{reach} is beyond the {PHASE_RANGE:.3g} rad a scan takes")
 
 
 def run_scan(

@@ -46,14 +46,23 @@ def _whole(counts: np.ndarray) -> np.ndarray:
     return np.reshape([abs(n) < math.inf and n == int(n) and n >= 0 for n in counts.flat], counts.shape)
 
 
+def as_float(x) -> float:
+    """float(x), with a Python int beyond float range as the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def check_blocks(taus, counts) -> tuple[np.ndarray, np.ndarray]:
     """taus and counts of CPMG blocks as float and int arrays, by the rule
     Block and every engine entry apply.  A ValueError names the first value
-    that fails: every tau is finite, then > 0; every count (as given: lists
-    as object arrays) is a nonnegative integer, then at most MAX_PULSES;
-    then 2 tau max(N, 1) is finite at the largest tau and count."""
+    that fails: every tau is finite (an int beyond float range is not),
+    then > 0; every count (as given: lists as object arrays) is a
+    nonnegative integer, then at most MAX_PULSES; then 2 tau max(N, 1) is
+    finite at the largest tau and count."""
     taus, counts = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (taus, counts))
-    values = taus.astype(float)
+    values = np.vectorize(as_float, otypes=[float])(taus) if taus.dtype == object else taus.astype(float)
     for given, ok, rule in (
         (taus, lambda: np.isfinite(values), "block tau must be finite"),
         (taus, lambda: values > 0, "block tau must be > 0"),

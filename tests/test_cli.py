@@ -244,8 +244,8 @@ MALFORMED = [
     ),
     pytest.param(
         ("clusters", 0), edit(LADDER, rung_couplings_kHz=[1e308, 5.04, None]),
-        ".grid: |energy| + |coupling| 6.28e+305 rad/us over blocks of up to 28.6 us"
-        " is beyond the 1e+150 rad a scan takes",
+        ".grid: |energy| + |coupling| 6.28e+305 rad/us over 48.6 us and 1 rad per level per pulse"
+        " is beyond the 1.5e+11 rad a scan takes",
         id="magnus-coupling-range",
     ),
     pytest.param(
@@ -398,15 +398,29 @@ MALFORMED = [
     # overflow the segment propagators
     pytest.param(
         (), tau_map(1e307),
-        ".grid: |energy| + |coupling| 6.28e+307 rad/us over blocks of up to 80 us"
-        " is beyond the 1e+150 rad a scan takes",
+        ".grid: |energy| + |coupling| 6.28e+307 rad/us over 160 us and 1 rad per level per pulse"
+        " is beyond the 1.5e+11 rad a scan takes",
         id="energy-range",
     ),
     pytest.param(
         (), tau_map(1e300, hi_us=1e10),
-        ".grid: |energy| + |coupling| 6.28e+300 rad/us over blocks of up to 4e+11 us"
-        " is beyond the 1e+150 rad a scan takes",
+        ".grid: |energy| + |coupling| 6.28e+300 rad/us over 4e+11 us and 1 rad per level per pulse"
+        " is beyond the 1.5e+11 rad a scan takes",
         id="energy-range-long-blocks",
+    ),
+    # finite phases whose float64 rounding would pass the 1e-4 tolerance:
+    # pulse counts from 1e12, and a 0.2 MHz level over 4e12 us
+    pytest.param(
+        ("grid", "axes", 0), {"kind": "pulse", "block": 0, "start": 10**12, "stop": 10**12 + 4},
+        ".grid: |energy| + |coupling| 4.05 rad/us over 2.5e+12 us and 1 rad per level per pulse"
+        " is beyond the 1.5e+11 rad a scan takes",
+        id="pulse-range",
+    ),
+    pytest.param(
+        (), tau_map(0.2, hi_us=1e11),
+        ".grid: |energy| + |coupling| 1.29 rad/us over 4e+12 us and 1 rad per level per pulse"
+        " is beyond the 1.5e+11 rad a scan takes",
+        id="tau-range",
     ),
     pytest.param(
         ("analytic", "topology"), "2d-entangled",
@@ -1554,7 +1568,23 @@ class TestFilterCommand:
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --f-max-MHz: {message} is beyond float range\n"
+        assert captured.err == f"error: --f-max-MHz: {message} is beyond the 1.5e+11 rad a filter takes\n"
+
+    def test_refuses_phases_beyond_the_phase_range(self, tmp_path, capsys):
+        # 2 pi x 1e9 MHz x 50 us is 3.1e11 rad: finite, but past the phase
+        # at which F's rounding error would pass its 1e-4 tolerance
+        payload = tau_scan_scenario()
+        del payload["grid"]
+        path = write_scenario(tmp_path, payload)
+        argv = ["filter", path, "--f-min-MHz", "0.1", "--steps", "2"]
+        assert dispatch([*argv, "--f-max-MHz", "1e8"]) == 0
+        capsys.readouterr()
+        assert dispatch([*argv, "--f-max-MHz", "1e9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --f-max-MHz: 2 pi x 1e+09 MHz x 50 us is beyond the 1.5e+11 rad a filter takes\n"
+        )
 
 
 class TestLintCommand:

@@ -49,3 +49,17 @@ def test_private_imports_finds_each_form():
         "ddcorr._private",
         "._private",
     ]
+
+
+def test_no_module_imports_a_test_only_dependency():
+    # mpmath is the 50-digit reference of tests/test_precision.py; numpy is
+    # the one runtime dependency
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "mpmath" for name in names), path.name

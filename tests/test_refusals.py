@@ -1,7 +1,8 @@
 """Refusals of the model constructors that no other test reaches.
 
 One row per refused input: the call and the whole message it raises, so
-that a reworded or dropped check shows here.
+that a reworded or dropped check shows here.  Every refusal is a
+ValueError, whatever the input's type or size.
 """
 
 import re
@@ -9,8 +10,9 @@ import re
 import numpy as np
 import pytest
 
-from ddcorr.scan import GridSpec, PulseAxis
-from ddcorr.sequence import PulseTimeline
+from ddcorr.analytic import pulse_period
+from ddcorr.scan import GridSpec, PulseAxis, TauAxis
+from ddcorr.sequence import Block, PulseTimeline, check_blocks
 from ddcorr.spin_model import TargetCluster, ladder_preset, new_cluster, star_preset, transition
 
 TWO_LEVELS = TargetCluster("pair", [0.0, 1.0], [[0, 0.1], [0.1, 0]])
@@ -45,6 +47,28 @@ REFUSALS = {
         "not an axis descriptor: 'tau'",
     ),
     "timeline-negative-time": (lambda: PulseTimeline([], -1.0), "total_time must be >= 0"),
+    # a Python int beyond float range is not a finite float: a ValueError
+    # in the rule's words, not float()'s OverflowError
+    "block-int-tau-beyond-float-range": (
+        lambda: Block(10**400, 4),
+        f"block tau must be finite, got {10**400}",
+    ),
+    "check-blocks-int-tau-beyond-float-range": (
+        lambda: check_blocks([10**400], [4]),
+        f"block tau must be finite, got {10**400}",
+    ),
+    "pulse-period-int-delta-beyond-float-range": (
+        lambda: pulse_period(10**400),
+        f"delta must be finite and > 0 with pi/delta finite, got {10**400}",
+    ),
+    # axes take integer blocks, counts and steps, and a bool is none
+    "tau-axis-float-steps": (lambda: TauAxis(0, 1.0, 2.0, 2.5), "steps must be an integer, got 2.5"),
+    "tau-axis-bool-block": (lambda: TauAxis(True, 1.0, 2.0, 3), "block must be an integer, got True"),
+    "pulse-axis-float-block": (lambda: PulseAxis(0.5, 0, 10), "block must be an integer, got 0.5"),
+    "pulse-axis-float-start": (lambda: PulseAxis(0, 0.0, 10), "start must be an integer, got 0.0"),
+    "pulse-axis-float-stop": (lambda: PulseAxis(0, 0, 10.0), "stop must be an integer, got 10.0"),
+    "pulse-axis-float-step": (lambda: PulseAxis(0, 0, 10, 2.5), "step must be an integer, got 2.5"),
+    "pulse-axis-bool-step": (lambda: PulseAxis(0, 0, 10, True), "step must be an integer, got True"),
 }
 
 
@@ -52,3 +76,9 @@ REFUSALS = {
 def test_refusal_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_axes_take_numpy_integers():
+    axis = PulseAxis(np.int64(0), np.int64(0), np.int64(10), np.int64(2))
+    assert axis.values() == list(range(0, 11, 2))
+    assert len(TauAxis(np.int32(1), 1.0, 2.0, np.int64(3)).values()) == 3

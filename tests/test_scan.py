@@ -18,6 +18,7 @@ from ddcorr.analytic import AnalyticModel
 from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
     ENGINES,
+    PHASE_RANGE,
     GridSpec,
     PulseAxis,
     ScanRecord,
@@ -315,8 +316,9 @@ class TestRunScan:
     def test_grid_size_refuses_blocks_beyond_their_range(self):
         # every block at its axes' largest tau and count must pass Block's
         # checks, refused as an InputError naming the axis, and every engine
-        # takes at most 1e150 rad of a cluster's (|energy| + |coupling|) x
-        # max(2 tau max(N, 1), 1 us)
+        # takes at most PHASE_RANGE rad of the clusters' (|energy| +
+        # |coupling|) x max(sum of 2 tau max(N, 1), 1 us), plus 1 rad per
+        # level per pulse
         system = SystemModel((spin_one_preset(0.2, 0.14, 5.0),))
         # |energy| 1.26 + |coupling| 0.0222 rad/us
         spec = SequenceSpec([Block(1.25, 2)])
@@ -327,16 +329,53 @@ class TestRunScan:
         with pytest.raises(InputError, match="^block 1 not in the sequence$") as refused:
             check_grid_size(system, spec, GridSpec((PulseAxis(1, 0, 4),)))
         assert refused.value.inputs == ("axes[0]",)
-        # at hi = 2e149 the coupling alone reaches 1.8e148 rad, and with the
-        # energies 1.02e150
-        for hi, fits in ((1e149, True), (2e149, False)):
-            for engine in ENGINES:
-                grid = GridSpec((TauAxis(0, 1.0, hi, 3),), engine)
-                if fits:
-                    check_grid_size(system, spec, grid)
-                else:
-                    with pytest.raises(ValueError, match=r"1e\+150 rad a scan takes$"):
-                        check_grid_size(system, spec, grid)
+        # a 2-pulse block of tau = hi lasts 4 hi, and its 3 levels and 2
+        # pulses add 6 rad: the rule's edge is at hi of about 2.9e10 us
+        cluster = system.clusters[0]
+        rate = float(abs(cluster.energies).max() + abs(cluster.coupling).max())
+        edge = (PHASE_RANGE - 6) / (4 * rate)
+        # 1e13 pulses of 1e-6 us reach only 2.6e7 rad at this rate, but 3
+        # levels a pulse make 3e13 rad
+        short = SequenceSpec([Block(1e-6, 2)])
+        cases = [
+            (spec, TauAxis(0, 1.0, edge * (1 - 1e-9), 3), True),
+            (spec, TauAxis(0, 1.0, edge * (1 + 1e-9), 3), False),
+            (short, PulseAxis(0, 0, 4 * 10**10, 2 * 10**10), True),
+            (short, PulseAxis(0, 0, 6 * 10**10, 3 * 10**10), False),
+            (short, PulseAxis(0, 0, 10**13, 5 * 10**12), False),
+        ]
+        for (base, axis, fits), engine in product(cases, ENGINES):
+            grid = GridSpec((axis,), engine)
+            if fits:
+                check_grid_size(system, base, grid)
+            else:
+                with pytest.raises(ValueError, match=r" 1\.5e\+11 rad a scan takes$"):
+                    check_grid_size(system, base, grid)
+        # two clusters add their rates and their levels
+        pair = SystemModel((cluster, cluster))
+        check_grid_size(pair, spec, GridSpec((TauAxis(0, 1.0, edge / 2.1, 3),)))
+        with pytest.raises(ValueError, match=r" 1\.5e\+11 rad a scan takes$"):
+            check_grid_size(pair, spec, GridSpec((TauAxis(0, 1.0, edge / 1.9, 3),)))
+
+    def test_the_ladder_cell_scans_up_to_the_edge_of_the_range(self):
+        # the shipped cell with its first pulse axis ending at the largest
+        # count the range admits (about 1.06e10): every engine scans it with
+        # no |L| past 1, and two pulses more are refused
+        scenario = parse_scenario(REPO / "scenarios" / "correlated-ladder-cell.json")
+        system, spec = scenario.system, scenario.sequence
+        first, second = scenario.grid.axes
+        cluster = system.clusters[0]
+        rate = float(abs(cluster.energies).max() + abs(cluster.coupling).max())
+        tau, rest = spec.blocks[0].tau, 2.0 * spec.blocks[1].tau * second.stop
+        per_pulse = rate * 2.0 * tau + cluster.dim
+        stop = int((PHASE_RANGE - rate * rest - cluster.dim * second.stop) / per_pulse) // 2 * 2
+        for engine in ENGINES:
+            axis = dataclasses.replace(first, start=stop - 126, stop=stop)
+            result = run_scan(system, spec, GridSpec((axis, second), engine))
+            assert len(result) == 64 * 45 and np.abs(result.L).max() <= 1
+            beyond = dataclasses.replace(axis, start=stop - 124, stop=stop + 2)
+            with pytest.raises(ValueError, match=r" 1\.5e\+11 rad a scan takes$"):
+                check_grid_size(system, spec, GridSpec((beyond, second), engine))
 
     def test_grid_size_charges_every_block_of_a_row(self):
         # 4001 rows of 30000 blocks: 48 bytes a block makes 5.4 GiB, where
