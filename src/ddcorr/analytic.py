@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exact import factor_coherence, fold_blocks
-from .sequence import as_float, check_blocks
-from .spin_model import InputError, SystemModel, TargetCluster
+from .sequence import check_blocks
+from .spin_model import InputError, SystemModel, TargetCluster, as_float
 
 
 class Shape(NamedTuple):
@@ -325,7 +325,7 @@ class AnalyticModel:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(x) for x in self.deltas))
+        object.__setattr__(self, "deltas", tuple(as_float(x) for x in self.deltas))
         shape, dims = _shape(self.topology, self.dims)
         object.__setattr__(self, "dims", dims)
         if len(self.deltas) != shape.arity:
@@ -345,7 +345,7 @@ class AnalyticModel:
         Raises an InputError unless there is one count per delta and every
         count is finite and >= 0.
         """
-        deltas, counts = self.deltas, tuple(float(n) for n in pulses)
+        deltas, counts = self.deltas, tuple(as_float(n) for n in pulses)
         if len(counts) != len(deltas):
             raise InputError("one pulse count per block required", ("pulses",))
         if not all(0 <= n < math.inf for n in counts):

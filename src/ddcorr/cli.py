@@ -32,6 +32,7 @@ from .scan import (
     TauAxis,
     check_grid_size,
     run_scan,
+    write_columns,
     write_csv,
     write_heatmap,
 )
@@ -61,10 +62,11 @@ _UNITS = ("_MHz", "_kHz", "_us")
 # Re L values this close to the scan minimum tie for the summary point.
 _TIE_TOL = 1e-12
 # Bytes a filter profile keeps per frequency step, of the 4 GiB it may use
-# (spin_model.check_bytes): the frequency, its row of three floats and its
-# CSV line, with the joined and encoded file text.  Peak RSS rose by about
-# 215 bytes a step printing 4e5-8e5 steps, and by about 415 writing them
-# with --out (numpy 2.4, Python 3.11, x86-64).
+# (spin_model.check_bytes): the frequency and its FilterResult, and with
+# --out the three float columns that scan.write_columns encodes block by
+# block.  Peak RSS rose by about 176 bytes a step printing 4e5-8e5 steps
+# of the shipped ladder cell, and by about 209 writing them with --out
+# (numpy 2.4, Python 3.11, x86-64).
 _STEP_BYTES = 512
 
 
@@ -571,19 +573,16 @@ def _cmd_filter(args) -> int:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
     with _at("--steps"):
         check_bytes(args.steps * _STEP_BYTES, f"{args.steps} steps need", "a filter profile")
-    rows = []
-    for f in np.linspace(f_lo, f_hi, args.steps):
-        result = filter_multiblock(scenario.sequence, TWO_PI * f)
-        rows.append((f, result.magnitude, result.phase))
+    freqs = np.linspace(f_lo, f_hi, args.steps)
+    results = [filter_multiblock(scenario.sequence, TWO_PI * f) for f in freqs]
     if args.out:
-        lines = ["# ddcorr-filter v1", "f_MHz,filter_F,filter_phase_rad"]
-        lines += [f"{f:.17g},{mag:.17g},{phase:.17g}" for f, mag, phase in rows]
-        with open(args.out, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        print(f"wrote {len(rows)} points to {args.out}")
+        header = ["f_MHz", "filter_F", "filter_phase_rad"]
+        columns = [freqs, [r.magnitude for r in results], [r.phase for r in results]]
+        write_columns(args.out, "filter", header, columns, freqs.shape)
+        print(f"wrote {len(freqs)} points to {args.out}")
     else:
-        for f, mag, phase in rows:
-            print(f"{_fmt(f)} MHz: F = {_fmt(mag)}, phase = {_fmt(phase)}")
+        for f, r in zip(freqs, results):
+            print(f"{_fmt(f)} MHz: F = {_fmt(r.magnitude)}, phase = {_fmt(r.phase)}")
     return 0
 
 

@@ -23,16 +23,17 @@ float64 rounding would move a propagator by the stated tolerance of 1e-4,
 so a scan that runs is right to that, far below the shot noise of a
 measurement.  ddcorr filter holds its phases to the same range.
 
-write_csv prints every cell as "%.17g" would, byte for byte, without a
-% operation per value: a numpy encoder computes the 17 significant digits
-and the decimal exponent of a block of cells at once, exactly (a
-double-double product with powers of ten from Python ints, rounded half to
-even), and lays them out as NUL-padded bytes that one bytes.translate
-compacts.  Non-finite cells, and the rare ones too close to a rounding tie
-for that arithmetic to decide, take "%.17g" % itself.  Identical columns
-are encoded once, and a column that repeats one grid axis only for that
-axis.  Iterating a ScanResult builds its ScanRecord rows in C from columns
-converted to Python floats once.
+write_columns, which writes both a scan's CSV (write_csv) and ddcorr
+filter's profile, prints every cell as "%.17g" would, byte for byte,
+without a % operation per value: a numpy encoder computes the 17
+significant digits and the decimal exponent of a block of cells at once,
+exactly (a double-double product with powers of ten from Python ints,
+rounded half to even), and lays them out as NUL-padded bytes that one
+bytes.translate compacts.  Non-finite cells, and the rare ones too close
+to a rounding tie for that arithmetic to decide, take "%.17g" % itself.
+Identical columns are encoded once, and a column that repeats one grid
+axis only for that axis.  Iterating a ScanResult builds its ScanRecord
+rows in C from columns converted to Python floats once.
 
 Pulse-number axes default to steps of 2: the closed forms are derived for
 even pulse counts, and an even grid tiles whole unit cells.  Grids normally
@@ -54,7 +55,7 @@ import numpy as np
 from .analytic import TOPOLOGIES, magnus_coherence, magnus_stacks  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, Block, SequenceSpec, build_timeline  # noqa: F401
-from .spin_model import InputError, SystemModel, check_bytes, format_g
+from .spin_model import InputError, SystemModel, as_float, check_bytes, format_g
 
 ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
@@ -400,11 +401,13 @@ def classify_correlation(measured_min: float, d: int) -> str:
     topology's least dimension that hypothesis does not exist, so a low
     minimum is ambiguous rather than uncorrelated.
     """
-    if not math.isfinite(measured_min):
+    if not math.isfinite(as_float(measured_min)):
         raise ValueError(f"measured_min must be finite, got {measured_min}")
     correlated, uncorrelated = TOPOLOGIES["2d-correlated"], TOPOLOGIES["2d-uncorrelated"]
     if d < correlated.least:
         raise ValueError(f"need d >= {correlated.least}, got {d}")
+    if not as_float(d) < math.inf:  # negated so that NaN fails too
+        raise ValueError(f"d must be finite, got {d}")
     midpoint = (d - (correlated.m + uncorrelated.m) / 2) / d
     if abs(measured_min - midpoint) <= _AMBIGUOUS_BAND:
         return "ambiguous"
@@ -414,27 +417,38 @@ def classify_correlation(measured_min: float, d: int) -> str:
 
 
 def write_csv(result: ScanResult, path) -> None:
-    """Write a scan as `# ddcorr-scan v1` CSV, full precision, LF endings.
+    """Write a scan as `# ddcorr-scan v1` CSV (write_columns): one column
+    per axis, then re_L, im_L and, when an analytic engine ran, analytic_L.
+
+    Under the analytic engine analytic_L reuses re_L's cells, and re_L is
+    the one column encoded cell by cell; every coordinate column of a grid
+    of 2 or 3 axes, and a constant im_L, is encoded for one axis only.
+    """
+    extra = [] if result.analytic_L is None else [result.analytic_L]
+    header = [*result.labels, "re_L", "im_L"] + ["analytic_L"] * len(extra)
+    columns = [*result.coords.T, result.L.real, result.L.imag, *extra]
+    write_columns(path, "scan", header, columns, result.shape)
+
+
+def write_columns(path, kind: str, header, columns, shape) -> None:
+    """Write float columns as `# ddcorr-<kind> v1` CSV: the header row, then
+    one row per point of a grid of shape in lexicographic order, at full
+    precision with LF endings.
 
     Every cell is its float formatted with "%.17g", byte for byte, but the
     digits come from numpy arithmetic on many cells at once (_encode_cells)
     instead of one % operation per value.  Each distinct column is encoded
     once, compared on its float64 bits (so -0.0 and 0.0 stay apart), and a
-    column that varies along one grid axis only (every coordinate column of
-    a grid of 2 or 3 axes, a constant im_L) only for that axis's values:
-    under the analytic engine analytic_L reuses re_L's cells, and re_L is
-    the one column encoded cell by cell.  Rows go out in blocks of
-    _CSV_ROWS: a block's cells are NUL-padded uint32 lanes laid out row by
-    row, with a comma in the spare first byte of every cell but a row's
-    first, and one bytes.translate drops the NULs before it is written.
+    column that varies along one grid axis only for that axis's values.
+    Rows go out in blocks of _CSV_ROWS: a block's cells are NUL-padded
+    uint32 lanes laid out row by row, with a comma in the spare first byte
+    of every cell but a row's first, and one bytes.translate drops the NULs
+    before it is written.
     """
-    extra = [] if result.analytic_L is None else [result.analytic_L]
-    header = [*result.labels, "re_L", "im_L"] + ["analytic_L"] * len(extra)
-    columns = [
-        np.ascontiguousarray(c, dtype=float)
-        for c in (*result.coords.T, result.L.real, result.L.imag, *extra)
-    ]
-    shape, points = result.shape, len(result)
+    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    points = math.prod(shape)
+    if len(header) != len(columns) or any(c.shape != (points,) for c in columns):
+        raise ValueError(f"need one header cell and {points} values per column")
     # source[c] is the first column with c's bits; the distinct ones either
     # repeat one line of a grid axis (lines, as (stride, length)) or vary
     source, lines, varying = [], {}, []
@@ -455,7 +469,7 @@ def write_csv(result: ScanResult, path) -> None:
         lines = {c: (*lines[c], _nonzero_lanes(lanes)) for c, lanes in zip(lines, split)}
     step = _CSV_CELLS // max(1, len(varying))
     with open(path, "wb") as fh:
-        fh.write(("# ddcorr-scan v1\n" + ",".join(header) + "\n").encode("ascii"))
+        fh.write(f"# ddcorr-{kind} v1\n{','.join(header)}\n".encode("ascii"))
         for first in range(0, points, step):
             end = min(first + step, points)
             if varying:
@@ -473,11 +487,11 @@ def write_csv(result: ScanResult, path) -> None:
                 newline = np.full((1, len(rows)), ord("\n"), np.uint32)
                 parts = [cells[c] for c in source] + [newline]
                 text = np.concatenate(parts)
-                text[np.cumsum([len(part) for part in parts[:-2]])] |= ord(",")
+                text[np.cumsum([len(part) for part in parts[:-2]], dtype=int)] |= ord(",")
                 fh.write(text.T.tobytes().translate(None, b"\0"))
 
 
-# Cells that write_csv encodes at once, and rows that it writes at once.
+# Cells that write_columns encodes at once, and rows that it writes at once.
 # Per-operation overhead favours large blocks, but most scratch arrays of
 # a block must stay under the allocator's 128 KiB mmap threshold to be
 # reused: larger ones fault in fresh pages every time, which cost about 2
@@ -617,7 +631,7 @@ def _outside(p, r):
 def _encode_cells(x) -> np.ndarray:
     """The bytes of "%.17g" % v for every v in x, as (_LANES, len(x)) uint32
     lanes: cell i is lanes[:, i] read as bytes with the NULs dropped.  The
-    first byte of every cell is a NUL left for write_csv's separator.
+    first byte of every cell is a NUL left for write_columns' separator.
 
     For each finite nonzero |v|, X is the decimal exponent and D the 17
     significant digits, both after rounding: the scaled value y =

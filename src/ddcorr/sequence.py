@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import all_transitions
+from .spin_model import all_transitions, as_float
 
 # Fraction of the on-resonance value 2N at which an off-target transition
 # counts as contaminating a block.
@@ -44,14 +44,6 @@ def _whole(counts: np.ndarray) -> np.ndarray:
         return np.isfinite(counts) & (counts >= 0) & (np.floor(counts) == counts)
     # abs(n) < inf holds for every int, however large, and fails for NaN
     return np.reshape([abs(n) < math.inf and n == int(n) and n >= 0 for n in counts.flat], counts.shape)
-
-
-def as_float(x) -> float:
-    """float(x), with a Python int beyond float range as the infinity of its sign."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def check_blocks(taus, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -169,12 +161,20 @@ def resonant_tau(omega: float, order: int = 1) -> float:
     Args:
         omega: transition frequency (rad/us), > 0.
         order: dip order c >= 1 (c = 1 is the principal dip).
+
+    Raises ValueError for an omega or order outside those ranges (a Python
+    int beyond float range included), or where tau is beyond float range.
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if order < 1 or order != int(order):
+    w, c = as_float(omega), as_float(order)
+    if not 0 < w < math.inf:  # negated so that NaN fails too
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
+    # inf % 1 is NaN: an integer order beyond float range is refused below
+    if not (c >= 1 and c % 1 == 0 or c == math.inf):
         raise ValueError(f"order must be a positive integer, got {order}")
-    return np.pi * (2 * order - 1) / (2.0 * omega)
+    tau = np.pi * (2 * c - 1) / (2.0 * w)
+    if tau == math.inf:
+        raise ValueError(f"order {order} at omega {omega} puts tau beyond float range")
+    return tau
 
 
 def _block_integral(n_pulses: int, tau: float, omega: float) -> complex:
@@ -198,7 +198,7 @@ def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
     sign-flipped when an odd number of pulses precede it; the result equals
     reference.filter_numeric of the compiled timeline.
     """
-    if not (math.isfinite(omega) and omega != 0):  # negated so that NaN fails too
+    if not (math.isfinite(as_float(omega)) and omega != 0):  # negated so that NaN fails too
         raise ValueError(f"omega must be finite and nonzero, got {omega}")
     z = 0.0 + 0.0j
     start = 0.0

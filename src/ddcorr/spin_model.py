@@ -15,6 +15,7 @@ All types are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,24 @@ def format_g(n: int, shift: int = 0) -> str:
         drop = n.bit_length() * 30103 // 100000 - 40
         mantissa, exponent = f"{(n >> shift) // 10**drop:.3g}".split("e")
         return f"{mantissa}e+{int(exponent) + drop}"
+
+
+def as_float(x) -> float:
+    """float(x), with a Python int beyond float range as the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _float_array(values, dtype=float) -> np.ndarray:
+    """values as a dtype array, with a Python int beyond float range as the
+    infinity of its sign, for a finiteness check to refuse."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        big = np.vectorize(lambda x: as_float(x) if isinstance(x, int) else x, otypes=[dtype])
+        return big(np.asarray(values, dtype=object))
 
 
 def check_bytes(need: int, subject: str, user: str, held: str = "") -> None:
@@ -91,8 +110,8 @@ class TargetCluster:
     coupling: np.ndarray
 
     def __post_init__(self):
-        energies = _frozen_array(np.asarray(self.energies, dtype=float))
-        coupling = _frozen_array(np.asarray(self.coupling, dtype=complex))
+        energies = _frozen_array(_float_array(self.energies))
+        coupling = _frozen_array(_float_array(self.coupling, complex))
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "coupling", coupling)
         d = energies.shape[0]
@@ -177,7 +196,7 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
             than MAX_BYTES holds d x d matrices of, or a transition whose
             contrast is beyond float range.
     """
-    energies = np.asarray(energies, dtype=float)
+    energies = _float_array(energies)
     d = energies.shape[0]
     if d < 2:
         raise ValueError(f"cluster needs at least 2 levels, got {d}")
@@ -185,7 +204,7 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
     beta = np.zeros((d, d), dtype=complex)
     seen = set()
     for m, n, amp, phase in couplings:
-        m, n = int(m), int(n)
+        m, n, amp, phase = int(m), int(n), as_float(amp), as_float(phase)
         if not (0 <= m < d and 0 <= n < d):
             raise ValueError(f"coupling ({m},{n}) out of range for d={d}")
         if m == n:
@@ -196,6 +215,8 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
         if key in seen:
             raise ValueError(f"duplicate coupling entry for levels {key}")
         seen.add(key)
+        if not (math.isfinite(amp) and math.isfinite(phase)):
+            raise ValueError("level energies and couplings must be finite")
         beta[m, n] = amp * np.exp(1j * phase)
         beta[n, m] = np.conj(beta[m, n])
     cluster = TargetCluster(label, energies, beta)
@@ -220,17 +241,15 @@ def spin_one_preset(f_a: float, f_b: float, lam: float) -> TargetCluster:
         ValueError: if f_a == f_b (degenerate transitions) or inputs are
             not positive.
     """
+    label = f"spin-one({f_a},{f_b})"
+    f_a, f_b, lam = as_float(f_a), as_float(f_b), as_float(lam)
     if f_a <= 0 or f_b <= 0 or lam <= 0:
         raise ValueError("f_a, f_b and lam must be positive")
     if f_a == f_b:
         raise ValueError("f_a == f_b gives degenerate transitions")
     energies = TWO_PI * np.array([f_b, 0.0, f_a])
     amp = TWO_PI * (lam / 1000.0) / np.sqrt(2.0)
-    return new_cluster(
-        f"spin-one({f_a},{f_b})",
-        energies,
-        [(0, 1, amp, 0.0), (2, 1, amp, 0.0)],
-    )
+    return new_cluster(label, energies, [(0, 1, amp, 0.0), (2, 1, amp, 0.0)])
 
 
 def ladder_preset(rung_freqs, rung_couplings) -> TargetCluster:
@@ -246,8 +265,8 @@ def ladder_preset(rung_freqs, rung_couplings) -> TargetCluster:
     Raises:
         ValueError: on empty rungs, length mismatch, or nonpositive spacing.
     """
-    rung_freqs = list(rung_freqs)
-    rung_couplings = list(rung_couplings)
+    rung_freqs = [as_float(f) for f in rung_freqs]
+    rung_couplings = [None if c is None else as_float(c) for c in rung_couplings]
     if not rung_freqs:
         raise ValueError("ladder needs at least one rung")
     if len(rung_couplings) != len(rung_freqs):
@@ -281,6 +300,8 @@ def ring_preset(f_1: float, f_2: float, couplings) -> TargetCluster:
         ValueError: if f_1 <= f_2, f_2 <= 0, f_1 == 2*f_2 (degenerate third
             transition), or not exactly three couplings.
     """
+    label = f"ring({f_1},{f_2})"
+    f_1, f_2 = as_float(f_1), as_float(f_2)
     if f_2 <= 0 or f_1 <= f_2:
         raise ValueError("need f_1 > f_2 > 0")
     if f_1 == 2 * f_2:
@@ -292,9 +313,9 @@ def ring_preset(f_1: float, f_2: float, couplings) -> TargetCluster:
     entries = []
     for (m, n), c in zip(pairs, couplings):
         amp, phase = c if isinstance(c, (tuple, list)) else (c, 0.0)
-        entries.append((m, n, TWO_PI * (amp / 1000.0), phase))
+        entries.append((m, n, TWO_PI * (as_float(amp) / 1000.0), phase))
     energies = TWO_PI * np.array([0.0, f_2, f_1])
-    return new_cluster(f"ring({f_1},{f_2})", energies, entries)
+    return new_cluster(label, energies, entries)
 
 
 def star_preset(freqs, couplings) -> TargetCluster:
@@ -308,7 +329,7 @@ def star_preset(freqs, couplings) -> TargetCluster:
         couplings: matching amplitudes (kHz, cyclic) or (amplitude, phase)
             pairs.
     """
-    freqs = list(freqs)
+    freqs = [as_float(f) for f in freqs]
     couplings = list(couplings)
     if len(freqs) < 2:
         raise ValueError("star needs at least two satellites")
@@ -319,7 +340,7 @@ def star_preset(freqs, couplings) -> TargetCluster:
     entries = []
     for i, c in enumerate(couplings):
         amp, phase = c if isinstance(c, (tuple, list)) else (c, 0.0)
-        entries.append((i + 1, 0, TWO_PI * (amp / 1000.0), phase))
+        entries.append((i + 1, 0, TWO_PI * (as_float(amp) / 1000.0), phase))
     energies = TWO_PI * np.concatenate([[0.0], freqs])
     return new_cluster(f"star(d={len(freqs) + 1})", energies, entries)
 

@@ -21,6 +21,7 @@ from ddcorr.cli import (
     parse_scenario,
     scenario_from_dict,
 )
+from ddcorr.sequence import filter_multiblock
 
 TWO_PI = 2.0 * np.pi
 REPO = Path(__file__).resolve().parents[1]
@@ -352,6 +353,11 @@ MALFORMED = [
         id="block-order",
     ),
     pytest.param(
+        ("sequence", 0, "order"), 10**400,
+        f".sequence[0]: order {10**400} at omega 1.2566370614359172 puts tau beyond float range",
+        id="block-order-beyond-float-range",
+    ),
+    pytest.param(
         ("grid", "axes"), DELETE, ".grid: missing required field 'axes'",
         id="grid-missing-axes",
     ),
@@ -680,6 +686,9 @@ class TestScenarioParsing:
         for block in blocks:
             exec(compile(block, "README.md", "exec"), namespace)
         assert len(namespace["result"]) == 64 * 45
+        # the quick start's comment states the values it prints
+        stated = re.search(r"# Re L = ([-0-9., ]+):", text).group(1)
+        assert stated == ", ".join(f"{x:.3f}" for x in namespace["dip"].L.real[[10, 20, 31]])
 
     def test_custom_cluster(self):
         payload = {
@@ -1462,6 +1471,23 @@ class TestFilterCommand:
         rows = [tuple(map(float, ln.split(","))) for ln in lines[2:]]
         peak_f = max(rows, key=lambda r: r[1])[0]
         assert peak_f == pytest.approx(0.2, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "scenario", sorted((REPO / "scenarios").glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_profile_csv_bytes(self, tmp_path, capsys, scenario):
+        # 5000 rows of 3 cells span several of the writer's encoder blocks
+        out_csv = tmp_path / "filter.csv"
+        argv = ["--f-min-MHz", "0.05", "--f-max-MHz", "0.4", "--steps", "5000", "--out", str(out_csv)]
+        assert dispatch(["filter", str(scenario), *argv]) == 0
+        sequence = parse_scenario(scenario).sequence
+        rows = [
+            "%.17g,%.17g,%.17g\n" % (f, result.magnitude, result.phase)
+            for f in np.linspace(0.05, 0.4, 5000)
+            for result in [filter_multiblock(sequence, TWO_PI * f)]
+        ]
+        header = "# ddcorr-filter v1\nf_MHz,filter_F,filter_phase_rad\n"
+        assert out_csv.read_bytes() == (header + "".join(rows)).encode("ascii")
 
     def test_prints_rows_without_out(self, tmp_path, capsys):
         path = write_scenario(tmp_path, tau_scan_scenario())

@@ -10,12 +10,30 @@ import re
 import numpy as np
 import pytest
 
-from ddcorr.analytic import pulse_period
-from ddcorr.scan import GridSpec, PulseAxis, TauAxis
-from ddcorr.sequence import Block, PulseTimeline, check_blocks
-from ddcorr.spin_model import TargetCluster, ladder_preset, new_cluster, star_preset, transition
+from ddcorr.analytic import AnalyticModel, pulse_period
+from ddcorr.scan import GridSpec, PulseAxis, TauAxis, classify_correlation
+from ddcorr.sequence import (
+    Block,
+    PulseTimeline,
+    SequenceSpec,
+    check_blocks,
+    filter_multiblock,
+    resonant_tau,
+)
+from ddcorr.spin_model import (
+    TargetCluster,
+    ladder_preset,
+    new_cluster,
+    ring_preset,
+    spin_one_preset,
+    star_preset,
+    transition,
+)
 
 TWO_LEVELS = TargetCluster("pair", [0.0, 1.0], [[0, 0.1], [0.1, 0]])
+# a Python int beyond float range
+HUGE = 10**400
+NOT_FINITE = "level energies and couplings must be finite"
 
 # id -> (the refused call, its message)
 REFUSALS = {
@@ -60,6 +78,56 @@ REFUSALS = {
     "pulse-period-int-delta-beyond-float-range": (
         lambda: pulse_period(10**400),
         f"delta must be finite and > 0 with pi/delta finite, got {10**400}",
+    ),
+    "resonant-tau-int-omega-beyond-float-range": (
+        lambda: resonant_tau(HUGE),
+        f"omega must be finite and > 0, got {HUGE}",
+    ),
+    "resonant-tau-int-order-beyond-float-range": (
+        lambda: resonant_tau(1.0, HUGE),
+        f"order {HUGE} at omega 1.0 puts tau beyond float range",
+    ),
+    "spin-one-int-frequency-beyond-float-range": (lambda: spin_one_preset(HUGE, 0.1, 5.0), NOT_FINITE),
+    "ladder-int-rung-beyond-float-range": (lambda: ladder_preset([HUGE], [5.0]), NOT_FINITE),
+    "ring-int-frequency-beyond-float-range": (
+        lambda: ring_preset(HUGE, 0.1, [5.0, 5.0, 5.0]),
+        NOT_FINITE,
+    ),
+    "star-int-coupling-beyond-float-range": (
+        lambda: star_preset([0.2, 0.3], [HUGE, 5.0]),
+        NOT_FINITE,
+    ),
+    "new-cluster-int-energy-beyond-float-range": (
+        lambda: new_cluster("c", [0.0, HUGE], [(1, 0, 0.1, 0.0)]),
+        NOT_FINITE,
+    ),
+    "new-cluster-int-amplitude-beyond-float-range": (
+        lambda: new_cluster("c", [0.0, 1.0], [(1, 0, HUGE, 0.0)]),
+        NOT_FINITE,
+    ),
+    "cluster-int-energy-beyond-float-range": (
+        lambda: TargetCluster("c", [0, HUGE], [[0, 0.1], [0.1, 0]]),
+        NOT_FINITE,
+    ),
+    "analytic-model-int-delta-beyond-float-range": (
+        lambda: AnalyticModel("1d", (HUGE,), (3,)),
+        "every delta must be finite and > 0, got (inf,)",
+    ),
+    "evaluate-int-count-beyond-float-range": (
+        lambda: AnalyticModel("1d", (0.1,), (3,)).evaluate((HUGE,)),
+        "pulse counts must be finite and >= 0, got (inf,)",
+    ),
+    "classify-int-minimum-beyond-float-range": (
+        lambda: classify_correlation(HUGE, 4),
+        f"measured_min must be finite, got {HUGE}",
+    ),
+    "classify-int-dimension-beyond-float-range": (
+        lambda: classify_correlation(0.5, HUGE),
+        f"d must be finite, got {HUGE}",
+    ),
+    "filter-int-omega-beyond-float-range": (
+        lambda: filter_multiblock(SequenceSpec([Block(1.25, 4)]), HUGE),
+        f"omega must be finite and nonzero, got {HUGE}",
     ),
     # axes take integer blocks, counts and steps, and a bool is none
     "tau-axis-float-steps": (lambda: TauAxis(0, 1.0, 2.0, 2.5), "steps must be an integer, got 2.5"),

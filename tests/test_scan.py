@@ -27,6 +27,7 @@ from ddcorr.scan import (
     check_grid_size,
     classify_correlation,
     run_scan,
+    write_columns,
     write_csv,
     write_heatmap,
 )
@@ -578,6 +579,13 @@ class TestWriteCsv:
         lines = path.read_text().splitlines()
         assert float(lines[2].split(",")[1]) == value
         assert b"\r" not in path.read_bytes()
+
+    def test_columns_of_any_kind(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_columns(path, "profile", ["x"], [[-0.0, 1e-7, 2.5]], (3,))
+        assert path.read_bytes() == b"# ddcorr-profile v1\nx\n-0\n9.9999999999999995e-08\n2.5\n"
+        with pytest.raises(ValueError, match=r"^need one header cell and 3 values per column$"):
+            write_columns(path, "profile", ["x", "y"], [[0.0, 1.0, 2.0], [0.0, 1.0]], (3,))
 
     def test_analytic_column_when_present(self, tmp_path):
         result = scan_result(("n1", "n2"), (1, 2), [[0.0, 0.0], [0.0, 2.0]], [1.0, 0.5], [1.0, 0.5])
