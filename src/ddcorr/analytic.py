@@ -45,7 +45,7 @@ import numpy as np
 
 from .exact import factor_coherence, fold_blocks
 from .sequence import check_blocks
-from .spin_model import InputError, SystemModel, TargetCluster, as_float
+from .spin_model import InputError, SystemModel, TargetCluster, as_float, as_int
 
 
 class Shape(NamedTuple):
@@ -282,12 +282,12 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
 
 
 def _shape(topology: str, dims) -> tuple[Shape, tuple[int, ...]]:
-    """topology's Shape and dims as ints, if there is one dimension per
-    molecule and each is at least the topology's least (else an InputError
-    naming "dims")."""
+    """topology's Shape and dims as ints (spin_model.as_int), if there is
+    one dimension per molecule and each is at least the topology's least
+    (else an InputError naming "dims")."""
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
-    shape, dims = TOPOLOGIES[topology], tuple(int(x) for x in dims)
+    shape, dims = TOPOLOGIES[topology], tuple(as_int(x, "dims") for x in dims)
     if shape.independent:
         if len(dims) != shape.arity or min(dims) < shape.least:
             message = f"{topology} needs {shape.arity} dimensions >= {shape.least}, got {dims}"

@@ -47,6 +47,7 @@ from .spin_model import (
     TWO_PI,
     SystemModel,
     TargetCluster,
+    as_int,
     check_bytes,
     ladder_preset,
     new_cluster,
@@ -129,9 +130,10 @@ def _finite_or_null(value, path: str):
 
 
 def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    try:
+        return as_int(value, path)
+    except ValueError:
         _fail(path, f"expected an integer, got {value!r}")
-    return value
 
 
 def _text(value, path: str) -> str:
@@ -317,9 +319,12 @@ def _parse_analytic(obj, clusters, path: str) -> AnalyticModel:
     name, index, entries = _fields(obj, _ANALYTIC, path)
     cluster = None
     # separate molecules name [cluster, m, n]; otherwise one cluster holds all
-    if not TOPOLOGIES[name].independent:
-        if index is None:
-            _fail(path, "missing required field 'cluster'")
+    if TOPOLOGIES[name].independent:
+        if index is not None:
+            _fail(path, f"{name} takes no 'cluster': each transition names [cluster, m, n]")
+    elif index is None:
+        _fail(path, "missing required field 'cluster'")
+    else:
         cluster = _cluster_at(clusters, index, f"{path}.cluster")
     resolved = [
         _transition(clusters, entry, f"{path}.transitions[{i}]", cluster)
@@ -351,7 +356,11 @@ def _parse_plan(obj, clusters, path: str) -> dict:
         with _at(path):
             fidelity = readout_fidelity(alpha0, alpha1)
         labels["fidelity"] = path
+    elif alpha0 is not None or alpha1 is not None:
+        _fail(path, "give 'fidelity' or 'alpha0' and 'alpha1', not both")
     inputs = {"fidelity": fidelity, "snr": snr, "t_ir_us": t_ir_us}
+    if entries is not None and products is not None:
+        _fail(path, "give 'transitions' or 'delta_omega_kHz', not both")
     if entries is not None:
         specs = [
             _transition(clusters, entry, f"{path}.transitions[{i}]")[1]
@@ -506,6 +515,8 @@ def _cmd_plan(args) -> int:
         inputs = dict(scenario.plan_inputs)
     if (args.alpha0 is None) != (args.alpha1 is None):
         raise ScenarioError("--alpha0 and --alpha1 must be given together")
+    if args.fidelity is not None and args.alpha0 is not None:
+        raise ScenarioError("give --F or --alpha0/--alpha1, not both")
     if args.fidelity is not None:
         inputs["fidelity"] = _finite(args.fidelity, "--F")
         flags["fidelity"] = "--F"
@@ -522,6 +533,8 @@ def _cmd_plan(args) -> int:
         flags["t_ir_us"] = "--t-ir-us"
     if (args.deltas is None) != (args.freqs_mhz is None):
         raise ScenarioError("--deltas and --freqs-MHz must be given together")
+    if args.delta_omega_khz is not None and args.deltas is not None:
+        raise ScenarioError("give --delta-omega-kHz or --deltas/--freqs-MHz, not both")
     if args.delta_omega_khz is not None or args.deltas is not None:
         # target flags replace every target the scenario gave
         for key in ("delta_omegas", "deltas", "omegas"):

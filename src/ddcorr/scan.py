@@ -55,7 +55,7 @@ import numpy as np
 from .analytic import TOPOLOGIES, magnus_coherence, magnus_stacks  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, Block, SequenceSpec, build_timeline  # noqa: F401
-from .spin_model import InputError, SystemModel, as_float, check_bytes, format_g
+from .spin_model import InputError, SystemModel, as_float, as_int, check_bytes, format_g
 
 ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
@@ -106,12 +106,10 @@ PHASE_RANGE = 1e-4 / (3 * 2.0**-52)
 
 
 def _check_axis(axis, *integers) -> None:
-    """Raise ValueError naming the first of the fields named in integers
-    whose value is not an integer (a bool is not one), then if the axis's
-    block index is negative."""
+    """Read the fields named in integers as ints (spin_model.as_int), in
+    order, then raise ValueError if the axis's block index is negative."""
     for name in integers:
-        if isinstance(value := getattr(axis, name), bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(axis, name, as_int(getattr(axis, name), name))
     if axis.block < 0:
         raise ValueError("block index must be >= 0")
 
@@ -404,9 +402,10 @@ def classify_correlation(measured_min: float, d: int) -> str:
     if not math.isfinite(as_float(measured_min)):
         raise ValueError(f"measured_min must be finite, got {measured_min}")
     correlated, uncorrelated = TOPOLOGIES["2d-correlated"], TOPOLOGIES["2d-uncorrelated"]
+    d = as_int(d, "d")
     if d < correlated.least:
         raise ValueError(f"need d >= {correlated.least}, got {d}")
-    if not as_float(d) < math.inf:  # negated so that NaN fails too
+    if as_float(d) == math.inf:
         raise ValueError(f"d must be finite, got {d}")
     midpoint = (d - (correlated.m + uncorrelated.m) / 2) / d
     if abs(measured_min - midpoint) <= _AMBIGUOUS_BAND:

@@ -88,6 +88,14 @@ class InputError(ValueError):
         self.inputs = inputs
 
 
+def as_int(value, name: str) -> int:
+    """value as an int if it is a Python or numpy integer and not a bool.  Block counts
+    (sequence.check_blocks) and resonant_tau's order also take numpy casts' 4.0 and True."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}", (name,))
+    return int(value)
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
@@ -191,10 +199,10 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
             and the conjugate at (n, m).
 
     Raises:
-        ValueError: on duplicate (m, n) pairs (in either order), out-of-range
-            indices, negative amplitudes, fewer than 2 levels, more levels
-            than MAX_BYTES holds d x d matrices of, or a transition whose
-            contrast is beyond float range.
+        ValueError: on duplicate (m, n) pairs (in either order), non-integer
+            or out-of-range indices, negative amplitudes, fewer than 2
+            levels, more levels than MAX_BYTES holds d x d matrices of, or a
+            transition whose contrast is beyond float range.
     """
     energies = _float_array(energies)
     d = energies.shape[0]
@@ -204,7 +212,7 @@ def new_cluster(label, energies, couplings) -> TargetCluster:
     beta = np.zeros((d, d), dtype=complex)
     seen = set()
     for m, n, amp, phase in couplings:
-        m, n, amp, phase = int(m), int(n), as_float(amp), as_float(phase)
+        m, n, amp, phase = as_int(m, "m"), as_int(n, "n"), as_float(amp), as_float(phase)
         if not (0 <= m < d and 0 <= n < d):
             raise ValueError(f"coupling ({m},{n}) out of range for d={d}")
         if m == n:
@@ -349,10 +357,11 @@ def transition(cluster: TargetCluster, m: int, n: int) -> TransitionSpec:
     """Extract the (m, n) transition, oriented so its frequency is positive.
 
     Raises:
-        ValueError: for m == n, degenerate levels (omega == 0), a dark
-            transition (zero coupling element), or a contrast beyond float
-            range.
+        ValueError: for a non-integer m or n, m == n, degenerate levels
+            (omega == 0), a dark transition (zero coupling element), or a
+            contrast beyond float range.
     """
+    m, n = as_int(m, "m"), as_int(n, "n")
     if m == n:
         raise ValueError(f"({m},{m}) is not a transition")
     d = cluster.dim

@@ -442,6 +442,12 @@ MALFORMED = [
         id="analytic-cluster-range",
     ),
     pytest.param(
+        ("analytic",),
+        {"topology": "2d-independent", "cluster": 99, "transitions": [[0, 1, 0], [0, 2, 1]]},
+        ".analytic: 2d-independent takes no 'cluster': each transition names [cluster, m, n]",
+        id="analytic-independent-cluster",
+    ),
+    pytest.param(
         ("analytic", "transitions", 0), [1, 0, 0],
         ".analytic.transitions[0]: expected [m, n], got [1, 0, 0]",
         id="analytic-transition-shape",
@@ -472,6 +478,10 @@ MALFORMED = [
         id="plan-no-fidelity",
     ),
     pytest.param(
+        ("plan", "alpha0"), -1, ".plan: give 'fidelity' or 'alpha0' and 'alpha1', not both",
+        id="plan-fidelity-and-alpha",
+    ),
+    pytest.param(
         ("plan",),
         {"alpha0": 0.02, "alpha1": 0.02, "snr": 10.0, "transitions": [[0, 1, 0], [0, 2, 1]]},
         ".plan: indistinguishable states: alpha0 = alpha1 gives F = 0",
@@ -494,6 +504,11 @@ MALFORMED = [
     pytest.param(
         ("plan", "transitions"), DELETE, ".plan: give 'transitions' or 'delta_omega_kHz'",
         id="plan-no-targets",
+    ),
+    pytest.param(
+        ("plan", "delta_omega_kHz"), [-5.0, 3.0],
+        ".plan: give 'transitions' or 'delta_omega_kHz', not both",
+        id="plan-transitions-and-products",
     ),
     pytest.param(
         ("plan", "transitions", 0), [1, 0],
@@ -1257,6 +1272,26 @@ class TestPlanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --alpha0 and --alpha1 must be given together\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--F", "0.03", "--alpha0", "-1", "--alpha1", "0.5", "--delta-omega-kHz", "1,2"],
+                "give --F or --alpha0/--alpha1, not both",
+            ),
+            (
+                ["--F", "0.03", "--delta-omega-kHz", "1,2", "--deltas", "0.1", "--freqs-MHz", "1"],
+                "give --delta-omega-kHz or --deltas/--freqs-MHz, not both",
+            ),
+        ],
+        ids=["fidelity", "targets"],
+    )
+    def test_one_input_given_two_ways(self, capsys, argv, message):
+        assert dispatch(["plan", "--snr", "10", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_deltas_and_freqs_replace_scenario_products(self, tmp_path, capsys):
         payload = correlated_2d_scenario()

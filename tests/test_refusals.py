@@ -5,12 +5,13 @@ that a reworded or dropped check shows here.  Every refusal is a
 ValueError, whatever the input's type or size.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from ddcorr.analytic import AnalyticModel, pulse_period
+from ddcorr.analytic import AnalyticModel, minima, pulse_period
 from ddcorr.scan import GridSpec, PulseAxis, TauAxis, classify_correlation
 from ddcorr.sequence import (
     Block,
@@ -137,6 +138,48 @@ REFUSALS = {
     "pulse-axis-float-stop": (lambda: PulseAxis(0, 0, 10.0), "stop must be an integer, got 10.0"),
     "pulse-axis-float-step": (lambda: PulseAxis(0, 0, 10, 2.5), "step must be an integer, got 2.5"),
     "pulse-axis-bool-step": (lambda: PulseAxis(0, 0, 10, True), "step must be an integer, got True"),
+    # level indices and dimensions are read by spin_model.as_int, as the
+    # axes' fields are: never truncated, and never an IndexError
+    "new-cluster-float-level": (
+        lambda: new_cluster("c", [0.0, 1.0], [(1.5, 0, 0.1, 0.0)]),
+        "m must be an integer, got 1.5",
+    ),
+    "new-cluster-bool-level": (
+        lambda: new_cluster("c", [0.0, 1.0], [(1, True, 0.1, 0.0)]),
+        "n must be an integer, got True",
+    ),
+    "new-cluster-infinite-level": (
+        lambda: new_cluster("c", [0.0, 1.0], [(math.inf, 0, 0.1, 0.0)]),
+        "m must be an integer, got inf",
+    ),
+    "transition-whole-float-level": (
+        lambda: transition(TWO_LEVELS, 1.0, 0),
+        "m must be an integer, got 1.0",
+    ),
+    "transition-bool-level": (
+        lambda: transition(TWO_LEVELS, 1, True),
+        "n must be an integer, got True",
+    ),
+    "analytic-model-float-dimension": (
+        lambda: AnalyticModel("2d-independent", (0.02, 0.03), (3.7,)),
+        "dims must be an integer, got 3.7",
+    ),
+    "analytic-model-bool-dimension": (
+        lambda: AnalyticModel("2d-independent", (0.02, 0.03), (2, True)),
+        "dims must be an integer, got True",
+    ),
+    "minima-float-dimension": (
+        lambda: minima("2d-correlated", (4.9,)),
+        "dims must be an integer, got 4.9",
+    ),
+    "classify-float-dimension": (
+        lambda: classify_correlation(0.0, 4.5),
+        "d must be an integer, got 4.5",
+    ),
+    "classify-bool-dimension": (
+        lambda: classify_correlation(0.0, True),
+        "d must be an integer, got True",
+    ),
 }
 
 
@@ -150,3 +193,7 @@ def test_axes_take_numpy_integers():
     axis = PulseAxis(np.int64(0), np.int64(0), np.int64(10), np.int64(2))
     assert axis.values() == list(range(0, 11, 2))
     assert len(TauAxis(np.int32(1), 1.0, 2.0, np.int64(3)).values()) == 3
+
+
+def test_levels_take_numpy_integers():
+    assert transition(TWO_LEVELS, np.int64(1), 0) == transition(TWO_LEVELS, 1, 0)
