@@ -45,7 +45,7 @@ import numpy as np
 
 from .exact import factor_coherence, fold_blocks
 from .sequence import check_blocks
-from .spin_model import InputError, SystemModel, TargetCluster, as_float, as_int
+from .spin_model import InputError, SystemModel, TargetCluster, as_float, as_int, check_phase
 
 
 class Shape(NamedTuple):
@@ -342,14 +342,18 @@ class AnalyticModel:
     def evaluate(self, pulses) -> float:
         """The dip at pulse counts N_i, one per delta (the real part of the trace).
 
-        Raises an InputError unless there is one count per delta and every
-        count is finite and >= 0.
+        Raises an InputError unless there is one count per delta, every
+        count is finite and >= 0, and every phase 2 N_i delta_i is within
+        spin_model.PHASE_RANGE (naming "deltas" and "pulses").
         """
         deltas, counts = self.deltas, tuple(as_float(n) for n in pulses)
         if len(counts) != len(deltas):
             raise InputError("one pulse count per block required", ("pulses",))
         if not all(0 <= n < math.inf for n in counts):
             raise InputError(f"pulse counts must be finite and >= 0, got {counts}", ("pulses",))
+        phase, n, delta = max((2 * n * delta, n, delta) for delta, n in zip(deltas, counts))
+        reach = f"2 N delta = 2 x {n:g} x {delta:g}"
+        check_phase(phase, reach, "a closed-form dip", ("deltas", "pulses"))
         shape = TOPOLOGIES[self.topology]
         if shape.dip is None:
             return math.prod(

@@ -26,7 +26,6 @@ from .analytic import TOPOLOGIES, AnalyticModel
 from .planner import DEFAULT_T_IR_US, plan, readout_fidelity
 from .scan import (
     ENGINES,
-    PHASE_RANGE,
     GridSpec,
     PulseAxis,
     TauAxis,
@@ -49,6 +48,7 @@ from .spin_model import (
     TargetCluster,
     as_int,
     check_bytes,
+    check_phase,
     ladder_preset,
     new_cluster,
     ring_preset,
@@ -467,6 +467,8 @@ def _cmd_scan(args) -> int:
         raise ScenarioError(f"{args.scenario}: no 'grid' section to scan")
     if args.engine:
         grid = dataclasses.replace(grid, engine=args.engine)
+    if args.heatmap and len(grid.axes) != 2:
+        raise ScenarioError(f"--heatmap: heatmap requires a 2-axis scan, got a {len(grid.axes)}-axis grid")
     with _at(f"{args.scenario}.grid"):
         result = run_scan(scenario.system, scenario.sequence, grid)
     if args.out:
@@ -576,12 +578,11 @@ def _cmd_filter(args) -> int:
     if not 0 < f_lo < f_hi:
         raise ScenarioError(f"--f-min-MHz/--f-max-MHz: need 0 < f-min < f-max, got {f_lo}, {f_hi}")
     # every closed-form phase is omega times the sequence duration or less,
-    # or times the tau of a zero-pulse block; scan.PHASE_RANGE bounds them
-    # all, so that F's rounding error stays within its tolerance
+    # or times the tau of a zero-pulse block; spin_model.PHASE_RANGE bounds
+    # them all, so that F's rounding error stays within its tolerance
     longest = max(scenario.sequence.duration, *(b.tau for b in scenario.sequence.blocks))
-    if not TWO_PI * f_hi * longest <= PHASE_RANGE:
-        reach = f"2 pi x {f_hi:g} MHz x {longest:g} us"
-        raise ScenarioError(f"--f-max-MHz: {reach} is beyond the {PHASE_RANGE:.3g} rad a filter takes")
+    with _at("--f-max-MHz"):
+        check_phase(TWO_PI * f_hi * longest, f"2 pi x {f_hi:g} MHz x {longest:g} us", "a filter")
     if args.steps < 1:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
     with _at("--steps"):

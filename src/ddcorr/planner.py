@@ -119,6 +119,8 @@ def plan(
     for name, values in targets.items():
         if not all(x > 0 for x in values):
             raise InputError(f"{name} must be > 0, got {values}", (name,))
+        if not all(x < math.inf for x in values):
+            raise InputError(f"{name} must be finite, got {values}", (name,))
     every = ("fidelity", "snr", *targets, "t_ir_us")
     try:
         # at least one shot, though (snr / fidelity)^2 may round to 0

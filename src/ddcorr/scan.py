@@ -18,10 +18,11 @@ lexicographic grid order.  check_grid_size rejects a grid too large to
 scan in memory, from its point count, the cut's rows and blocks and,
 under the Magnus engine, the level triples of its clusters, and one whose
 axes reach a block that Block refuses.  It also rejects, under every
-engine, a grid whose phase is beyond PHASE_RANGE: the phase at which
-float64 rounding would move a propagator by the stated tolerance of 1e-4,
-so a scan that runs is right to that, far below the shot noise of a
-measurement.  ddcorr filter holds its phases to the same range.
+engine, a grid whose phase is beyond spin_model.PHASE_RANGE: the phase
+at which float64 rounding would move a propagator by the stated tolerance
+of 1e-4, so a scan that runs is right to that, far below the shot noise of
+a measurement.  ddcorr filter and the closed-form dips hold their phases to
+the same range.
 
 write_columns, which writes both a scan's CSV (write_csv) and ddcorr
 filter's profile, prints every cell as "%.17g" would, byte for byte,
@@ -55,7 +56,7 @@ import numpy as np
 from .analytic import TOPOLOGIES, magnus_coherence, magnus_stacks  # noqa: F401
 from .exact import block_stacks, coherence_system, factor_coherence  # noqa: F401
 from .sequence import MAX_PULSES, Block, SequenceSpec, build_timeline  # noqa: F401
-from .spin_model import InputError, SystemModel, as_float, as_int, check_bytes, format_g
+from .spin_model import InputError, SystemModel, as_float, as_int, check_bytes, check_phase, format_g
 
 ENGINES = ("exact", "analytic", "both")
 # Verdict margin around the midpoint of the two quantized minima.
@@ -83,26 +84,6 @@ _POINT_BYTES = 128
 _MATRIX_BYTES = 512
 _ENTRY_BYTES = 48
 _TRIPLE_BYTES = 128
-# The most phase, in rad, that a scan or a filter profile may reach: float64
-# rounding error grows with the phase, and PHASE_RANGE holds it to a
-# tolerance of 1e-4, far below the sigma = 0.1 shot noise the shipped plans
-# target.  A block's propagators are within c eps (rate 2 tau + d) max(N, 1)
-# of their exact values in the spectral norm (eps = 2**-52, rate = largest
-# |energy| + largest |coupling|): a unit cell's phases round once, a block
-# of k cells carries k times that whether cell^k comes from the fold or
-# from a spectral power, and the d x d products add about eps per level a
-# pulse, which dominates below tau ~ 0.1 us.  Against a 50-digit mpmath
-# reference (tests/test_precision.py), c was at most 2.5 on 60 random
-# ladders and dense Hermitian couplings of d = 2-16, tau = 1e-3 to 30 us
-# and N up to 1e9; c = 3 here.  Blocks and clusters add their errors and
-# |L| moves by at most those of U+ and U-, so on a grid whose phase
-# (check_grid_size) is within PHASE_RANGE every propagator is within 1e-4
-# and L within 2e-4.  The filter's closed form rounds omega tau once a
-# block: F is within c eps omega T 2N (c at most 0.25 measured), so off by
-# at most 1e-4 of its on-resonance value 2N.  Such phases, and the Magnus
-# terms' sums of products of two of them over d <= 317 levels, stay far
-# inside float range.
-PHASE_RANGE = 1e-4 / (3 * 2.0**-52)
 
 
 def _check_axis(axis, *integers) -> None:
@@ -304,9 +285,8 @@ def check_grid_size(system: SystemModel, base_spec: SequenceSpec, grid: GridSpec
     rate = sum(float(abs(c.energies).max()) + float(abs(c.coupling).max()) for c in system.clusters)
     length = max(1.0, sum(2.0 * b.tau * max(b.n_pulses, 1) for b in blocks))
     levels = sum(c.dim for c in system.clusters) * sum(max(b.n_pulses, 1) for b in blocks)
-    if not rate * length + levels <= PHASE_RANGE:
-        reach = f"|energy| + |coupling| {rate:.3g} rad/us over {length:.3g} us and 1 rad per level per pulse"
-        raise ValueError(f"{reach} is beyond the {PHASE_RANGE:.3g} rad a scan takes")
+    reach = f"|energy| + |coupling| {rate:.3g} rad/us over {length:.3g} us and 1 rad per level per pulse"
+    check_phase(rate * length + levels, reach, "a scan")
 
 
 def run_scan(

@@ -38,6 +38,28 @@ _HERMITICITY_TOL = 1e-12
 # 2.4, Python 3.11, x86-64).
 MAX_BYTES = 4 << 30
 _LEVEL_PAIR_BYTES = 64
+# The most phase, in rad, that a scan, a filter profile or a closed-form dip
+# may reach (check_phase): float64 rounding error grows with the phase, and
+# PHASE_RANGE holds it to a tolerance of 1e-4, far below the sigma = 0.1
+# shot noise the shipped plans target.  A block's propagators are within
+# c eps (rate 2 tau + d) max(N, 1) of their exact values in the spectral
+# norm (eps = 2**-52, rate = largest |energy| + largest |coupling|): a unit
+# cell's phases round once, a block of k cells carries k times that whether
+# cell^k comes from the fold or from a spectral power, and the d x d
+# products add about eps per level a pulse, which dominates below tau ~ 0.1
+# us.  Against a 50-digit mpmath reference (tests/test_precision.py), c was
+# at most 2.5 on 60 random ladders and dense Hermitian couplings of d =
+# 2-16, tau = 1e-3 to 30 us and N up to 1e9; c = 3 here.  Blocks and
+# clusters add their errors and |L| moves by at most those of U+ and U-, so
+# on a grid whose phase (scan.check_grid_size) is within PHASE_RANGE every
+# propagator is within 1e-4 and L within 2e-4.  The filter's closed form
+# rounds omega tau once a block: F is within c eps omega T 2N (c at most
+# 0.25 measured), so off by at most 1e-4 of its on-resonance value 2N.  A
+# closed-form dip rounds each phase 2 N delta once, so its cosines are
+# within eps 2 N delta.  Such phases, and the Magnus terms' sums of
+# products of two of them over d <= 317 levels, stay far inside float
+# range.
+PHASE_RANGE = 1e-4 / (3 * 2.0**-52)
 
 
 def format_g(n: int, shift: int = 0) -> str:
@@ -86,6 +108,13 @@ class InputError(ValueError):
     def __init__(self, message: str, inputs: tuple[str, ...] = ()):
         super().__init__(message)
         self.inputs = inputs
+
+
+def check_phase(phase: float, reach: str, user: str, inputs: tuple[str, ...] = ()) -> None:
+    """Raise an InputError unless phase is at most PHASE_RANGE (so also if
+    it is NaN), worded as "<reach> is beyond the X rad <user> takes"."""
+    if not phase <= PHASE_RANGE:
+        raise InputError(f"{reach} is beyond the {PHASE_RANGE:.3g} rad {user} takes", inputs)
 
 
 def as_int(value, name: str) -> int:

@@ -1108,6 +1108,30 @@ class TestAnalyticCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}:")
 
+    @pytest.mark.parametrize(
+        "delta,n,reach",
+        [
+            ("0.025,0.03", "1e300,44", "2 N delta = 2 x 1e+300 x 0.025"),
+            # 2 x 62 x 1e308 overflows to inf; the cosine would raise a math domain error
+            ("1e308,0.03", "62,44", "2 N delta = 2 x 62 x 1e+308"),
+        ],
+        ids=["past-range", "past-float-range"],
+    )
+    def test_refuses_phases_beyond_the_phase_range(self, capsys, delta, n, reach):
+        argv = ["--topology", "2d-correlated", "--d", "3", "--delta", delta, "--n", n]
+        assert dispatch(["analytic", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --delta/--n: {reach} is beyond the 1.5e+11 rad a closed-form dip takes\n"
+        )
+
+    def test_evaluates_a_phase_within_the_range(self, capsys):
+        # 2 x 1e12 x 0.025 is 5e10 rad, inside the 1.5e11 rad range
+        argv = ["--topology", "2d-correlated", "--d", "3", "--delta", "0.025,0.03", "--n", "1e12,44"]
+        assert dispatch(["analytic", *argv]) == 0
+        assert capsys.readouterr() == ("-0.326267\n", "")
+
     def test_fractional_dims_fail(self, capsys):
         code = dispatch([
             "analytic", "--topology", "2d-independent", "--dims", "2.7,2",
@@ -1365,14 +1389,35 @@ class TestPlanCommand:
                 ["--snr", "10", "--deltas", "0.025,0.036", "--freqs-MHz", "0.2,0.14,0.3"],
                 "--deltas/--freqs-MHz: dip time is defined for exactly two transitions",
             ),
+            # 2 pi x 1e308 overflows to inf, which is > 0 but no target
+            (
+                ["--snr", "10", "--delta-omega-kHz", "1e308,1"],
+                "--delta-omega-kHz: delta_omegas must be finite, got (inf, 0.006283185307179587)",
+            ),
+            (
+                ["--snr", "10", "--deltas", "0.02,0.03", "--freqs-MHz", "1e308,0.14"],
+                "--freqs-MHz: omegas must be finite, got (inf, 0.8796459430051422)",
+            ),
         ],
-        ids=["snr", "t-ir-us", "zero-delta", "negative-freq", "unequal-counts"],
+        ids=["snr", "t-ir-us", "zero-delta", "negative-freq", "unequal-counts", "infinite-product",
+             "infinite-freq"],
     )
     def test_range_refusal_names_only_its_flag(self, capsys, argv, message):
         assert dispatch(["plan", "--F", "0.03", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_validate_refuses_a_product_that_overflows(self, tmp_path, capsys):
+        payload = json.loads((REPO / "scenarios" / "spin-one-tau-map.json").read_text())
+        del payload["plan"]["transitions"]
+        payload["plan"]["delta_omega_kHz"] = [1e308, 1.0]
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.plan.delta_omega_kHz: delta_omegas must be finite,"
+            " got (inf, 0.006283185307179587)\n"
+        )
 
     @pytest.mark.parametrize(
         "fields,where,message",
@@ -1427,6 +1472,17 @@ class TestScanCommand:
         )
         assert code == 0
         assert out_pgm.read_bytes().startswith(b"P5\n5 5\n65535\n")
+
+    def test_heatmap_of_a_one_axis_grid_is_refused_before_the_scan(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, tau_scan_scenario())
+        out_csv, out_pgm = tmp_path / "scan.csv", tmp_path / "map.pgm"
+        code = dispatch(["scan", path, "--out", str(out_csv), "--heatmap", str(out_pgm)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --heatmap: heatmap requires a 2-axis scan, got a 1-axis grid\n"
+        assert not out_csv.exists()
+        assert not out_pgm.exists()
 
     def test_engine_override_to_analytic_fills_analytic_column(
         self, tmp_path, capsys

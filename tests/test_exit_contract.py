@@ -68,8 +68,8 @@ HOSTILE = [
     -1e307,
     10**400,
     -(10**400),
-    # past scan.PHASE_RANGE as a pulse count, a level in MHz or a tau in us,
-    # though far inside float range
+    # past spin_model.PHASE_RANGE as a pulse count, a level in MHz or a tau
+    # in us, though far inside float range
     10**13,
     2**63,
     5e-324,

@@ -297,6 +297,21 @@ class TestPlan:
         assert str(info.value) == f"{name} must be finite, got an integer beyond float range"
         assert info.value.inputs == (name,)
 
+    @pytest.mark.parametrize(
+        "kwargs,name,values",
+        [
+            ({"delta_omegas": (math.inf, 1.0)}, "delta_omegas", "(inf, 1.0)"),
+            ({"deltas": (0.02, math.inf), "omegas": OMEGAS}, "deltas", "(0.02, inf)"),
+            ({"deltas": DELTAS, "omegas": (math.inf, 1.0)}, "omegas", "(inf, 1.0)"),
+        ],
+        ids=["products", "deltas", "omegas"],
+    )
+    def test_infinite_target_names_its_input(self, kwargs, name, values):
+        with pytest.raises(InputError) as info:
+            plan(0.03, 10.0, **kwargs)
+        assert str(info.value) == f"{name} must be finite, got {values}"
+        assert info.value.inputs == (name,)
+
     def test_integer_deltas_and_omegas_are_priced_as_floats(self):
         # their product, 10**400, overflows only as an integer
         ints = plan(0.03, 10.0, deltas=(10**200, 0.02), omegas=(10**200, 1.0))

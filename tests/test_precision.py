@@ -1,4 +1,4 @@
-"""scan.PHASE_RANGE against a 50-digit reference.
+"""spin_model.PHASE_RANGE against a 50-digit reference.
 
 PHASE_RANGE is TOLERANCE / (C eps): the float64 CPMG block propagators of
 exact.block_stacks are within C eps (rate 2 tau + d) max(N, 1) of their
@@ -22,9 +22,8 @@ import pytest
 from mpmath import mp
 
 from ddcorr.exact import block_stacks
-from ddcorr.scan import PHASE_RANGE
 from ddcorr.sequence import Block, SequenceSpec, filter_multiblock
-from ddcorr.spin_model import TargetCluster, ladder_preset
+from ddcorr.spin_model import PHASE_RANGE, TargetCluster, ladder_preset
 
 TOLERANCE = 1e-4
 C = 3

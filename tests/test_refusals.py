@@ -22,6 +22,7 @@ from ddcorr.sequence import (
     resonant_tau,
 )
 from ddcorr.spin_model import (
+    InputError,
     TargetCluster,
     ladder_preset,
     new_cluster,
@@ -118,6 +119,15 @@ REFUSALS = {
         lambda: AnalyticModel("1d", (0.1,), (3,)).evaluate((HUGE,)),
         "pulse counts must be finite and >= 0, got (inf,)",
     ),
+    # 2 N delta = 5e298 rad: a cosine of it carries rounding far beyond 2 pi
+    "evaluate-phase-beyond-range": (
+        lambda: AnalyticModel("2d-correlated", (0.025, 0.03), (3,)).evaluate((1e300, 44)),
+        "2 N delta = 2 x 1e+300 x 0.025 is beyond the 1.5e+11 rad a closed-form dip takes",
+    ),
+    "evaluate-phase-beyond-float-range": (
+        lambda: AnalyticModel("2d-correlated", (1e308, 0.03), (3,)).evaluate((62, 44)),
+        "2 N delta = 2 x 62 x 1e+308 is beyond the 1.5e+11 rad a closed-form dip takes",
+    ),
     "classify-int-minimum-beyond-float-range": (
         lambda: classify_correlation(HUGE, 4),
         f"measured_min must be finite, got {HUGE}",
@@ -187,6 +197,12 @@ REFUSALS = {
 def test_refusal_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_closed_form_phase_refusal_names_deltas_and_pulses():
+    with pytest.raises(InputError) as refused:
+        AnalyticModel("1d", (0.025,), (3,)).evaluate((1e13,))
+    assert refused.value.inputs == ("deltas", "pulses")
 
 
 def test_axes_take_numpy_integers():

@@ -18,7 +18,6 @@ from ddcorr.analytic import AnalyticModel
 from ddcorr.cli import parse_scenario
 from ddcorr.scan import (
     ENGINES,
-    PHASE_RANGE,
     GridSpec,
     PulseAxis,
     ScanRecord,
@@ -33,6 +32,7 @@ from ddcorr.scan import (
 )
 from ddcorr.sequence import Block, SequenceSpec, resonant_tau
 from ddcorr.spin_model import (
+    PHASE_RANGE,
     InputError,
     SystemModel,
     ladder_preset,
