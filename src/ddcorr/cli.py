@@ -38,6 +38,7 @@ from .scan import (
 from .sequence import (
     Block,
     SequenceSpec,
+    check_filter_phase,
     filter_multiblock,
     lint_resonance_overlap,
     resonant_tau,
@@ -48,7 +49,6 @@ from .spin_model import (
     TargetCluster,
     as_int,
     check_bytes,
-    check_phase,
     ladder_preset,
     new_cluster,
     ring_preset,
@@ -577,12 +577,8 @@ def _cmd_filter(args) -> int:
     f_hi = _finite(args.f_max_mhz, "--f-max-MHz")
     if not 0 < f_lo < f_hi:
         raise ScenarioError(f"--f-min-MHz/--f-max-MHz: need 0 < f-min < f-max, got {f_lo}, {f_hi}")
-    # every closed-form phase is omega times the sequence duration or less,
-    # or times the tau of a zero-pulse block; spin_model.PHASE_RANGE bounds
-    # them all, so that F's rounding error stays within its tolerance
-    longest = max(scenario.sequence.duration, *(b.tau for b in scenario.sequence.blocks))
     with _at("--f-max-MHz"):
-        check_phase(TWO_PI * f_hi * longest, f"2 pi x {f_hi:g} MHz x {longest:g} us", "a filter")
+        check_filter_phase(scenario.sequence, f_hi, "a filter")
     if args.steps < 1:
         raise ScenarioError(f"--steps: expected an integer >= 1, got {args.steps}")
     with _at("--steps"):
@@ -605,7 +601,8 @@ def _cmd_lint(args) -> int:
     findings = []
     for i, cluster in enumerate(scenario.system.clusters):
         findings += [f"cluster {i}: {w}" for w in validate_weak_coupling(cluster)]
-    findings += lint_resonance_overlap(scenario.system.clusters, scenario.sequence)
+    with _at(f"{args.scenario}.sequence"):
+        findings += lint_resonance_overlap(scenario.system.clusters, scenario.sequence)
     if findings:
         for line in findings:
             print(line)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import all_transitions, as_float
+from .spin_model import TWO_PI, all_transitions, as_float, check_phase
 
 # Fraction of the on-resonance value 2N at which an off-target transition
 # counts as contaminating a block.
@@ -190,13 +190,22 @@ def _block_integral(n_pulses: int, tau: float, omega: float) -> complex:
     return 1j * (1.0 - u) ** 2 * cmath.exp(1j * (n_pulses - 1) * h) * kernel
 
 
+def check_filter_phase(spec: SequenceSpec, f_MHz: float, user: str, inputs: tuple[str, ...] = ()) -> None:
+    """spin_model.check_phase on the largest phase filter_multiblock computes at f_MHz, omega
+    times the sequence duration or a zero-pulse block's tau, so F's rounding stays in tolerance."""
+    longest = max(spec.duration, *(b.tau for b in spec.blocks))
+    check_phase(TWO_PI * abs(f_MHz) * longest, f"2 pi x {f_MHz:g} MHz x {longest:g} us", user, inputs)
+
+
 def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
     """Coherent per-block composition of the sequence filter.
 
     Each block contributes its closed-form integral, O(1) in its pulse
     count, rotated by the phase accumulated up to the block start and
     sign-flipped when an odd number of pulses precede it; the result equals
-    reference.filter_numeric of the compiled timeline.
+    reference.filter_numeric of the compiled timeline.  It takes any phase:
+    at resonance it gives 2N exactly even at N = 2**53 (2.8e16 rad), so
+    callers bound the phase with check_filter_phase.
     """
     if not (math.isfinite(as_float(omega)) and omega != 0):  # negated so that NaN fails too
         raise ValueError(f"omega must be finite and nonzero, got {omega}")
@@ -218,18 +227,18 @@ def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:
     the lowest harmonic order.  Any other transition whose CPMG filter at
     the block's duration reaches 20% of the on-resonance value 2N
     (odd-harmonic hits, accidental near-resonances) produces a warning.
+    check_filter_phase refuses the spec past PHASE_RANGE at the largest transition frequency.
     """
     transitions = []
     for ci, cluster in enumerate(clusters):
         transitions.extend((ci, t) for t in all_transitions(cluster))
+    check_filter_phase(spec, max((t.omega for _, t in transitions), default=0.0) / TWO_PI, "lint")
     warnings = []
     for bi, block in enumerate(spec.blocks):
         if block.n_pulses < 1:
             continue
         full = 2.0 * block.n_pulses
-        # a transition whose 2*tau*omega overflows has no resonance or filter value
         phases = [(ci, t, 2.0 * block.tau * t.omega / np.pi) for ci, t in transitions]
-        phases = [(ci, t, x) for ci, t, x in phases if math.isfinite(x)]
         hits = []
         for ci, t, x in phases:
             order = max(round((x - 1.0) / 2.0), 0)

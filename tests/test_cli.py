@@ -1710,6 +1710,25 @@ class TestLintCommand:
         assert dispatch(["lint", path]) == 0
         assert "clean: no lint findings" in capsys.readouterr().out
 
+    def test_refuses_phases_beyond_the_phase_range(self, tmp_path, capsys):
+        # 2 pi x 0.2 MHz x 2e11 us is 2.5e11 rad, past the phase at which
+        # the filter's rounding error would pass its tolerance; 2.5e10 is not
+        payload = tau_scan_scenario()
+        del payload["grid"]
+        for tau_us, reach in ((1e17, "2e+18"), (1e10, "2e+11")):
+            payload["sequence"] = [{"tau_us": tau_us, "n_pulses": 10}]
+            path = write_scenario(tmp_path, payload)
+            assert dispatch(["lint", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}.sequence: 2 pi x 0.2 MHz x {reach} us is beyond the 1.5e+11 rad lint takes\n"
+            )
+        payload["sequence"] = [{"tau_us": 1e9, "n_pulses": 10}]
+        path = write_scenario(tmp_path, payload)
+        assert dispatch(["lint", path]) == 0
+        assert capsys.readouterr().out == "clean: no lint findings\n"
+
     def test_harmonic_overlap_reported(self, tmp_path, capsys):
         payload = {
             "clusters": [

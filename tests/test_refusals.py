@@ -18,7 +18,9 @@ from ddcorr.sequence import (
     PulseTimeline,
     SequenceSpec,
     check_blocks,
+    check_filter_phase,
     filter_multiblock,
+    lint_resonance_overlap,
     resonant_tau,
 )
 from ddcorr.spin_model import (
@@ -197,6 +199,46 @@ REFUSALS = {
 def test_refusal_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# id -> (a call past spin_model.PHASE_RANGE, its message, its inputs)
+PHASE_REFUSALS = {
+    # 2 pi x 4.8e8 MHz x 50 us is 1.51e11 rad
+    "filter-phase-beyond-range": (
+        lambda: check_filter_phase(SequenceSpec([Block(1.25, 20)]), 4.8e8, "a filter", ("f_MHz",)),
+        "2 pi x 4.8e+08 MHz x 50 us is beyond the 1.5e+11 rad a filter takes",
+        ("f_MHz",),
+    ),
+    # a zero-pulse block's tau enters its phases, though not the duration
+    "filter-phase-zero-pulse-tau": (
+        lambda: check_filter_phase(SequenceSpec([Block(1e12, 0), Block(1.25, 20)]), 0.2, "a filter"),
+        "2 pi x 0.2 MHz x 1e+12 us is beyond the 1.5e+11 rad a filter takes",
+        (),
+    ),
+    # 2.5e18 rad, where float64 spacing is 512 rad: no resonance survives
+    "lint-phase-beyond-range": (
+        lambda: lint_resonance_overlap(
+            [spin_one_preset(0.2, 0.14, 7.0710678)], SequenceSpec([Block(1e17, 10)])
+        ),
+        "2 pi x 0.2 MHz x 2e+18 us is beyond the 1.5e+11 rad lint takes",
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message, inputs", PHASE_REFUSALS.values(), ids=PHASE_REFUSALS)
+def test_phase_refusal(call, message, inputs):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as refused:
+        call()
+    assert refused.value.inputs == inputs
+
+
+def test_filter_phase_inside_the_range_is_taken():
+    # 2 pi x 4.7e8 MHz x 50 us is 1.48e11 rad, and a negative frequency
+    # reaches as far as its magnitude
+    spec = SequenceSpec([Block(1.25, 20)])
+    for f_MHz in (4.7e8, -4.7e8, 0.0):
+        assert check_filter_phase(spec, f_MHz, "a filter") is None
 
 
 def test_closed_form_phase_refusal_names_deltas_and_pulses():

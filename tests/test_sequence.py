@@ -1,5 +1,7 @@
 """Tests for pulse timelines, filter responses, and resonance lint."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from ddcorr.sequence import (
     resonant_tau,
 )
 from ddcorr.reference import filter_numeric, modulation
-from ddcorr.spin_model import new_cluster, spin_one_preset, star_preset
+from ddcorr.spin_model import InputError, new_cluster, spin_one_preset, star_preset
 
 TWO_PI = 2.0 * np.pi
 
@@ -319,11 +321,13 @@ class TestLint:
         assert "(1,0)" in findings[0] and "(2,0)" in findings[0]
         assert "100%" in findings[0]
 
-    def test_transition_with_a_phase_beyond_float_range_is_not_resonant(self):
+    def test_transition_with_a_phase_beyond_float_range_is_refused(self):
         # 2 * tau * omega overflows for the (2, 0) transition
         energies = np.array([0.0, TWO_PI * 0.2, 1e308])
         cluster = new_cluster("far", energies, [(1, 0, 0.03, 0.0), (2, 0, 0.03, 0.0)])
-        assert lint_resonance_overlap([cluster], SequenceSpec([Block(1.25, 20)])) == []
+        message = "2 pi x 1.59155e+307 MHz x 50 us is beyond the 1.5e+11 rad lint takes"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            lint_resonance_overlap([cluster], SequenceSpec([Block(1.25, 20)]))
 
     def test_off_resonant_block_reports_nothing(self):
         cluster = spin_one_preset(0.20, 0.14, 5.0 * np.sqrt(2.0))
