@@ -190,11 +190,11 @@ def _block_integral(n_pulses: int, tau: float, omega: float) -> complex:
     return 1j * (1.0 - u) ** 2 * cmath.exp(1j * (n_pulses - 1) * h) * kernel
 
 
-def check_filter_phase(spec: SequenceSpec, f_MHz: float, user: str, inputs: tuple[str, ...] = ()) -> None:
+def check_filter_phase(spec: SequenceSpec, f_MHz: float, user: str) -> None:
     """spin_model.check_phase on the largest phase filter_multiblock computes at f_MHz, omega
     times the sequence duration or a zero-pulse block's tau, so F's rounding stays in tolerance."""
     longest = max(spec.duration, *(b.tau for b in spec.blocks))
-    check_phase(TWO_PI * abs(f_MHz) * longest, f"2 pi x {f_MHz:g} MHz x {longest:g} us", user, inputs)
+    check_phase(TWO_PI * f_MHz * longest, f"2 pi x {f_MHz:g} MHz x {longest:g} us", user)
 
 
 def filter_multiblock(spec: SequenceSpec, omega: float) -> FilterResult:
@@ -227,16 +227,18 @@ def lint_resonance_overlap(clusters, spec: SequenceSpec) -> list[str]:
     the lowest harmonic order.  Any other transition whose CPMG filter at
     the block's duration reaches 20% of the on-resonance value 2N
     (odd-harmonic hits, accidental near-resonances) produces a warning.
-    check_filter_phase refuses the spec past PHASE_RANGE at the largest transition frequency.
+    Each block is a filter of its own, so check_filter_phase refuses a block
+    that reaches past PHASE_RANGE at the largest transition frequency.
     """
     transitions = []
     for ci, cluster in enumerate(clusters):
         transitions.extend((ci, t) for t in all_transitions(cluster))
-    check_filter_phase(spec, max((t.omega for _, t in transitions), default=0.0) / TWO_PI, "lint")
+    f_top = max((t.omega for _, t in transitions), default=0.0) / TWO_PI
     warnings = []
     for bi, block in enumerate(spec.blocks):
         if block.n_pulses < 1:
             continue
+        check_filter_phase(SequenceSpec([block]), f_top, "lint")
         full = 2.0 * block.n_pulses
         phases = [(ci, t, 2.0 * block.tau * t.omega / np.pi) for ci, t in transitions]
         hits = []

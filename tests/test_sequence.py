@@ -329,6 +329,21 @@ class TestLint:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             lint_resonance_overlap([cluster], SequenceSpec([Block(1.25, 20)]))
 
+    def test_each_block_is_bounded_by_its_own_reach(self):
+        # at 0.6 MHz each 1e9-tau block reaches 7.5e10 rad and the idle block
+        # is never evaluated, though the whole sequence reaches 3.8e12 rad
+        cluster = star_preset([0.2, 0.6], [5.0, 5.0])
+        long = [Block(1e12, 0), Block(1.25, 20)] + [Block(1e9, 10)] * 3
+        findings = lint_resonance_overlap([cluster], SequenceSpec(long))
+        assert findings == [
+            "block 1 (tau = 1.25 us) is resonant with cluster 0 transition (1,0) "
+            "but also drives cluster 0 transition (2,0) at F = 40 (100% of 2N)"
+        ]
+        # one block of 2e9 x 10 pulses reaches 1.51e11 rad on its own
+        message = "2 pi x 0.6 MHz x 4e+10 us is beyond the 1.5e+11 rad lint takes"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            lint_resonance_overlap([cluster], SequenceSpec([Block(1.25, 20), Block(2e9, 10)]))
+
     def test_off_resonant_block_reports_nothing(self):
         cluster = spin_one_preset(0.20, 0.14, 5.0 * np.sqrt(2.0))
         spec = SequenceSpec([Block(0.9, 20)])
