@@ -11,13 +11,11 @@ rotations, which reduces to one closed form per transition topology:
   two, one shared level   (d - 3 + c1 + c2 + c1 c2) / d
   separate molecules      product of one-transition factors
 
-with c_i = cos(2 N_i delta_i), plus the three-transition variants.
+with c_i = cos(2 N_i delta_i), plus the three-transition variants.  One
+table, TOPOLOGIES, holds each as its coefficients over products of c_i.
 AnalyticModel(topology, deltas, dims).evaluate(pulses) is the one entry
-point for all ten topologies, and one check of (dims, deltas, counts)
-guards them.  Driving each transition for N_i = pi/(2 delta_i) pulses (a
-half period) pins the dip at a quantized minimum fixed by the dimensions
-and the topology alone (minima).  One table, TOPOLOGIES, holds each
-topology's closed form and what its checks and minimum need.
+point for all ten, and one check of (dims, deltas, counts) guards them.
+The forms are multilinear, so their minima (minima) lie at corners c_i = +-1.
 
 Pulse counts may be real-valued here: the closed forms are smooth in N and
 exactly periodic with period pi/delta_i, which the tests exploit.  Integer
@@ -37,6 +35,7 @@ sequences, as the model that scans compare against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -53,36 +52,43 @@ class Shape(NamedTuple):
 
     arity: int  # driven transitions
     least: int  # least dimension, per molecule
-    m: int  # m of the quantized minimum (d - m)/d, per molecule
     independent: bool  # one driven transition per separate molecule
-    dip: Callable | None  # the closed form dip(d, c, x)
+    coef: Callable  # coef(d): d times one molecule's dip coefficients
+
+    def floor(self, d: int) -> float:
+        """d times one molecule's least dip, at a corner c_i = +-1 (d unchecked)."""
+        return min(_weigh(self.coef(d), c) for c in itertools.product((1, -1), repeat=self.arity))
 
 
-def _closed_loop(d, c, x):  # ring and star share one closed form
-    return (d - 3 + c[0] * c[2] + x) / d
+def _weigh(coef, c) -> float:
+    """coef . the products of c over each subset in binary order (1, c0, c1,
+    c0 c1, c2, ...), as far as coef goes, summed left to right."""
+    terms = [1]
+    for x in c:
+        terms += [t * x for t in terms]
+    total = 0
+    for a, t in zip(coef, terms):
+        total += a * t
+    return total
 
 
-# Topology name -> its Shape, the one place that knows them.  A dip takes
-# the joint dimension d, c_i = cos(2 N_i delta_i) and, for three
-# transitions, the chain cross term x.  None stands for the product of
-# one-transition factors, one per molecule, of 1d and *-independent, whose
-# minimum is the least corner product of the molecules' minima (minima).
+def _coef(*rest):
+    """coef(d) of a dip that is 1 at zero pulses: d - sum(rest), then rest."""
+    return lambda d: (d - sum(rest), *rest)
+
+
+# Topology name -> its Shape, the one place that knows them; coef in _weigh's order.
 TOPOLOGIES = {
-    "1d": Shape(1, 2, 4, False, None),
-    "2d-independent": Shape(2, 2, 4, True, None),
-    "2d-uncorrelated": Shape(2, 4, 8, False, lambda d, c, x: (d - 4 + 2 * c[0] + 2 * c[1]) / d),
-    "2d-correlated": Shape(2, 3, 4, False, lambda d, c, x: (d - 3 + c[0] + c[1] + c[0] * c[1]) / d),
-    "3d-independent": Shape(3, 2, 4, True, None),
-    # summed term by term: 2 * sum(c) rounds differently
-    "3d-uncorrelated": Shape(
-        3, 6, 12, False, lambda d, c, x: (d - 6 + 2 * c[0] + 2 * c[1] + 2 * c[2]) / d
-    ),
-    "3d-ring": Shape(3, 3, 4, False, _closed_loop),
-    "3d-star": Shape(3, 4, 4, False, _closed_loop),
-    "3d-linked-ladder": Shape(3, 4, 8, False, lambda d, c, x: (d - 4 + c[0] + c[2] + x) / d),
-    "3d-unlinked-ladder": Shape(
-        3, 5, 8, False, lambda d, c, x: (d - 5 + 2 * c[0] + c[1] + c[2] + c[1] * c[2]) / d
-    ),
+    "1d": Shape(1, 2, False, _coef(2)),
+    "2d-independent": Shape(2, 2, True, _coef(2)),
+    "2d-uncorrelated": Shape(2, 4, False, _coef(2, 2, 0)),
+    "2d-correlated": Shape(2, 3, False, _coef(1, 1, 1)),
+    "3d-independent": Shape(3, 2, True, _coef(2)),
+    "3d-uncorrelated": Shape(3, 6, False, _coef(2, 2, 0, 2, 0, 0, 0)),
+    "3d-ring": Shape(3, 3, False, _coef(*[0.5] * 7)),
+    "3d-star": Shape(3, 4, False, _coef(*[0.5] * 7)),
+    "3d-linked-ladder": Shape(3, 4, False, _coef(1.5, 0.5, 0.5, 1.5, -0.5, 0.5, 0.5)),
+    "3d-unlinked-ladder": Shape(3, 5, False, _coef(2, 1, 0, 1, 0, 1, 0)),
 }
 # Below this max(|a|, |b|) * dt the nested segment integral uses its double
 # Taylor series, truncated after total order _SERIES_ORDER (error below
@@ -283,8 +289,8 @@ def magnus_coherence(system: SystemModel, taus, counts) -> np.ndarray:
 
 def _shape(topology: str, dims) -> tuple[Shape, tuple[int, ...]]:
     """topology's Shape and dims as ints (spin_model.as_int), if there is
-    one dimension per molecule and each is at least the topology's least
-    (else an InputError naming "dims")."""
+    one dimension per molecule, each from the topology's least to float
+    range (else an InputError naming "dims")."""
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     shape, dims = TOPOLOGIES[topology], tuple(as_int(x, "dims") for x in dims)
@@ -296,6 +302,8 @@ def _shape(topology: str, dims) -> tuple[Shape, tuple[int, ...]]:
         got = ", ".join(map(str, dims))
         message = f"{topology} topology needs dimension >= {shape.least}, got {got}"
         raise InputError(message, ("dims",))
+    if as_float(max(dims)) == math.inf:
+        raise InputError(f"dims must be finite, got {max(dims)}", ("dims",))
     return shape, dims
 
 
@@ -355,18 +363,9 @@ class AnalyticModel:
         reach = f"2 N delta = 2 x {n:g} x {delta:g}"
         check_phase(phase, reach, "a closed-form dip", ("deltas", "pulses"))
         shape = TOPOLOGIES[self.topology]
-        if shape.dip is None:
-            return math.prod(
-                (dim - 2 + 2 * math.cos(2 * n * delta)) / dim
-                for dim, delta, n in zip(self.dims, deltas, counts)
-            )
         c = [math.cos(2 * n * delta) for delta, n in zip(deltas, counts)]
-        # ring/star/linked forms carry the middle rotation as split half
-        # angles; the two-transition forms leave x unused
-        half = counts[1] * deltas[1]
-        cos2, sin2 = math.cos(half) ** 2, math.sin(half) ** 2
-        x = c[0] * cos2 + cos2 * c[-1] - c[0] * sin2 * c[-1] - sin2
-        return shape.dip(self.d, c, x)
+        molecules = zip(self.dims, zip(c)) if shape.independent else [(self.d, c)]
+        return math.prod(_weigh(shape.coef(d), x) / d for d, x in molecules)
 
 
 def pulse_period(delta: float) -> PulsePeriod:
@@ -387,10 +386,8 @@ def minima(topology: str, dims) -> float:
     Each value is the global minimum of the corresponding closed form over
     real pulse counts, reached at half-period driving (N_i = pi/(2 delta_i)).
     For separate molecules it is the least corner product of the molecules'
-    minima (d_i - m)/d_i and 1.
+    minima Shape.floor(d_i)/d_i and 1.
     """
     shape, dims = _shape(topology, dims)
-    values = [1.0]
-    for d in dims:
-        values = [v * x for v in values for x in ((d - shape.m) / d, 1.0)]
-    return min(values)
+    factors = [(shape.floor(d) / d, 1.0) for d in dims]
+    return min(math.prod(corner) for corner in itertools.product(*factors))

@@ -457,7 +457,9 @@ def _parse_numbers(text: str, flag: str, kind=float) -> list:
     except ValueError:
         noun = "numbers" if kind is float else "integers"
         raise ScenarioError(f"{flag}: expected comma-separated {noun}, got {text!r}")
-    return [kind(_finite(x, flag)) for x in values]
+    for x in values:
+        _finite(x, flag)  # an int is kept whole, not rounded through float
+    return values
 
 
 def _cmd_scan(args) -> int:

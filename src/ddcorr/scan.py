@@ -373,11 +373,11 @@ def _part(blocks, axes, first: int) -> tuple[np.ndarray, np.ndarray]:
 def classify_correlation(measured_min: float, d: int) -> str:
     """Judge whether a measured 2D dip minimum indicates a shared level.
 
-    Compares against the quantized minima of the 2d-correlated and
-    2d-uncorrelated topologies (analytic.minima); verdicts inside a +-0.1
-    band around their midpoint are "ambiguous".  Below the uncorrelated
-    topology's least dimension that hypothesis does not exist, so a low
-    minimum is ambiguous rather than uncorrelated.
+    Compares against the midpoint of the 2d-correlated and 2d-uncorrelated
+    minima, divided by d once from their Shape.floor; verdicts inside a
+    +-0.1 band around it are "ambiguous".  Below the uncorrelated topology's
+    least dimension that hypothesis does not exist, so a low minimum is
+    ambiguous rather than uncorrelated.
     """
     if not math.isfinite(as_float(measured_min)):
         raise ValueError(f"measured_min must be finite, got {measured_min}")
@@ -387,7 +387,7 @@ def classify_correlation(measured_min: float, d: int) -> str:
         raise ValueError(f"need d >= {correlated.least}, got {d}")
     if as_float(d) == math.inf:
         raise ValueError(f"d must be finite, got {d}")
-    midpoint = (d - (correlated.m + uncorrelated.m) / 2) / d
+    midpoint = (correlated.floor(d) + uncorrelated.floor(d)) / 2 / d
     if abs(measured_min - midpoint) <= _AMBIGUOUS_BAND:
         return "ambiguous"
     if measured_min > midpoint:

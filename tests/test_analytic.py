@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from ddcorr.analytic import (
     TOPOLOGIES,
@@ -400,7 +401,10 @@ class TestTraceOracle3D:
 
 # Every topology's closed form at the values of the code it replaced, as
 # float.hex: rows (d or dims, deltas, pulses, value) with a zero count, a
-# half-period count N_i = pi/(2 delta_i) and generic counts.
+# half-period count N_i = pi/(2 delta_i) and generic counts.  Summing pure
+# monomials of the coefficient table moved four rows by 1-2 ulp from the
+# half-angle form they had (3d-ring at d = 3 and 4, 3d-star and
+# 3d-linked-ladder at d = 4); each stays within 1 eps of its 50-digit value.
 GOLDEN = {
     "1d": [
         (3, (0.025,), (0.0,), "0x1.0000000000000p+0"),
@@ -443,17 +447,17 @@ GOLDEN = {
         (7, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.e3277802cdc55p-2"),
     ],
     "3d-ring": [
-        (3, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.bd21d98faa1a5p-1"),
+        (3, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.bd21d98faa1a7p-1"),
         (
             3,
             (0.021, 0.033, 0.017),
             (74.79982508547126, 47.59988869075444, 92.39978392911155),
             "-0x1.5555555555555p-2",
         ),
-        (4, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.67f9fcfd1d540p-3"),
+        (4, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.67f9fcfd1d541p-3"),
     ],
     "3d-star": [
-        (4, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.cdd9632bbf93cp-1"),
+        (4, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.cdd9632bbf93ep-1"),
         (
             4,
             (0.021, 0.033, 0.017),
@@ -463,7 +467,7 @@ GOLDEN = {
         (5, (0.0357, 0.019, 0.027), (31.0, 17.5, 5.0), "0x1.5cca65320bbb3p-2"),
     ],
     "3d-linked-ladder": [
-        (4, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.cdd9632bbf93cp-1"),
+        (4, (0.021, 0.033, 0.017), (0.0, 7.0, 13.0), "0x1.cdd9632bbf93dp-1"),
         (
             4,
             (0.021, 0.033, 0.017),
@@ -491,6 +495,43 @@ def test_closed_forms_match_golden_values_bit_for_bit(name):
         dims = size if isinstance(size, tuple) else (size,)
         got = AnalyticModel(name, deltas, dims).evaluate(pulses)
         assert got.hex() == want, (size, deltas, pulses)
+
+
+def _polynomial_at_50_digits(shape, dims, c):
+    """The TOPOLOGIES polynomial at the float64 cosines c, in mpmath."""
+    molecules = zip(dims, zip(c)) if shape.independent else [(dims[0], c)]
+    value = mpf(1)
+    for d, x in molecules:
+        terms = [mpf(1)]
+        for ci in x:
+            terms += [t * ci for t in terms]
+        value *= mp.fsum(mpf(a) * t for a, t in zip(shape.coef(d), terms)) / d
+    return value
+
+
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_closed_forms_are_within_4_eps_of_their_polynomial(name):
+    """evaluate sums the coefficient table in float64; against the same
+    polynomial at 50 digits, from the same cosines, it is off by at most 4
+    eps (2.3 eps measured over 2000 draws per row), at generic counts and
+    near the half period, where the loop rows cancel to near zero."""
+    shape, rng = TOPOLOGIES[name], np.random.default_rng([36, list(TOPOLOGIES).index(name)])
+    k = shape.arity
+    with mp.workdps(50):
+        for _ in range(600):
+            if shape.independent:
+                dims = tuple(rng.integers(2, 9, k).tolist())
+            else:
+                dims = (int(rng.integers(shape.least, 65)),)
+            deltas = rng.uniform(0.005, 0.05, k).tolist()
+            pulses = rng.uniform(0, 300, k).tolist()
+            if rng.random() < 0.5:
+                near = rng.uniform(-1e-3, 1e-3, k)
+                pulses = [math.pi / (2 * delta) * (1 + x) for delta, x in zip(deltas, near)]
+            c = [math.cos(2 * n * delta) for delta, n in zip(deltas, pulses)]
+            got = AnalyticModel(name, deltas, dims).evaluate(pulses)
+            want = _polynomial_at_50_digits(shape, dims, c)
+            assert abs(mpf(got) - want) <= 4 * 2.0**-52, (dims, deltas, pulses)
 
 
 class TestPeriodicityAndParity:
@@ -535,34 +576,28 @@ class TestPulsePeriod:
 
 class TestMinima:
     def test_quoted_values(self):
-        assert minima("2d-uncorrelated", (4,)) == pytest.approx(-1.0)
-        assert minima("2d-correlated", (4,)) == pytest.approx(0.0)
-        assert minima("1d", (3,)) == pytest.approx(-1.0 / 3.0)
+        assert minima("2d-uncorrelated", (4,)) == -1.0
+        assert minima("2d-correlated", (4,)) == 0.0
+        assert minima("1d", (3,)) == -1.0 / 3.0
 
     def test_dimension_scaling(self):
         for d in range(3, 9):
-            assert minima("1d", (d,)) == pytest.approx((d - 4) / d)
+            assert minima("1d", (d,)) == (d - 4) / d
         for d in range(4, 9):
-            assert minima("2d-uncorrelated", (d,)) == pytest.approx(
-                (d - 8) / d
-            )
+            assert minima("2d-uncorrelated", (d,)) == (d - 8) / d
         for d in range(3, 9):
-            assert minima("2d-correlated", (d,)) == pytest.approx(
-                (d - 4) / d
-            )
+            assert minima("2d-correlated", (d,)) == (d - 4) / d
 
     def test_3d_values(self):
-        assert minima("3d-ring", (3,)) == pytest.approx(-1.0 / 3.0)
-        assert minima("3d-star", (4,)) == pytest.approx(0.0)
-        assert minima("3d-linked-ladder", (4,)) == pytest.approx(-1.0)
-        assert minima("3d-unlinked-ladder", (5,)) == pytest.approx(
-            -3.0 / 5.0
-        )
-        assert minima("3d-uncorrelated", (6,)) == pytest.approx(-1.0)
+        assert minima("3d-ring", (3,)) == -1.0 / 3.0
+        assert minima("3d-star", (4,)) == 0.0
+        assert minima("3d-linked-ladder", (4,)) == -1.0
+        assert minima("3d-unlinked-ladder", (5,)) == -3.0 / 5.0
+        assert minima("3d-uncorrelated", (6,)) == -1.0
 
     def test_independent_molecules_corner_product(self):
-        assert minima("2d-independent", (2, 2)) == pytest.approx(-1.0)
-        assert minima("2d-independent", (3, 5)) == pytest.approx(-1.0 / 3.0)
+        assert minima("2d-independent", (2, 2)) == -1.0
+        assert minima("2d-independent", (3, 5)) == -1.0 / 3.0
 
     def test_2d_minima_are_attained_and_global(self):
         """Brute-force check that the quoted minima really floor the closed

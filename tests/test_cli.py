@@ -1080,6 +1080,17 @@ class TestAnalyticCommand:
         assert code == 0
         assert float(out) == pytest.approx(1.0, abs=1e-3)
 
+    def test_dims_above_2_to_the_53_are_not_rounded(self, capsys):
+        # 2**53 + 1 is no float: --d must equal the true product, not the rounded one
+        argv = ["--topology", "2d-independent", "--dims", "9007199254740993,2",
+                "--delta", "0.02,0.02", "--n", "5,5"]
+        assert dispatch(["analytic", *argv, "--d", "18014398509481986"]) == 0
+        assert capsys.readouterr().out == "0.980067\n"
+        assert dispatch(["analytic", *argv, "--d", "18014398509481984"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --d: 18014398509481984 is not the product of --dims 9007199254740993,2\n"
+        )
+
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_every_topology_is_accepted(self, capsys, name):
         count = int(name[0])

@@ -99,6 +99,16 @@ FLAG_LINES = {
         ["--topology", "2d-correlated", "--d", "4", "--delta", "0.025,0.036", "--n", "63,44"],
         ["--topology", "3d-independent", "--dims", "2,3,2", "--delta", "0.02,0.03,0.01",
          "--n", "5,9,13"],
+        # one line for each other row of analytic.TOPOLOGIES
+        ["--topology", "1d", "--d", "3", "--delta", "0.025", "--n", "63"],
+        ["--topology", "2d-independent", "--dims", "3,2", "--delta", "0.025,0.036", "--n", "63,44"],
+        ["--topology", "2d-uncorrelated", "--d", "4", "--delta", "0.025,0.036", "--n", "63,44"],
+        ["--topology", "3d-uncorrelated", "--d", "6", "--delta", "0.02,0.03,0.01", "--n", "5,9,13"],
+        ["--topology", "3d-ring", "--d", "3", "--delta", "0.02,0.03,0.01", "--n", "5,9,13"],
+        ["--topology", "3d-star", "--d", "4", "--delta", "0.02,0.03,0.01", "--n", "5,9,13"],
+        ["--topology", "3d-linked-ladder", "--d", "4", "--delta", "0.02,0.03,0.01", "--n", "5,9,13"],
+        ["--topology", "3d-unlinked-ladder", "--d", "5", "--delta", "0.02,0.03,0.01",
+         "--n", "5,9,13"],
     ],
     "plan": [
         ["--F", "0.03", "--snr", "10", "--delta-omega-kHz", "5,5", "--t-ir-us", "1"],

@@ -52,8 +52,8 @@ def test_private_imports_finds_each_form():
 
 
 def test_no_module_imports_a_test_only_dependency():
-    # mpmath is the 50-digit reference of tests/test_precision.py; numpy is
-    # the one runtime dependency
+    # mpmath is the 50-digit reference of tests/test_precision.py and
+    # tests/test_analytic.py; numpy is the one runtime dependency
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):

@@ -130,6 +130,18 @@ REFUSALS = {
         lambda: AnalyticModel("2d-correlated", (1e308, 0.03), (3,)).evaluate((62, 44)),
         "2 N delta = 2 x 62 x 1e+308 is beyond the 1.5e+11 rad a closed-form dip takes",
     ),
+    "analytic-model-int-dimension-beyond-float-range": (
+        lambda: AnalyticModel("1d", (0.1,), (HUGE,)),
+        f"dims must be finite, got {HUGE}",
+    ),
+    "analytic-model-independent-int-dimension-beyond-float-range": (
+        lambda: AnalyticModel("2d-independent", (0.1, 0.1), (2, HUGE)),
+        f"dims must be finite, got {HUGE}",
+    ),
+    "minima-int-dimension-beyond-float-range": (
+        lambda: minima("1d", (HUGE,)),
+        f"dims must be finite, got {HUGE}",
+    ),
     "classify-int-minimum-beyond-float-range": (
         lambda: classify_correlation(HUGE, 4),
         f"measured_min must be finite, got {HUGE}",
@@ -241,6 +253,17 @@ def test_closed_form_phase_refusal_names_deltas_and_pulses():
     with pytest.raises(InputError) as refused:
         AnalyticModel("1d", (0.025,), (3,)).evaluate((1e13,))
     assert refused.value.inputs == ("deltas", "pulses")
+
+
+def test_dimension_beyond_float_range_names_dims():
+    calls = (
+        lambda: AnalyticModel("3d-star", (0.1,) * 3, (HUGE,)),
+        lambda: minima("3d-ring", (HUGE,)),
+    )
+    for call in calls:
+        with pytest.raises(InputError) as refused:
+            call()
+        assert refused.value.inputs == ("dims",)
 
 
 def test_axes_take_numpy_integers():

@@ -478,6 +478,19 @@ class TestClassifyCorrelation:
         assert classify_correlation(-0.39, 4) == "correlated"
         assert classify_correlation(-0.61, 4) == "uncorrelated"
 
+    def test_midpoint_is_rounded_once(self):
+        # the minima (d - 4)/d and (d - 8)/d meet at (d - 6)/d, rounded once:
+        # averaging the two rounded minima moves it by an ulp at d = 5, 9, ...
+        for d in range(4, 400):
+            midpoint = (d - 6) / d
+            for edge in (midpoint - 0.1, midpoint + 0.1):
+                below, above = math.nextafter(edge, -2), math.nextafter(edge, 2)
+                for measured in (below, edge, above):
+                    inside = abs(measured - midpoint) <= 0.1
+                    side = "correlated" if measured > midpoint else "uncorrelated"
+                    want = "ambiguous" if inside else side
+                    assert classify_correlation(measured, d) == want, (d, measured)
+
     def test_d3_never_reports_uncorrelated(self):
         assert classify_correlation(-0.95, 3) == "ambiguous"
         assert classify_correlation(-0.30, 3) == "correlated"
